@@ -79,7 +79,7 @@ def main(argv=None) -> int:
         import os
         os.makedirs(config.out_dir, exist_ok=True)
         tag = f"{args.problem}_N{args.N}" if args.problem == "rough" else "hom"
-        path = os.path.join(config.out_dir, f"solution_{tag}.txt")
+        path = os.path.join(config.out_dir, f"solution_{tag}.ckpt")
         save_solution(sol, path)
         print(f"checkpointed solution to {path}")
         return 0

@@ -23,6 +23,9 @@ meshes.  Both produce the same solution up to round-off.
 
 from __future__ import annotations
 
+import json
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -351,65 +354,91 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
                             else np.zeros(ndof))
 
 
+@contextmanager
+def atomic_open(path):
+    """Open a temporary binary file beside ``path`` and move it onto ``path``
+    once the block completes, so a killed writer never leaves a partial file
+    under the final name.  On an exception the temporary file is removed."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+_MAGIC = b"parahyp-checkpoint\n"
+_OLD_TEXT_MAGIC = b"parahyp-solution 1\n"
+_FORMAT_VERSION = 2
+_ALIGN = 64
+_FLOAT = np.dtype("<f8")
+
+
 def save_solution(sol: DiscreteSolution, path) -> None:
-    """Checkpoint a solution as plain text (metadata header + one line of
-    shortest-roundtrip floats per slab node)."""
-    with open(path, "w") as fh:
-        fh.write("parahyp-solution 1\n")
-        for key in ("n", "p", "q", "tau", "T", "rho"):
-            fh.write(f"{key} {sol.meta[key]!r}\n")
-        fh.write(f"slabs {sol.n_slabs}\n")
-        fh.write(f"ndof_u {sol.space_u.ndof}\n")
-        fh.write(f"ndof_v {sol.space_v.ndof}\n")
-        fh.write("initial\n")
-        x0 = sol.initial_state if sol.initial_state is not None \
-            else np.zeros(sol.coeffs.shape[2])
-        fh.write(" ".join(repr(float(v)) for v in x0))
-        fh.write("\n")
-        for m in range(sol.n_slabs):
-            for i in range(sol.basis.q + 1):
-                fh.write(f"slab {m} node {i}\n")
-                # repr of Python floats is the shortest exact round-trip form
-                fh.write(" ".join(repr(float(v)) for v in sol.coeffs[m, i]))
-                fh.write("\n")
+    """Checkpoint a solution as one binary file.
+
+    Layout: the magic line ``parahyp-checkpoint``, one line of JSON (format
+    version, ``slabs``, ``ndof_u``, ``ndof_v`` and ``meta``) space-padded so
+    that the data start at a multiple of 64 bytes, then little-endian
+    float64 data: the initial state followed by ``coeffs`` in C order.
+    """
+    x0 = sol.initial_state if sol.initial_state is not None \
+        else np.zeros(sol.coeffs.shape[2])
+    header = json.dumps({"format": _FORMAT_VERSION, "slabs": sol.n_slabs,
+                         "ndof_u": sol.space_u.ndof, "ndof_v": sol.space_v.ndof,
+                         "meta": sol.meta}).encode()
+    used = len(_MAGIC) + len(header) + 1
+    header += b" " * (-used % _ALIGN) + b"\n"
+    with atomic_open(path) as fh:
+        fh.write(_MAGIC + header)
+        np.asarray(x0, dtype=_FLOAT).tofile(fh)
+        np.asarray(sol.coeffs, dtype=_FLOAT).tofile(fh)
 
 
 def load_solution(path) -> DiscreteSolution:
-    """Rebuild a checkpointed solution (exact round-trip of save_solution)."""
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != "parahyp-solution 1":
+    """Reopen a checkpoint written by save_solution.
+
+    The coefficients are a read-only memory map of the file: bit-exact and
+    not copied.  A file of another format version, or whose size does not
+    match its header (a truncated write), is refused.
+    """
+    with open(path, "rb") as fh:
+        magic = fh.readline(_ALIGN)
+        if magic == _OLD_TEXT_MAGIC:
+            raise ValueError(f"{path}: old text checkpoint (parahyp-solution 1); "
+                             "delete it and re-solve")
+        if magic != _MAGIC:
             raise ValueError(f"{path}: not a solution checkpoint (header {magic!r})")
-        meta = {}
-        for key in ("n", "p", "q", "tau", "T", "rho"):
-            name, value = fh.readline().split()
-            if name != key:
-                raise ValueError(f"{path}: expected metadata key {key}, got {name}")
-            meta[key] = float(value) if key in ("tau", "T", "rho") else int(value)
-        n_slabs = int(fh.readline().split()[1])
-        ndof_u = int(fh.readline().split()[1])
-        ndof_v = int(fh.readline().split()[1])
-        if fh.readline().strip() != "initial":
-            raise ValueError(f"{path}: missing initial-state record")
-        x0 = np.array(fh.readline().split(), dtype=float)
-        if x0.shape != (ndof_u + ndof_v,):
-            raise ValueError(f"{path}: malformed initial-state record")
-        mesh = build_mesh(meta["n"])
-        space_u = ScalarSpace(mesh, meta["p"])
-        space_v = VectorSpace(mesh, meta["p"])
-        if (space_u.ndof, space_v.ndof) != (ndof_u, ndof_v):
-            raise ValueError(f"{path}: checkpoint dimensions do not match its metadata")
-        basis = SlabBasis(meta["q"], meta["rho"], meta["tau"])
-        coeffs = np.empty((n_slabs, meta["q"] + 1, ndof_u + ndof_v))
-        for m in range(n_slabs):
-            for i in range(meta["q"] + 1):
-                tag = fh.readline().split()
-                if tag[:4:2] != ["slab", "node"] or (int(tag[1]), int(tag[3])) != (m, i):
-                    raise ValueError(f"{path}: malformed record around slab {m} node {i}")
-                row = np.array(fh.readline().split(), dtype=float)
-                if row.shape != (ndof_u + ndof_v,):
-                    raise ValueError(f"{path}: truncated coefficient record at slab {m}")
-                coeffs[m, i] = row
-    return DiscreteSolution(space_u=space_u, space_v=space_v, basis=basis,
+        try:
+            header = json.loads(fh.readline())
+            version, meta = header["format"], header["meta"]
+            ndof_u, ndof_v = header["ndof_u"], header["ndof_v"]
+            shape = (header["slabs"], meta["q"] + 1, ndof_u + ndof_v)
+        except (ValueError, KeyError, TypeError) as err:
+            raise ValueError(f"{path}: malformed checkpoint header ({err!r})") from None
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"{path}: checkpoint format version {version!r}, "
+                             f"expected {_FORMAT_VERSION}")
+        offset = fh.tell()
+        state_bytes = _FLOAT.itemsize * shape[2]
+        expected = offset + state_bytes * (1 + shape[0] * shape[1])
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != expected:
+            raise ValueError(f"{path}: checkpoint holds {actual} bytes, its header "
+                             f"describes {expected}; truncated or corrupt, re-solve it")
+        x0 = np.frombuffer(fh.read(state_bytes), dtype=_FLOAT).astype(float)
+    mesh = build_mesh(meta["n"])
+    space_u = ScalarSpace(mesh, meta["p"])
+    space_v = VectorSpace(mesh, meta["p"])
+    if (space_u.ndof, space_v.ndof) != (ndof_u, ndof_v):
+        raise ValueError(f"{path}: checkpoint dimensions do not match its metadata")
+    coeffs = np.memmap(path, dtype=_FLOAT, mode="r", shape=shape,
+                       offset=offset + state_bytes)
+    return DiscreteSolution(space_u=space_u, space_v=space_v,
+                            basis=SlabBasis(meta["q"], meta["rho"], meta["tau"]),
                             coeffs=coeffs, rho=meta["rho"], meta=meta,
                             initial_state=x0)

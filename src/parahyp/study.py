@@ -19,13 +19,14 @@ import numpy as np
 
 from . import coefficients as coeff
 from .errors import ErrorTable, compare_solutions
-from .slab import DiscreteSolution, load_solution, run, save_solution
+from .slab import DiscreteSolution, atomic_open, load_solution, run, save_solution
 from .spaces import eval_scalar
 
+# 'auto' and 'always' behave alike; both stay accepted for existing configs
 _CHECKPOINT_MODES = ("auto", "always", "never")
-# above roughly this many coefficient values, 'auto' stops writing text
-# checkpoints (the study then keeps references in memory only)
-_AUTO_CHECKPOINT_LIMIT = 20_000_000
+# every study problem is driven by coefficients.source_f, the box source
+# switched off at t = 1; the tag keeps a checkpoint of another forcing apart
+_SOURCE_TAG = "box"
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ def _study_problem(kind: str, N: int | None, config: StudyConfig) -> coeff.Probl
 
 
 def _reference_path(kind: str, N: int | None, config: StudyConfig) -> str:
-    name = f"ref_rough_N{N}.txt" if kind == "rough" else "ref_hom.txt"
+    name = f"ref_rough_N{N}.ckpt" if kind == "rough" else "ref_hom.ckpt"
     return os.path.join(config.out_dir, name)
 
 
@@ -183,20 +184,26 @@ def solve_reference(kind: str, N: int | None, config: StudyConfig,
     """Solve (or load from checkpoint) one reference problem.
 
     The reference uses degree ref_p in space on the configured fine mesh and
-    is cached as a text checkpoint unless the configuration disables that.
+    is cached as a binary checkpoint unless the configuration disables that.
+    Its ``meta`` records the full identity (problem kind, N, source tag,
+    resolution, tau, T, rho); a checkpoint whose identity differs from the
+    requested one is refused.
     """
     path = _reference_path(kind, N, config)
     n_ref = config.reference_space_cells
     m_ref = config.reference_time_cells
     tau_ref = config.T / m_ref
+    identity = {"problem": kind, "N": N, "source": _SOURCE_TAG, "n": n_ref,
+                "p": config.ref_p, "q": config.ref_q, "tau": tau_ref,
+                "T": config.T, "rho": config.rho}
     if config.checkpoint != "never" and os.path.exists(path):
         t0 = time.perf_counter()
         sol = load_solution(path)
-        expected = {"n": n_ref, "p": config.ref_p, "q": config.ref_q}
-        actual = {k: sol.meta[k] for k in expected}
-        if actual != expected or abs(sol.meta["tau"] - tau_ref) > 1e-12:
+        differ = [f"{key} {sol.meta.get(key)!r} (requested {want!r})"
+                  for key, want in identity.items() if sol.meta.get(key) != want]
+        if differ:
             raise ValueError(f"checkpoint {path} does not match the requested "
-                             f"reference resolution {expected}, found {actual}")
+                             f"reference: {', '.join(differ)}")
         log(f"[reference {kind}{'' if N is None else f' N={N}'}] loaded checkpoint "
             f"{path} in {time.perf_counter() - t0:.1f}s")
         return sol
@@ -204,34 +211,33 @@ def solve_reference(kind: str, N: int | None, config: StudyConfig,
     t0 = time.perf_counter()
     sol = run(problem, n=n_ref, p=config.ref_p, q=config.ref_q, tau=tau_ref,
               solver=config.solver)
+    sol.meta.update(identity)
     log(f"[reference {kind}{'' if N is None else f' N={N}'}] solved "
         f"n={n_ref} p={config.ref_p} slabs={m_ref} "
         f"in {time.perf_counter() - t0:.1f}s")
-    n_values = sol.coeffs.size
-    if config.checkpoint == "always" or (
-            config.checkpoint == "auto" and n_values <= _AUTO_CHECKPOINT_LIMIT):
+    if config.checkpoint != "never":
         os.makedirs(config.out_dir, exist_ok=True)
         t0 = time.perf_counter()
         save_solution(sol, path)
         log(f"[reference] checkpointed to {path} in {time.perf_counter() - t0:.1f}s")
-    elif config.checkpoint == "auto":
-        log(f"[reference] skipping text checkpoint ({n_values} values exceeds the "
-            "auto limit); reference kept in memory only")
     return sol
 
 
 def run_study(config: StudyConfig, log=print) -> ErrorTable:
     """Full table run: study solves, references, error columns, CSV output.
 
-    Progress lines (with per-row timings) go to ``log`` and are also written
-    to ``run.log`` in the output directory.
+    Progress lines (with per-row timings) go to ``log`` and are also appended
+    to ``run.log`` in the output directory as they happen, so a run that
+    fails part-way leaves the lines logged so far.
     """
     os.makedirs(config.out_dir, exist_ok=True)
-    lines = []
+    log_path = os.path.join(config.out_dir, "run.log")
+    open(log_path, "w").close()
     sink = log
 
     def log(message):
-        lines.append(str(message))
+        with open(log_path, "a") as fh:
+            fh.write(f"{message}\n")
         sink(message)
 
     _study_problem("rough", config.n_list[0], config).warn_if_weak_weight(log)
@@ -284,14 +290,12 @@ def run_study(config: StudyConfig, log=print) -> ErrorTable:
         table.add_row(N, rough_errors[N].e_sup, rough_errors[N].e_q,
                       hom_errors[N].e_sup, hom_errors[N].e_q)
     csv_path = os.path.join(config.out_dir, "table.csv")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(table.to_csv())
+    with atomic_open(csv_path) as fh:
+        fh.write(table.to_csv().encode())
     log(f"[study] wrote {csv_path}")
     log(table.format_pretty())
     if config.snapshot_times:
         _export_study_snapshots(config, study_solutions, log)
-    with open(os.path.join(config.out_dir, "run.log"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
     return table
 
 
@@ -333,25 +337,24 @@ def export_snapshot(sol: DiscreteSolution, t: float, resolution: int,
         coeffs = sol.coefficients_at(t, "-")
     values = eval_scalar(sol.space_u, coeffs[: sol.ndof_u], pts).reshape(resolution,
                                                                          resolution)
+    # shortest round-trip text of each value, x running fastest: the VTK
+    # point order, and the order along each CSV row
+    text = list(map(repr, values.T.ravel().tolist()))
+    h = 1.0 / resolution
     vtk_path, csv_path = path_base + ".vtk", path_base + ".csv"
-    with open(vtk_path, "w") as fh:
-        fh.write("# vtk DataFile Version 2.0\n")
-        fh.write(f"u at t={t!r}\nASCII\n")
-        fh.write("DATASET STRUCTURED_GRID\n")
-        fh.write(f"DIMENSIONS {resolution} {resolution} 1\n")
-        fh.write(f"POINTS {resolution * resolution} float\n")
-        for j in range(resolution):
-            for i in range(resolution):
-                fh.write(f"{float(pts_1d[i])!r} {float(pts_1d[j])!r} 0\n")
-        fh.write(f"POINT_DATA {resolution * resolution}\n")
-        fh.write("SCALARS u float\nLOOKUP_TABLE default\n")
-        for j in range(resolution):
-            for i in range(resolution):
-                fh.write(f"{float(values[i, j])!r}\n")
-    with open(csv_path, "w", newline="") as fh:
-        for j in range(resolution):
-            fh.write(",".join(repr(float(values[i, j])) for i in range(resolution)))
-            fh.write("\n")
+    with atomic_open(vtk_path) as fh:
+        fh.write(f"# vtk DataFile Version 2.0\n"
+                 f"u at t={t!r}\nASCII\n"
+                 f"DATASET STRUCTURED_POINTS\n"
+                 f"DIMENSIONS {resolution} {resolution} 1\n"
+                 f"ORIGIN {h / 2!r} {h / 2!r} 0\n"
+                 f"SPACING {h!r} {h!r} 1\n"
+                 f"POINT_DATA {resolution * resolution}\n"
+                 f"SCALARS u float\nLOOKUP_TABLE default\n".encode())
+        fh.write(("\n".join(text) + "\n").encode())
+    with atomic_open(csv_path) as fh:
+        fh.write("".join(",".join(text[j:j + resolution]) + "\n"
+                         for j in range(0, len(text), resolution)).encode())
     return vtk_path, csv_path
 
 

@@ -5,9 +5,9 @@ from parahyp import coefficients as co
 from parahyp.assembly import build_block_system
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import exponential_moments
-from parahyp.slab import (SlabBasis, build_slab_system, left_trace,
-                          load_solution, right_trace, run, save_solution,
-                          time_matrices)
+from parahyp.slab import (SlabBasis, atomic_open, build_slab_system,
+                          left_trace, load_solution, right_trace, run,
+                          save_solution, time_matrices)
 from parahyp.spaces import FieldPair, ScalarSpace, VectorSpace
 
 
@@ -227,17 +227,63 @@ class TestTraces:
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        sol = run(co.rough_problem(2, T=0.75), n=4, p=2, q=1, tau=1 / 4)
-        path = tmp_path / "solution.txt"
+    @pytest.fixture
+    def solution(self):
+        mesh = build_mesh(4)
+        ndof_u = ScalarSpace(mesh, 2).ndof
+        ndof = ndof_u + VectorSpace(mesh, 2).ndof
+        x0 = FieldPair.split(np.random.default_rng(5).standard_normal(ndof), ndof_u)
+        return run(co.rough_problem(2, T=0.75), n=4, p=2, q=1, tau=1 / 4, x0=x0)
+
+    def test_round_trip_bit_exact(self, tmp_path, solution):
+        sol = solution
+        path = tmp_path / "solution.ckpt"
         save_solution(sol, path)
         back = load_solution(path)
         assert np.array_equal(back.coeffs, sol.coeffs)
+        assert np.array_equal(back.initial_state, sol.initial_state)
         assert back.meta == sol.meta
         assert back.space_u.ndof == sol.space_u.ndof
+        assert not back.coeffs.flags.writeable
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not a checkpoint\n")
         with pytest.raises(ValueError):
             load_solution(path)
+
+    def test_rejects_old_text_checkpoint(self, tmp_path):
+        path = tmp_path / "ref_hom.txt"
+        path.write_text("parahyp-solution 1\nn 8\np 3\n")
+        with pytest.raises(ValueError, match="old text checkpoint.*re-solve"):
+            load_solution(path)
+
+    def test_rejects_other_format_version(self, tmp_path, solution):
+        path = tmp_path / "solution.ckpt"
+        save_solution(solution, path)
+        data = path.read_bytes()
+        assert data.count(b'"format": 2') == 1
+        path.write_bytes(data.replace(b'"format": 2', b'"format": 9'))
+        with pytest.raises(ValueError, match="format version 9"):
+            load_solution(path)
+
+    def test_rejects_truncated_file(self, tmp_path, solution):
+        path = tmp_path / "solution.ckpt"
+        save_solution(solution, path)
+        # what a writer killed in the middle of the coefficients leaves behind
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 8 * solution.coeffs.shape[2] // 2)
+        with pytest.raises(ValueError, match="truncated or corrupt"):
+            load_solution(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, solution):
+        path = tmp_path / "solution.ckpt"
+        save_solution(solution, path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="killed"):
+            with atomic_open(path) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("killed")
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

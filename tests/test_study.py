@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from parahyp import coefficients as co
 from parahyp.cli import main as cli_main
 from parahyp.slab import run
+from parahyp.spaces import eval_scalar
 from parahyp.study import (StudyConfig, export_snapshot, parse_config,
                            run_study, solve_reference)
 
@@ -114,7 +116,7 @@ class TestReferenceCheckpointing:
         logs = []
         sol1 = solve_reference("hom", None, config, logs.append)
         assert any("solved" in line for line in logs)
-        path = os.path.join(config.out_dir, "ref_hom.txt")
+        path = os.path.join(config.out_dir, "ref_hom.ckpt")
         assert os.path.exists(path)
         logs.clear()
         sol2 = solve_reference("hom", None, config, logs.append)
@@ -131,6 +133,29 @@ class TestReferenceCheckpointing:
         with pytest.raises(ValueError, match="does not match"):
             solve_reference("hom", None, other, lambda *_: None)
 
+    @pytest.mark.parametrize("key, changed", [
+        ("rho", dict(rho=3.0)),
+        # same slab length 1/8, other final time
+        ("T", dict(T=0.75, ref_time_cells=6)),
+    ])
+    def test_other_problem_data_rejected(self, tmp_path, key, changed):
+        base = dict(n_list=(2,), ref_space_cells=8, ref_time_cells=12, checkpoint="always")
+        solve_reference("hom", None, mini_config(tmp_path, **base), lambda *_: None)
+        other = mini_config(tmp_path, **{**base, **changed})
+        with pytest.raises(ValueError, match=f"does not match the requested reference: "
+                                             f"{key} [^,]*$"):
+            solve_reference("hom", None, other, lambda *_: None)
+
+    def test_renamed_rough_checkpoint_rejected_as_hom(self, tmp_path):
+        config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
+                             ref_time_cells=12, checkpoint="always")
+        solve_reference("rough", 2, config, lambda *_: None)
+        os.replace(os.path.join(config.out_dir, "ref_rough_N2.ckpt"),
+                   os.path.join(config.out_dir, "ref_hom.ckpt"))
+        with pytest.raises(ValueError, match="does not match the requested reference: "
+                                             "problem 'rough' .*, N 2 "):
+            solve_reference("hom", None, config, lambda *_: None)
+
 
 class TestRunStudy:
     def test_table_shape_and_eoc_presence(self, tmp_path):
@@ -145,6 +170,27 @@ class TestRunStudy:
         for label in ("u_N2", "u_N4", "u_hom"):
             assert os.path.exists(os.path.join(config.out_dir, f"{label}_t0.5.vtk"))
             assert os.path.exists(os.path.join(config.out_dir, f"{label}_t0.5.csv"))
+
+    def test_outputs_written_whole_without_temporaries(self, tmp_path):
+        config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
+                             ref_time_cells=12, checkpoint="always",
+                             snapshot_times=(0.5,), snapshot_resolution=8)
+        run_study(config, log=lambda *_: None)
+        assert sorted(os.listdir(config.out_dir)) == [
+            "ref_hom.ckpt", "ref_rough_N2.ckpt", "run.log", "table.csv",
+            "u_N2_t0.5.csv", "u_N2_t0.5.vtk", "u_hom_t0.5.csv", "u_hom_t0.5.vtk"]
+
+    def test_failed_study_leaves_its_log(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("comparison failed")
+
+        monkeypatch.setattr("parahyp.study.compare_solutions", broken)
+        config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8, ref_time_cells=12)
+        with pytest.raises(RuntimeError, match="comparison failed"):
+            run_study(config, log=lambda *_: None)
+        lines = Path(config.out_dir, "run.log").read_text().splitlines()
+        assert any(line.startswith("[study N=2] solved") for line in lines)
+        assert any(line.startswith("[reference rough N=2] solved") for line in lines)
 
     def test_determinism_byte_identical_csv(self, tmp_path):
         config_a = mini_config(tmp_path, out_dir=str(tmp_path / "a"))
@@ -178,8 +224,27 @@ class TestSnapshots:
         assert np.abs(grid).max() == 0.0
         text = open(vtk).read()
         assert text.startswith("# vtk DataFile Version 2.0")
-        assert "DATASET STRUCTURED_GRID" in text
+        assert "DATASET STRUCTURED_POINTS" in text
+        assert "ORIGIN 0.0625 0.0625 0\n" in text
+        assert "SPACING 0.125 0.125 1\n" in text
         assert "POINT_DATA 64" in text
+
+    def test_vtk_and_csv_hold_the_same_raster(self, tmp_path):
+        sol = run(co.rough_problem(2, T=0.25), n=8, p=2, q=1, tau=1 / 16)
+        vtk, csv = export_snapshot(sol, 0.125, 16, str(tmp_path / "rough"))
+        text = Path(csv).read_text()
+        grid = np.array([[float(v) for v in line.split(",")]
+                         for line in text.strip().splitlines()])
+        scalars = Path(vtk).read_text().split("LOOKUP_TABLE default\n")[1].split()
+        assert np.array_equal(np.array(scalars, dtype=float).reshape(16, 16), grid)
+        assert np.abs(grid).max() > 0.0
+        # the CSV bytes of the per-value writer this one replaced
+        pts = (np.arange(16) + 0.5) / 16
+        xx, yy = np.meshgrid(pts, pts, indexing="ij")
+        values = eval_scalar(sol.space_u, sol.coefficients_at(0.125, "-")[: sol.ndof_u],
+                             np.column_stack([xx.ravel(), yy.ravel()])).reshape(16, 16)
+        assert text == "".join(",".join(repr(float(values[i, j])) for i in range(16)) + "\n"
+                               for j in range(16))
 
     def test_constant_field_constant_raster(self, tmp_path):
         sol = run(co.homogenised_problem(T=0.5), n=4, p=2, q=1, tau=0.25)
@@ -233,10 +298,10 @@ dir = {out}
 """.format(out=tmp_path / "out"))
         assert cli_main(["solve", "--config", str(config), "--problem", "rough",
                          "--N", "2"]) == 0
-        chk = tmp_path / "out" / "solution_rough_N2.txt"
+        chk = tmp_path / "out" / "solution_rough_N2.ckpt"
         assert chk.exists()
         assert cli_main(["reference", "--config", str(config), "--problem", "hom"]) == 0
-        assert (tmp_path / "out" / "ref_hom.txt").exists()
+        assert (tmp_path / "out" / "ref_hom.ckpt").exists()
         assert cli_main(["snapshot", "--config", str(config), "--checkpoint",
                          str(chk), "--time", "0.5", "--resolution", "8"]) == 0
         assert (tmp_path / "out" / "snapshot_t0.5.vtk").exists()

@@ -67,6 +67,8 @@ def main(argv=None) -> int:
         return 0 if run_self_checks(seed=seed) else 1
 
     config = _load_config(args)
+    # N names the checkerboard; the averaged problem has none
+    N = args.N if getattr(args, "problem", None) == "rough" else None
 
     if args.verb == "study":
         run_study(config)
@@ -75,7 +77,7 @@ def main(argv=None) -> int:
     if args.verb == "solve":
         if args.problem == "rough" and args.N is None:
             parser.error("solve --problem rough requires --N")
-        sol = single_solve(args.problem, args.N, config)
+        sol = single_solve(args.problem, N, config)
         import os
         os.makedirs(config.out_dir, exist_ok=True)
         tag = f"{args.problem}_N{args.N}" if args.problem == "rough" else "hom"
@@ -87,7 +89,7 @@ def main(argv=None) -> int:
     if args.verb == "reference":
         if args.problem == "rough" and args.N is None:
             parser.error("reference --problem rough requires --N")
-        solve_reference(args.problem, args.N, config)
+        solve_reference(args.problem, N, config)
         return 0
 
     if args.verb == "snapshot":

@@ -13,12 +13,12 @@ previous slab's right trace (or the initial state on the first slab).  The
 quadrature is exact for all products of slab polynomials, and testing with
 the nodal Lagrange basis makes the temporal mass matrix diagonal.
 
-The slab matrix is identical for every slab, so it is factorised once.  Two
-factorisation strategies are available: ``direct`` factors the full
-(q+1)-fold block system; ``decoupled`` diagonalises the small temporal
-coupling matrix and factors one spatial system per eigenvalue (complex
-conjugate pairs share a factorisation), which is much lighter for large
-meshes.  Both produce the same solution up to round-off.
+The slab matrix is identical for every slab, so it is factorised once, by
+diagonalising the small temporal coupling matrix: the (q+1)-fold block
+system splits into one spatial system per eigenvalue, and complex conjugate
+pairs share a factorisation (Richter, Springer & Vexler, Numer. Math. 124,
+2013).  A direct LU of the full block system is the fallback when the
+temporal eigenbasis fails its pairing or conditioning check.
 """
 
 from __future__ import annotations
@@ -105,6 +105,10 @@ class _DirectFactorisation:
         return self._lu.solve(rhs.ravel()).reshape(self._shape)
 
 
+class _EigenbasisError(RuntimeError):
+    """The temporal coupling matrix has no usable eigenbasis."""
+
+
 class _DecoupledFactorisation:
     """Diagonalise the temporal coupling; factor one spatial system per eigenvalue."""
 
@@ -133,8 +137,8 @@ class _DecoupledFactorisation:
                     partner = j
                     break
             if partner is None:
-                raise RuntimeError("temporal eigenvalues do not pair up; "
-                                   "use the direct solver")
+                raise _EigenbasisError("temporal eigenvalues do not pair up; "
+                                       "use the direct solver")
             used[partner] = True
             lam[partner] = lam[i].conjugate()
             vmat[:, partner] = vmat[:, i].conjugate()
@@ -142,9 +146,9 @@ class _DecoupledFactorisation:
             self._plan.append((i, partner, False))
         resid = np.abs(vmat @ vinv - np.eye(len(lam))).max()
         if not np.isfinite(resid) or resid > 1e-8:
-            raise RuntimeError("temporal eigenbasis too ill-conditioned "
-                               f"(residual {resid:.2e}); use the direct solver")
-        self._lam, self._vmat, self._vinv = lam, vmat, vinv
+            raise _EigenbasisError("temporal eigenbasis too ill-conditioned "
+                                   f"(residual {resid:.2e}); use the direct solver")
+        self._vmat, self._vinv = vmat, vinv
         self._weights = basis.weights
         m0 = blocks.m0().tocsc()
         coupling = blocks.coupling().tocsc()
@@ -169,15 +173,24 @@ class _DecoupledFactorisation:
         return np.ascontiguousarray(result.real)
 
 
+SOLVERS = ("auto", "direct", "decoupled")
+
+
 def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, method: str):
-    if method == "auto":
-        stacked = (basis.q + 1) * blocks.ndof
-        method = "direct" if stacked <= 120_000 else "decoupled"
+    """The slab factorisation for ``method`` and the meta entries naming the
+    path taken: ``auto`` decouples and falls back to the direct LU only when
+    the temporal eigenbasis check fails, recording why."""
+    if method not in SOLVERS:
+        raise ValueError(f"unknown solver method {method!r}; expected one of {SOLVERS}")
     if method == "direct":
-        return _DirectFactorisation(blocks, basis)
-    if method == "decoupled":
-        return _DecoupledFactorisation(blocks, basis)
-    raise ValueError(f"unknown solver method {method!r}")
+        return _DirectFactorisation(blocks, basis), {"solver": "direct"}
+    try:
+        return _DecoupledFactorisation(blocks, basis), {"solver": "decoupled"}
+    except _EigenbasisError as err:
+        if method == "decoupled":
+            raise
+        return _DirectFactorisation(blocks, basis), {"solver": "direct",
+                                                     "solver_fallback": str(err)}
 
 
 def solve_slab(factorisation, basis: SlabBasis, blocks: BlockSystem,
@@ -312,7 +325,8 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     ``discrete_forcing`` (shape (M, q+1, ndof_u + ndof_v)) replaces the
     problem source by a right-hand side given through its coefficients in
     the discrete space; this is how vector-valued or random discrete data is
-    fed in.  ``x0`` defaults to rest.
+    fed in.  ``x0`` defaults to rest.  ``meta["solver"]`` names the solver
+    path taken; ``meta["solver_fallback"]`` says why ``auto`` fell back to it.
     """
     T = problem.T
     n_slabs = int(round(T / tau))
@@ -324,7 +338,7 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
         space_v = VectorSpace(mesh, p)
         blocks = build_block_system(space_u, space_v, problem.s0, problem.s1)
     basis = SlabBasis(q, problem.rho, tau)
-    fact = _make_factorisation(blocks, basis, solver)
+    fact, path = _make_factorisation(blocks, basis, solver)
     ndof = blocks.ndof
     if x0 is None:
         prev = np.zeros(ndof)
@@ -349,7 +363,7 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     return DiscreteSolution(space_u=blocks.space_u, space_v=blocks.space_v,
                             basis=basis, coeffs=coeffs, rho=problem.rho,
                             meta={"n": n, "p": p, "q": q, "tau": tau,
-                                  "T": T, "rho": problem.rho},
+                                  "T": T, "rho": problem.rho, **path},
                             initial_state=x0.concat() if x0 is not None
                             else np.zeros(ndof))
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import coefficients as coeff
 from .errors import ErrorTable, compare_solutions
-from .slab import DiscreteSolution, atomic_open, load_solution, run, save_solution
+from .slab import (SOLVERS, DiscreteSolution, atomic_open, load_solution, run,
+                   save_solution)
 from .spaces import eval_scalar
 
 # 'auto' and 'always' behave alike; both stay accepted for existing configs
@@ -60,6 +61,8 @@ class StudyConfig:
             raise ValueError(f"invalid degrees p={self.p}, q={self.q}")
         if self.checkpoint not in _CHECKPOINT_MODES:
             raise ValueError(f"checkpoint must be one of {_CHECKPOINT_MODES}")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         h_finest = 2 * max(self.n_list)
         ref_n = self.ref_space_cells or 4 * h_finest
         if ref_n < 2 * h_finest:
@@ -143,8 +146,8 @@ def parse_config(path) -> StudyConfig:
                 elif key == "t":
                     kwargs["T"] = _parse_float(section, key, raw)
                 elif key == "solver":
-                    if raw not in ("auto", "direct", "decoupled"):
-                        raise ValueError(f"[study] solver = {raw!r}: unknown solver")
+                    if raw not in SOLVERS:
+                        raise ValueError(f"[study] solver = {raw!r}: must be one of {SOLVERS}")
                     kwargs["solver"] = raw
             elif name == "reference":
                 if key == "checkpoint":
@@ -172,6 +175,11 @@ def _study_problem(kind: str, N: int | None, config: StudyConfig) -> coeff.Probl
     if kind == "hom":
         return coeff.homogenised_problem(T=config.T, rho=config.rho)
     raise ValueError(f"unknown problem kind {kind!r}")
+
+
+def _solver_path(sol: DiscreteSolution) -> str:
+    fallback = sol.meta.get("solver_fallback")
+    return sol.meta["solver"] + (f" (fallback: {fallback})" if fallback else "")
 
 
 def _reference_path(kind: str, N: int | None, config: StudyConfig) -> str:
@@ -213,7 +221,7 @@ def solve_reference(kind: str, N: int | None, config: StudyConfig,
               solver=config.solver)
     sol.meta.update(identity)
     log(f"[reference {kind}{'' if N is None else f' N={N}'}] solved "
-        f"n={n_ref} p={config.ref_p} slabs={m_ref} "
+        f"n={n_ref} p={config.ref_p} slabs={m_ref} solver={_solver_path(sol)} "
         f"in {time.perf_counter() - t0:.1f}s")
     if config.checkpoint != "never":
         os.makedirs(config.out_dir, exist_ok=True)
@@ -253,7 +261,7 @@ def run_study(config: StudyConfig, log=print) -> ErrorTable:
         with lock:
             study_solutions[N] = sol
             log(f"[study N={N}] solved n={2 * N} p={config.p} slabs={sol.n_slabs} "
-                f"in {time.perf_counter() - t0:.1f}s")
+                f"solver={_solver_path(sol)} in {time.perf_counter() - t0:.1f}s")
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -368,6 +376,8 @@ def single_solve(kind: str, N: int | None, config: StudyConfig,
     t0 = time.perf_counter()
     sol = run(_study_problem(kind, N, config), n=n, p=config.p, q=config.q,
               tau=tau, solver=config.solver)
+    sol.meta.update(problem=kind, N=N, source=_SOURCE_TAG)
     log(f"[solve {kind}{'' if N is None else f' N={N}'}] n={n} p={config.p} "
-        f"slabs={sol.n_slabs} in {time.perf_counter() - t0:.1f}s")
+        f"slabs={sol.n_slabs} solver={_solver_path(sol)} "
+        f"in {time.perf_counter() - t0:.1f}s")
     return sol

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from parahyp import coefficients as co
+from parahyp import slab
 from parahyp.assembly import build_block_system
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import exponential_moments
@@ -161,11 +162,33 @@ class TestRunBehaviour:
 
     def test_direct_and_decoupled_agree(self):
         prob = co.rough_problem(2, T=0.75)
-        for q in (0, 1, 2):
+        for q in range(5):
             a = run(prob, n=4, p=2, q=q, tau=1 / 4, solver="direct")
             b = run(prob, n=4, p=2, q=q, tau=1 / 4, solver="decoupled")
+            assert (a.meta["solver"], b.meta["solver"]) == ("direct", "decoupled")
             scale = np.abs(a.coeffs).max()
             assert np.abs(a.coeffs - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
+
+    def test_auto_decouples_small_systems(self):
+        sol = run(co.rough_problem(2, T=0.5), n=2, p=1, q=1, tau=1 / 4)
+        assert sol.meta["solver"] == "decoupled"
+        assert "solver_fallback" not in sol.meta
+
+    def test_auto_falls_back_to_direct_when_eigenbasis_fails(self, monkeypatch):
+        prob = co.rough_problem(2, T=0.5)
+        direct = run(prob, n=2, p=1, q=2, tau=1 / 4, solver="direct")
+
+        class FailingEigenbasis:
+            def __init__(self, blocks, basis):
+                raise slab._EigenbasisError("temporal eigenbasis too ill-conditioned")
+
+        monkeypatch.setattr(slab, "_DecoupledFactorisation", FailingEigenbasis)
+        sol = run(prob, n=2, p=1, q=2, tau=1 / 4)
+        assert sol.meta["solver"] == "direct"
+        assert sol.meta["solver_fallback"] == "temporal eigenbasis too ill-conditioned"
+        assert np.array_equal(sol.coeffs, direct.coeffs)
+        with pytest.raises(RuntimeError, match="ill-conditioned"):
+            run(prob, n=2, p=1, q=2, tau=1 / 4, solver="decoupled")
 
     def test_rejects_non_integer_slab_count(self):
         with pytest.raises(ValueError):

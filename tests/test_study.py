@@ -6,7 +6,7 @@ import pytest
 
 from parahyp import coefficients as co
 from parahyp.cli import main as cli_main
-from parahyp.slab import run
+from parahyp.slab import load_solution, run, save_solution
 from parahyp.spaces import eval_scalar
 from parahyp.study import (StudyConfig, export_snapshot, parse_config,
                            run_study, solve_reference)
@@ -102,6 +102,10 @@ snapshot_times = 0.5 1.0
         with pytest.raises(FileNotFoundError):
             parse_config(tmp_path / "absent.ini")
 
+    def test_unknown_solver_rejected(self):
+        with pytest.raises(ValueError, match="solver must be one of"):
+            StudyConfig(solver="bogus")
+
     def test_reference_nesting_validated(self):
         with pytest.raises(ValueError, match="twice as fine"):
             StudyConfig(n_list=(2,), ref_space_cells=6, ref_time_cells=9)
@@ -123,6 +127,23 @@ class TestReferenceCheckpointing:
         assert any("loaded checkpoint" in line for line in logs)
         assert not any("solved" in line for line in logs)
         assert np.array_equal(sol1.coeffs, sol2.coeffs)
+
+    def test_solver_path_logged_and_outside_identity(self, tmp_path):
+        config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
+                             ref_time_cells=12, checkpoint="always")
+        logs = []
+        sol = solve_reference("hom", None, config, logs.append)
+        assert sol.meta["solver"] == "decoupled"
+        assert any("] solved" in line and "solver=decoupled" in line for line in logs)
+        # a checkpoint that does not record the solver path still loads
+        path = os.path.join(config.out_dir, "ref_hom.ckpt")
+        old = load_solution(path)
+        old.meta = {k: v for k, v in old.meta.items() if k != "solver"}
+        save_solution(old, path)
+        logs.clear()
+        again = solve_reference("hom", None, config, logs.append)
+        assert any("loaded checkpoint" in line for line in logs)
+        assert np.array_equal(again.coeffs, sol.coeffs)
 
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
@@ -300,12 +321,24 @@ dir = {out}
                          "--N", "2"]) == 0
         chk = tmp_path / "out" / "solution_rough_N2.ckpt"
         assert chk.exists()
+        header = load_solution(chk).meta
+        assert (header["problem"], header["N"], header["source"]) == ("rough", 2, "box")
+        assert header["solver"] == "decoupled"
         assert cli_main(["reference", "--config", str(config), "--problem", "hom"]) == 0
         assert (tmp_path / "out" / "ref_hom.ckpt").exists()
         assert cli_main(["snapshot", "--config", str(config), "--checkpoint",
                          str(chk), "--time", "0.5", "--resolution", "8"]) == 0
         assert (tmp_path / "out" / "snapshot_t0.5.vtk").exists()
         assert (tmp_path / "out" / "snapshot_t0.5.csv").exists()
+
+    def test_hom_solve_checkpoint_records_no_N(self, tmp_path, capsys):
+        config = tmp_path / "cfg.ini"
+        config.write_text("[study]\nn_list = 2\n[reference]\nspace_cells = 8\n"
+                          "time_cells = 12\n")
+        assert cli_main(["solve", "--config", str(config), "--out", str(tmp_path),
+                         "--problem", "hom", "--N", "4"]) == 0
+        header = load_solution(tmp_path / "solution_hom.ckpt").meta
+        assert (header["problem"], header["N"], header["source"]) == ("hom", None, "box")
 
     def test_study_verb(self, tmp_path):
         config = tmp_path / "cfg.ini"

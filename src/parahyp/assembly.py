@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .coefficients import CoefficientField
+from .mesh import cell_quadrature_points
 from .quadrature import gauss_legendre_1d
 from .spaces import ScalarSpace, VectorSpace
 
@@ -146,19 +147,12 @@ def assemble_load(space: ScalarSpace, f, t: float, quad_points: int | None = Non
     polynomial per cell, which covers the box source whenever the mesh
     resolves the box; pass a higher ``quad_points`` for general smooth data.
     """
-    n, h, p = space.mesh.n, space.mesh.h, space.p
-    q = quad_points or (p + 1)
-    rule = gauss_legendre_1d(q)
+    h = space.mesh.h
+    rule = gauss_legendre_1d(quad_points or (space.p + 1))
     xi, eta = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
     w2 = np.outer(rule.weights, rule.weights).ravel()
-    xi, eta = xi.ravel(), eta.ravel()
-    basis, _, _ = space.basis_tables(xi, eta)          # (Q^2, n_loc)
-    grid = np.arange(n) * h
-    # physical points per cell, cells flattened in dof order j*n + i
-    px = (grid[None, :, None] + xi[None, None, :] * h)  # (1, n, Q2) over i
-    py = (grid[:, None, None] + eta[None, None, :] * h)
-    px = np.broadcast_to(px, (n, n, len(xi))).reshape(-1, len(xi))
-    py = np.broadcast_to(py, (n, n, len(xi))).reshape(-1, len(xi))
+    basis, _, _ = space.basis_tables(xi.ravel(), eta.ravel())   # (Q^2, n_loc)
+    px, py = cell_quadrature_points(space.mesh, rule.nodes)     # cells in dof order
     fvals = np.asarray(f(t, px, py), dtype=float)
     if fvals.shape != px.shape:
         fvals = np.broadcast_to(fvals, px.shape)

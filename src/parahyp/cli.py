@@ -16,8 +16,6 @@ def _load_config(args) -> StudyConfig:
     config = parse_config(args.config) if args.config else StudyConfig()
     if getattr(args, "out", None):
         config = replace(config, out_dir=args.out)
-    if getattr(args, "threads", None):
-        config = replace(config, threads=args.threads)
     if getattr(args, "seed", None) is not None:
         config = replace(config, seed=args.seed)
     return config
@@ -26,7 +24,6 @@ def _load_config(args) -> StudyConfig:
 def _add_common(sub):
     sub.add_argument("--config", help="INI configuration file")
     sub.add_argument("--out", help="output directory (overrides [output] dir)")
-    sub.add_argument("--threads", type=int, help="concurrent table rows")
     sub.add_argument("--seed", type=int, help="seed for randomised checks")
 
 
@@ -62,11 +59,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.verb == "check":
-        seed = args.seed if args.seed is not None else 0
-        return 0 if run_self_checks(seed=seed) else 1
-
     config = _load_config(args)
+    if args.verb == "check":
+        return 0 if run_self_checks(seed=config.seed) else 1
+
     # N names the checkerboard; the averaged problem has none
     N = args.N if getattr(args, "problem", None) == "rough" else None
 

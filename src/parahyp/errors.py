@@ -13,7 +13,12 @@ Two functionals measure a space-time deviation a(t):
 Cross-resolution comparisons evaluate both solutions pointwise on a tensor
 Gauss grid per cell of the finer (nested) mesh, so the spatial quadrature
 is exact for the polynomial difference; the temporal samples are the coarse
-run's Radau nodes and traces.
+run's Radau nodes and traces.  The grid values of a solution come from basis
+tables built once per comparison, so each sample costs one gather of cell
+coefficients and one matmul per field.  ``compare_solutions`` and
+``compare_to_exact`` share one sampling loop; they differ only in what they
+subtract on the grid.  ``e_sup_discrete``/``e_q_discrete`` evaluate the same
+functionals in matrix form and serve as the oracle for tests.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import CoefficientField
+from .mesh import cell_quadrature_points
 from .quadrature import gauss_legendre_1d
 from .slab import DiscreteSolution
 
@@ -130,52 +136,70 @@ def _sample_times(sol: DiscreteSolution):
 
 class _CellGridEvaluator:
     """Evaluate a discrete solution on a fixed tensor Gauss grid of a nested
-    evaluation mesh (the finer of the two meshes being compared)."""
+    evaluation mesh (the finer of the two meshes being compared).
+
+    Evaluation cell (I, J), flat index J * eval_n + I, lies at offset
+    (oi, oj) = (I % r, J % r) inside solution cell (I // r, J // r), with
+    r = eval_n / n.  The basis tables hold every local basis function at all
+    r^2 offsets x G^2 grid points, one table per row offset oj, so a sample
+    is one gather of cell coefficients and one (batched) matmul whose result
+    is already in evaluation-cell order [j, oj, i, oi].
+    """
 
     def __init__(self, sol: DiscreteSolution, eval_n: int, points_1d: np.ndarray):
         n = sol.space_u.mesh.n
         if eval_n % n != 0:
             raise ValueError(f"evaluation mesh n={eval_n} does not nest solution mesh n={n}")
         self.sol = sol
-        self.ratio = eval_n // n
+        r = eval_n // n
         self.eval_n = eval_n
-        g = len(points_1d)
-        r = self.ratio
-        # relative coordinates within a solution cell, one set per offset class
+        self.g2 = len(points_1d) ** 2
+        # reference coordinates within a solution cell, indexed [oj, oi, gx, gy]
         xi = (points_1d[None, :] + np.arange(r)[:, None]) / r      # (r, G)
-        self.tab_u = []
-        self.tab_v = []
-        for oj in range(r):
-            for oi in range(r):
-                px, py = np.meshgrid(xi[oi], xi[oj], indexing="ij")
-                vals, _, _ = sol.space_u.basis_tables(px.ravel(), py.ravel())
-                vx, vy, _ = sol.space_v.basis_tables(px.ravel(), py.ravel())
-                self.tab_u.append(vals)
-                self.tab_v.append((vx, vy))
-        # evaluation cell (I, J) -> solution cell and offset class
-        I, J = np.meshgrid(np.arange(eval_n), np.arange(eval_n), indexing="ij")
-        self.sol_cell = ((J // r) * n + (I // r)).T.ravel()        # flat index j*eval_n+i
-        self.cls = ((J % r) * r + (I % r)).T.ravel()
-        self.g2 = g * g
+        shape = (r, r, len(points_1d), len(points_1d))
+        px = np.broadcast_to(xi[None, :, :, None], shape).ravel()
+        py = np.broadcast_to(xi[:, None, None, :], shape).ravel()
+        vals, _, _ = sol.space_u.basis_tables(px, py)
+        vx, vy, _ = sol.space_v.basis_tables(px, py)
+        # (r, n_loc, r G^2) and (r, n_loc, r G^2 2): one table per row offset oj
+        self.tab_u = np.ascontiguousarray(vals.reshape(r, -1, vals.shape[1]).swapaxes(1, 2))
+        self.tab_v = np.ascontiguousarray(
+            np.stack([vx, vy], axis=1).reshape(r, -1, vx.shape[1]).swapaxes(1, 2))
 
     def values_at(self, t: float, side: str):
         """u values (cells, G^2) and v values (cells, G^2, 2) on the grid."""
         coeffs = self.sol.coefficients_at(t, side)
-        cu = coeffs[: self.sol.ndof_u][self.sol.space_u.cell_dofs]
-        cv = coeffs[self.sol.ndof_u:][self.sol.space_v.cell_dofs]
+        n = self.sol.space_u.mesh.n
+        cu = coeffs[: self.sol.ndof_u][self.sol.space_u.cell_dofs].reshape(n, 1, n, -1)
+        cv = coeffs[self.sol.ndof_u:][self.sol.space_v.cell_dofs].reshape(n, 1, n, -1)
         n_eval_cells = self.eval_n ** 2
-        u = np.empty((n_eval_cells, self.g2))
-        v = np.empty((n_eval_cells, self.g2, 2))
-        for cls_id in range(self.ratio ** 2):
-            mask = self.cls == cls_id
-            if not mask.any():
-                continue
-            rows = self.sol_cell[mask]
-            u[mask] = cu[rows] @ self.tab_u[cls_id].T
-            vx, vy = self.tab_v[cls_id]
-            v[mask, :, 0] = cv[rows] @ vx.T
-            v[mask, :, 1] = cv[rows] @ vy.T
-        return u, v
+        return ((cu @ self.tab_u).reshape(n_eval_cells, self.g2),
+                (cv @ self.tab_v).reshape(n_eval_cells, self.g2, 2))
+
+
+def _cell_integrals(du: np.ndarray, dv: np.ndarray, w2: np.ndarray):
+    """Per-cell integrals of |du|^2 and |dv|^2 on the tensor Gauss grid."""
+    return (du**2) @ w2, np.einsum("cgk,g->c", dv**2, w2)
+
+
+def _sampled_report(sol: DiscreteSolution, cell_integrals, s0_cells: np.ndarray,
+                    rho: float, compensated: bool, meta: dict) -> ErrorReport:
+    """E_sup and E_Q from per-cell u and v squared integrals at every sample time.
+
+    ``cell_integrals(t, side)`` returns the two per-cell arrays; E_sup weights
+    the u part by ``s0_cells``, E_Q sums each slab's Radau samples.
+    """
+    sup_samples = []
+    slab_terms = np.zeros(sol.n_slabs)
+    for t, side, kind in _sample_times(sol):
+        u_sq, v_sq = cell_integrals(t, side)
+        sup_samples.append(float(s0_cells @ u_sq + v_sq.sum()))
+        if kind != "trace":
+            m, i = kind
+            slab_terms[m] += sol.basis.weights[i] * float(u_sq.sum() + v_sq.sum())
+    return ErrorReport(e_sup=e_sup_from_samples(sup_samples),
+                       e_q=e_q_from_slab_terms(slab_terms, rho, sol.tau, compensated),
+                       meta=meta)
 
 
 def compare_solutions(coarse: DiscreteSolution, reference: DiscreteSolution,
@@ -204,24 +228,15 @@ def compare_solutions(coarse: DiscreteSolution, reference: DiscreteSolution,
     w2 = np.outer(rule.weights, rule.weights).ravel() / n_r**2   # physical cell weights
     ev_c = _CellGridEvaluator(coarse, n_r, rule.nodes)
     ev_r = _CellGridEvaluator(reference, n_r, rule.nodes)
-    s0_cells = s0_weight.cell_values(reference.space_u.mesh)
 
-    sup_samples = []
-    slab_terms = np.zeros(coarse.n_slabs)
-    for t, side, kind in _sample_times(coarse):
+    def cell_integrals(t, side):
         uc, vc = ev_c.values_at(t, side)
         ur, vr = ev_r.values_at(t, side)
-        du = ur - uc
-        dv = vr - vc
-        u_sq = (du**2) @ w2                      # per-cell u integrals
-        v_sq = np.einsum("cgk,g->c", dv**2, w2)
-        sup_samples.append(float(s0_cells @ u_sq + v_sq.sum()))
-        if kind != "trace":
-            m, i = kind
-            slab_terms[m] += coarse.basis.weights[i] * float(u_sq.sum() + v_sq.sum())
-    return ErrorReport(
-        e_sup=e_sup_from_samples(sup_samples),
-        e_q=e_q_from_slab_terms(slab_terms, rho, coarse.tau, compensated),
+        return _cell_integrals(ur - uc, vr - vc, w2)
+
+    return _sampled_report(
+        coarse, cell_integrals, s0_weight.cell_values(reference.space_u.mesh),
+        rho, compensated,
         meta={"n_coarse": n_c, "n_reference": n_r, "rho": rho,
               "tau_coarse": coarse.tau, "tau_reference": reference.tau,
               "p_coarse": coarse.space_u.p, "p_reference": reference.space_u.p})
@@ -238,39 +253,20 @@ def compare_to_exact(sol: DiscreteSolution, exact_u, exact_v,
     below the discretisation error being measured.
     """
     rho = sol.rho if rho is None else rho
-    n = sol.space_u.mesh.n
-    g = quad_points or (sol.space_u.p + 3)
-    rule = gauss_legendre_1d(g)
-    w2 = np.outer(rule.weights, rule.weights).ravel() / n**2
-    ev = _CellGridEvaluator(sol, n, rule.nodes)
-    s0_cells = s0_weight.cell_values(sol.space_u.mesh)
-    # physical coordinates of the grid, cells flattened like the evaluator
-    grid = np.arange(n) / n
-    px, py = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    px, py = px.ravel() / n, py.ravel() / n
-    X = (grid[None, :, None] + px[None, None, :]).reshape(1, -1, len(px))
-    Y = (grid[:, None, None] + py[None, None, :]).reshape(-1, 1, len(px))
-    X = np.broadcast_to(X, (n, n, len(px))).reshape(-1, len(px))
-    Y = np.broadcast_to(Y, (n, n, len(px))).reshape(-1, len(px))
+    mesh = sol.space_u.mesh
+    rule = gauss_legendre_1d(quad_points or (sol.space_u.p + 3))
+    w2 = np.outer(rule.weights, rule.weights).ravel() / mesh.n**2
+    ev = _CellGridEvaluator(sol, mesh.n, rule.nodes)
+    X, Y = cell_quadrature_points(mesh, rule.nodes)
 
-    sup_samples = []
-    slab_terms = np.zeros(sol.n_slabs)
-    for t, side, kind in _sample_times(sol):
+    def cell_integrals(t, side):
         uh, vh = ev.values_at(t, side)
-        du = np.asarray(exact_u(t, X, Y), dtype=float) - uh
-        ex_vx, ex_vy = exact_v(t, X, Y)
-        dv0 = np.asarray(ex_vx, dtype=float) - vh[:, :, 0]
-        dv1 = np.asarray(ex_vy, dtype=float) - vh[:, :, 1]
-        u_sq = (du**2) @ w2
-        v_sq = (dv0**2) @ w2 + (dv1**2) @ w2
-        sup_samples.append(float(s0_cells @ u_sq + v_sq.sum()))
-        if kind != "trace":
-            m, i = kind
-            slab_terms[m] += sol.basis.weights[i] * float(u_sq.sum() + v_sq.sum())
-    return ErrorReport(
-        e_sup=e_sup_from_samples(sup_samples),
-        e_q=e_q_from_slab_terms(slab_terms, rho, sol.tau, compensated),
-        meta={"n": n, "rho": rho, "tau": sol.tau})
+        exact = np.empty_like(vh)
+        exact[..., 0], exact[..., 1] = exact_v(t, X, Y)
+        return _cell_integrals(exact_u(t, X, Y) - uh, exact - vh, w2)
+
+    return _sampled_report(sol, cell_integrals, s0_weight.cell_values(mesh), rho,
+                           compensated, meta={"n": mesh.n, "rho": rho, "tau": sol.tau})
 
 
 def e_sup_discrete(diff: DiscreteSolution, mu0, mv) -> float:

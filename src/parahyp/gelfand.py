@@ -6,10 +6,10 @@ its N^2 frequency fibres
 
     F[k', y] = (1/N) * sum_k f(y + k) exp(-i theta . k),   theta = 2 pi k'/N,
 
-computed as an explicit character sum over block indices (no FFT; the sizes
-used here are tiny).  With grid-cell-area-weighted discrete L^2 norms the
-map is exactly unitary, as is its composition with the unit-cell scaling
-T_N f = (1/N) f(./N).
+which is the orthonormal 2-D discrete Fourier transform over the block
+indices (``np.fft.fft2`` with ``norm="ortho"``).  With grid-cell-area-weighted
+discrete L^2 norms the map is exactly unitary, as is its composition with the
+unit-cell scaling T_N f = (1/N) f(./N).
 """
 
 from __future__ import annotations
@@ -56,25 +56,16 @@ class FibreDecomposition:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) / self.m**2))
 
 
-def _characters(N: int) -> np.ndarray:
-    k = np.arange(N)
-    return np.exp(-2j * np.pi * np.outer(k, k) / N)
-
-
 def forward(f: BlockGridFunction) -> FibreDecomposition:
     """Fibre decomposition (1/N) sum_k f(y + k) e^{-i theta k} per frequency."""
-    w = _characters(f.N)
-    vals = np.tensordot(w, f.values, axes=(1, 0))        # block x-sum
-    vals = np.tensordot(w, vals, axes=(1, 1)).transpose(1, 0, 2, 3)  # block y-sum
-    return FibreDecomposition(N=f.N, m=f.m, values=vals / f.N)
+    return FibreDecomposition(N=f.N, m=f.m,
+                              values=np.fft.fft2(f.values, axes=(0, 1), norm="ortho"))
 
 
 def inverse(F: FibreDecomposition) -> BlockGridFunction:
     """Adjoint of forward; forward . inverse = identity (unitarity)."""
-    w = _characters(F.N).conj()
-    vals = np.tensordot(w, F.values, axes=(1, 0))
-    vals = np.tensordot(w, vals, axes=(1, 1)).transpose(1, 0, 2, 3)
-    return BlockGridFunction(N=F.N, m=F.m, values=vals / F.N)
+    return BlockGridFunction(N=F.N, m=F.m,
+                             values=np.fft.ifft2(F.values, axes=(0, 1), norm="ortho"))
 
 
 def scale_T_N(samples: np.ndarray, N: int) -> BlockGridFunction:

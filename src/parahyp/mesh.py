@@ -56,6 +56,22 @@ def build_mesh(n: int) -> Mesh:
     return Mesh(n)
 
 
+def cell_quadrature_points(mesh: Mesh, nodes_1d) -> tuple[np.ndarray, np.ndarray]:
+    """Physical coordinates (X, Y) of a tensor rule on every cell.
+
+    ``nodes_1d`` lie in [0, 1]; both arrays have shape (n^2, G^2) with cell
+    j*n + i in row order and the points of a cell in
+    ``meshgrid(nodes_1d, nodes_1d, indexing="ij")`` order.
+    """
+    n, h = mesh.n, mesh.h
+    xi, eta = np.meshgrid(nodes_1d, nodes_1d, indexing="ij")
+    grid = np.arange(n) * h
+    shape = (n, n, xi.size)
+    X = np.broadcast_to(grid[None, :, None] + xi.ravel() * h, shape)
+    Y = np.broadcast_to(grid[:, None, None] + eta.ravel() * h, shape)
+    return X.reshape(n * n, -1), Y.reshape(n * n, -1)
+
+
 def cell_containing(mesh: Mesh, point) -> tuple[int, int]:
     """Index (i, j) of the half-open cell containing a point of [0,1)^2."""
     x, y = point

@@ -7,8 +7,10 @@ from parahyp.errors import (ErrorTable, compare_solutions, compare_to_exact,
                             e_q_discrete, e_q_from_slab_terms, e_sup_discrete,
                             e_sup_from_samples, eoc)
 from parahyp.mesh import build_mesh
-from parahyp.slab import DiscreteSolution, run
-from parahyp.spaces import ScalarSpace, VectorSpace, interpolate_scalar, project_vector
+from parahyp.quadrature import gauss_legendre_1d
+from parahyp.slab import DiscreteSolution, SlabBasis, run
+from parahyp.spaces import (ScalarSpace, VectorSpace, eval_scalar, eval_vector,
+                            interpolate_scalar, project_vector)
 
 
 @pytest.fixture
@@ -136,6 +138,41 @@ class TestDiscreteFunctionals:
         zero_u = np.zeros(su.ndof)
         coeffs[:, :, : su.ndof] = zero_u
         assert e_sup_discrete(with_coeffs(sol, coeffs), blocks.mu0, blocks.mv) == 0.0
+
+
+class TestCellGridEvaluator:
+    @pytest.mark.parametrize("ratio", [1, 2, 4])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_pointwise_evaluation(self, rng, ratio, p):
+        # evaluation cell (I, J) is row J * eval_n + I, point (gx, gy) is
+        # column gx * G + gy at x = (I + node_gx) / eval_n, y = (J + node_gy) / eval_n
+        from parahyp.errors import _CellGridEvaluator
+        n = 3
+        eval_n = n * ratio
+        su, sv = ScalarSpace(build_mesh(n), p), VectorSpace(build_mesh(n), p)
+        sol = DiscreteSolution(space_u=su, space_v=sv, basis=SlabBasis(1, 1.0, 0.25),
+                               coeffs=rng.standard_normal((2, 2, su.ndof + sv.ndof)),
+                               rho=1.0, meta={})
+        nodes = gauss_legendre_1d(4).nodes
+        I, J, gx, gy = np.meshgrid(np.arange(eval_n), np.arange(eval_n), np.arange(4),
+                                   np.arange(4), indexing="ij")
+        order = (1, 0, 2, 3)                     # rows J-major, columns gx-major
+        x = ((I + nodes[gx]) / eval_n).transpose(order).ravel()
+        y = ((J + nodes[gy]) / eval_n).transpose(order).ravel()
+        pts = np.column_stack([x, y])
+        u, v = _CellGridEvaluator(sol, eval_n, nodes).values_at(0.3, "-")
+        c = sol.coefficients_at(0.3, "-")
+        assert u.shape == (eval_n**2, 16) and v.shape == (eval_n**2, 16, 2)
+        np.testing.assert_allclose(u.ravel(), eval_scalar(su, c[: su.ndof], pts),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v.reshape(-1, 2), eval_vector(sv, c[su.ndof:], pts),
+                                   rtol=0, atol=1e-12)
+
+    def test_rejects_non_nested_evaluation_mesh(self):
+        sol = small_solution()
+        from parahyp.errors import _CellGridEvaluator
+        with pytest.raises(ValueError, match="does not nest"):
+            _CellGridEvaluator(sol, 6, gauss_legendre_1d(3).nodes)
 
 
 class TestCompareSolutions:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from parahyp.mesh import build_mesh, cell_containing, periodic_neighbor
+from parahyp.mesh import (build_mesh, cell_containing, cell_quadrature_points,
+                          periodic_neighbor)
 
 
 @pytest.mark.parametrize("n,cells,edges,vertices", [(1, 1, 2, 1), (2, 4, 8, 4),
@@ -85,3 +86,14 @@ class TestPeriodicNeighbor:
         mesh = build_mesh(2)
         with pytest.raises(ValueError):
             periodic_neighbor(mesh, (2, 0), "+x")
+
+
+def test_cell_quadrature_points_layout():
+    # row j*n + i is cell (i, j); column a*G + b is the point (node_a, node_b)
+    mesh = build_mesh(3)
+    nodes = np.array([0.25, 0.5])
+    X, Y = cell_quadrature_points(mesh, nodes)
+    assert X.shape == Y.shape == (9, 4)
+    i, j = 2, 1
+    np.testing.assert_allclose(X[j * 3 + i], (i + np.array([0.25, 0.25, 0.5, 0.5])) / 3)
+    np.testing.assert_allclose(Y[j * 3 + i], (j + np.array([0.25, 0.5, 0.25, 0.5])) / 3)

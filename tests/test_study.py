@@ -102,6 +102,19 @@ snapshot_times = 0.5 1.0
         with pytest.raises(FileNotFoundError):
             parse_config(tmp_path / "absent.ini")
 
+    def test_invalid_choices_rejected_once(self, tmp_path):
+        # parse_config leaves value checks to StudyConfig
+        path = tmp_path / "bad.ini"
+        path.write_text("[reference]\ncheckpoint = sometimes\n")
+        with pytest.raises(ValueError, match="checkpoint must be one of .*'sometimes'"):
+            parse_config(path)
+        path.write_text("[study]\nsolver = fast\n")
+        with pytest.raises(ValueError, match="solver must be one of .*'fast'"):
+            parse_config(path)
+        path.write_text("[study]\nthreads = 2\n")
+        with pytest.raises(ValueError, match="unknown key 'threads'"):
+            parse_config(path)
+
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError, match="solver must be one of"):
             StudyConfig(solver="bogus")
@@ -222,17 +235,6 @@ class TestRunStudy:
         csv_b = open(os.path.join(config_b.out_dir, "table.csv"), "rb").read()
         assert csv_a == csv_b
 
-    def test_threaded_rows_match_serial(self, tmp_path):
-        serial = mini_config(tmp_path, out_dir=str(tmp_path / "serial"))
-        threaded = mini_config(tmp_path, out_dir=str(tmp_path / "threaded"),
-                               threads=2)
-        run_study(serial, log=lambda *_: None)
-        run_study(threaded, log=lambda *_: None)
-        csv_a = open(os.path.join(serial.out_dir, "table.csv"), "rb").read()
-        csv_b = open(os.path.join(threaded.out_dir, "table.csv"), "rb").read()
-        assert csv_a == csv_b
-        assert os.path.exists(os.path.join(threaded.out_dir, "run.log"))
-
 
 class TestSnapshots:
     def test_zero_state_zero_raster(self, tmp_path):
@@ -304,6 +306,17 @@ class TestCli:
         assert cli_main(["check", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 5
+
+    def test_check_reads_seed_from_config(self, tmp_path, monkeypatch):
+        seeds = []
+        monkeypatch.setattr("parahyp.cli.run_self_checks",
+                            lambda seed: seeds.append(seed) or True)
+        config = tmp_path / "cfg.ini"
+        config.write_text("[study]\nseed = 7\n")
+        assert cli_main(["check", "--config", str(config)]) == 0
+        assert cli_main(["check", "--config", str(config), "--seed", "3"]) == 0
+        assert cli_main(["check"]) == 0
+        assert seeds == [7, 3, 0]
 
     def test_solve_reference_snapshot_pipeline(self, tmp_path, capsys):
         config = tmp_path / "cfg.ini"

@@ -10,6 +10,10 @@ which is the orthonormal 2-D discrete Fourier transform over the block
 indices (``np.fft.fft2`` with ``norm="ortho"``).  With grid-cell-area-weighted
 discrete L^2 norms the map is exactly unitary, as is its composition with the
 unit-cell scaling T_N f = (1/N) f(./N).
+
+The production use of the fibre decomposition is ``slab._BlochFibres``: the
+same FFT over the mesh cells splits each constant-coefficient slab system
+into n^2 dense fibre systems.
 """
 
 from __future__ import annotations

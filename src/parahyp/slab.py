@@ -17,8 +17,12 @@ The slab matrix is identical for every slab, so it is factorised once, by
 diagonalising the small temporal coupling matrix: the (q+1)-fold block
 system splits into one spatial system per eigenvalue, and complex conjugate
 pairs share a factorisation (Richter, Springer & Vexler, Numer. Math. 124,
-2013).  A direct LU of the full block system is the fallback when the
-temporal eigenbasis fails its pairing or conditioning check.
+2013).  With constant coefficients each spatial system lam M0 + C is
+block-circulant over the mesh cells and is solved through its n^2
+Floquet-Bloch fibres (2-D FFT over the cells, one dense inverse per fibre);
+otherwise it gets a sparse LU.  A direct LU of the full block system is the
+fallback when the temporal eigenbasis fails its pairing or conditioning
+check.
 """
 
 from __future__ import annotations
@@ -109,8 +113,58 @@ class _EigenbasisError(RuntimeError):
     """The temporal coupling matrix has no usable eigenbasis."""
 
 
+class _BlochFibres:
+    """Solves of the translation-invariant spatial systems lam M0 + C.
+
+    Both spaces own 3p^2 DOFs per cell and wrap modulo n, so with constant
+    coefficients each system is block-circulant in cell-major order: cell
+    offset d couples through one 3p^2 x 3p^2 block A_d.  The 2-D DFT over
+    the cell grid splits it into n^2 dense fibres sum_d A_d e^{i theta.d},
+    inverted once each; a solve is gather, fft2, one batched matmul, ifft2
+    and scatter.
+    """
+
+    def __init__(self, blocks: BlockSystem, lams):
+        space_u, space_v = blocks.space_u, blocks.space_v
+        n = space_u.mesh.n
+        self._perm = np.concatenate([space_u.owned_dofs(),
+                                     space_u.ndof + space_v.owned_dofs()], axis=1)
+        n_own = self._perm.shape[1]
+        cell = np.empty(blocks.ndof, dtype=np.int64)
+        local = np.empty(blocks.ndof, dtype=np.int64)
+        cell[self._perm] = np.arange(n * n)[:, None]
+        local[self._perm] = np.arange(n_own)
+        # cell c = j n + i sits at (i, j); fibre [ky, kx] has theta = 2 pi (kx, ky) / n
+        theta = 2.0 * np.pi * np.arange(n) / n
+
+        def symbol(mat):
+            # cell 0's rows; the assembled matrix already folds the periodic wrap
+            rows = mat.tocsr()[self._perm[0]].tocoo()
+            offsets, which = np.unique(cell[rows.col], return_inverse=True)
+            blocks_d = np.zeros((len(offsets), n_own, n_own))
+            blocks_d[which, rows.row, local[rows.col]] = rows.data
+            phase = np.exp(1j * (theta[:, None, None] * (offsets // n)
+                                 + theta[None, :, None] * (offsets % n)))
+            return (phase @ blocks_d.reshape(len(offsets), -1)).reshape(n * n, n_own, n_own)
+
+        m0_hat, c_hat = symbol(blocks.m0()), symbol(blocks.coupling())
+        self._shape = (n, n, n_own)
+        self._inv = np.stack([np.linalg.inv(lam * m0_hat + c_hat).reshape(n, n, n_own, n_own)
+                              for lam in lams])
+
+    def solve(self, stack: np.ndarray) -> np.ndarray:
+        """Solve system r for row r of ``stack`` (stacked DOF order)."""
+        fibres = np.fft.fft2(stack[:, self._perm].reshape(-1, *self._shape), axes=(1, 2))
+        fibres = np.fft.ifft2((self._inv @ fibres[..., None])[..., 0], axes=(1, 2))
+        out = np.empty(stack.shape, dtype=complex)
+        out[:, self._perm] = fibres.reshape(len(stack), *self._perm.shape)
+        return out
+
+
 class _DecoupledFactorisation:
-    """Diagonalise the temporal coupling; factor one spatial system per eigenvalue."""
+    """Diagonalise the temporal coupling; factor one spatial system per eigenvalue
+    (or conjugate pair): Bloch fibres for translation-invariant blocks, else
+    a sparse LU."""
 
     def __init__(self, blocks: BlockSystem, basis: SlabBasis):
         tm = time_matrices(basis)
@@ -150,6 +204,14 @@ class _DecoupledFactorisation:
                                    f"(residual {resid:.2e}); use the direct solver")
         self._vmat, self._vinv = vmat, vinv
         self._weights = basis.weights
+        self.meta = {"eigenbasis_residual": float(resid),
+                     "eigenbasis_cond": float(np.linalg.cond(vmat))}
+        if np.all(blocks.s0_cells == blocks.s0_cells[0]) \
+                and np.all(blocks.s1_cells == blocks.s1_cells[0]):
+            self.spatial = "bloch"
+            self._fibres = _BlochFibres(blocks, [lam[i] for i, _, _ in self._plan])
+            return
+        self.spatial = "splu"
         m0 = blocks.m0().tocsc()
         coupling = blocks.coupling().tocsc()
         self._lus = {}
@@ -161,13 +223,15 @@ class _DecoupledFactorisation:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         scaled = rhs / self._weights[:, None]
         transformed = self._vinv @ scaled
+        if self.spatial == "bloch":
+            solved = self._fibres.solve(transformed[[i for i, _, _ in self._plan]])
+        else:
+            solved = [self._lus[i].solve(transformed[i].real if is_real else transformed[i])
+                      for i, _, is_real in self._plan]
         out = np.empty_like(transformed)
-        for i, partner, is_real in self._plan:
-            if is_real:
-                out[i] = self._lus[i].solve(transformed[i].real)
-            else:
-                y = self._lus[i].solve(transformed[i])
-                out[i] = y
+        for (i, partner, is_real), y in zip(self._plan, solved):
+            out[i] = y.real if is_real else y
+            if partner is not None:
                 out[partner] = y.conjugate()
         result = self._vmat @ out
         return np.ascontiguousarray(result.real)
@@ -179,13 +243,15 @@ SOLVERS = ("auto", "direct", "decoupled")
 def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, method: str):
     """The slab factorisation for ``method`` and the meta entries naming the
     path taken: ``auto`` decouples and falls back to the direct LU only when
-    the temporal eigenbasis check fails, recording why."""
+    the temporal eigenbasis check fails, recording why.  The decoupled path
+    also records its spatial solver and eigenbasis diagnostics."""
     if method not in SOLVERS:
         raise ValueError(f"unknown solver method {method!r}; expected one of {SOLVERS}")
     if method == "direct":
         return _DirectFactorisation(blocks, basis), {"solver": "direct"}
     try:
-        return _DecoupledFactorisation(blocks, basis), {"solver": "decoupled"}
+        fact = _DecoupledFactorisation(blocks, basis)
+        return fact, {"solver": "decoupled", "spatial_solver": fact.spatial, **fact.meta}
     except _EigenbasisError as err:
         if method == "decoupled":
             raise
@@ -327,6 +393,9 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     the discrete space; this is how vector-valued or random discrete data is
     fed in.  ``x0`` defaults to rest.  ``meta["solver"]`` names the solver
     path taken; ``meta["solver_fallback"]`` says why ``auto`` fell back to it.
+    On the decoupled path ``meta["spatial_solver"]`` is ``"bloch"`` or
+    ``"splu"`` and ``meta`` carries the temporal eigenbasis residual
+    ``|V V^-1 - I|_max`` and ``cond(V)``.
     """
     T = problem.T
     n_slabs = int(round(T / tau))
@@ -338,8 +407,11 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
         space_v = VectorSpace(mesh, p)
         blocks = build_block_system(space_u, space_v, problem.s0, problem.s1)
     basis = SlabBasis(q, problem.rho, tau)
-    fact, path = _make_factorisation(blocks, basis, solver)
     ndof = blocks.ndof
+    if discrete_forcing is not None and np.shape(discrete_forcing) != (n_slabs, q + 1, ndof):
+        raise ValueError(f"discrete_forcing has shape {np.shape(discrete_forcing)}, "
+                         f"expected (n_slabs, q+1, ndof) = {(n_slabs, q + 1, ndof)}")
+    fact, path = _make_factorisation(blocks, basis, solver)
     if x0 is None:
         prev = np.zeros(ndof)
     else:

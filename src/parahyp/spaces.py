@@ -142,6 +142,12 @@ class ScalarSpace:
     def cell_index(self, i: int, j: int) -> int:
         return j * self.mesh.n + i
 
+    def owned_dofs(self) -> np.ndarray:
+        """Global DOFs each cell owns, shape (n^2, p^2) in cell order: the
+        nodes of the cell's lower-left corner block, a, b < p."""
+        p = self.p
+        return self.cell_dofs[:, (np.arange(p)[:, None] * (p + 1) + np.arange(p)).ravel()]
+
     def node_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """1D coordinates of the distinct global Lagrange nodes per axis."""
         n, p = self.mesh.n, self.p
@@ -227,6 +233,12 @@ class VectorSpace:
                         loc[self.n_comp_loc + b * (k + 1) + a] = d
                 out[c] = loc
         return out
+
+    def owned_dofs(self) -> np.ndarray:
+        """Global DOFs each cell owns, shape (n^2, 2 p^2) in cell order: its
+        interior values and its left and bottom edges."""
+        per_comp = np.arange((self.k + 1) ** 2)
+        return self.cell_dofs[:, np.concatenate([per_comp, self.n_comp_loc + per_comp])]
 
     def basis_tables(self, xi, eta):
         """Component values and reference divergence of the local basis.

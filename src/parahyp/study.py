@@ -165,8 +165,11 @@ def _study_problem(kind: str, N: int | None, config: StudyConfig) -> coeff.Probl
 
 
 def _solver_path(sol: DiscreteSolution) -> str:
+    """``decoupled/bloch``, ``decoupled/splu``, ``direct`` or ``direct (fallback: why)``."""
     fallback = sol.meta.get("solver_fallback")
-    return sol.meta["solver"] + (f" (fallback: {fallback})" if fallback else "")
+    spatial = sol.meta.get("spatial_solver")
+    return sol.meta["solver"] + (f"/{spatial}" if spatial else "") \
+        + (f" (fallback: {fallback})" if fallback else "")
 
 
 def _reference_path(kind: str, N: int | None, config: StudyConfig) -> str:

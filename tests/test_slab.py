@@ -190,6 +190,43 @@ class TestRunBehaviour:
         with pytest.raises(RuntimeError, match="ill-conditioned"):
             run(prob, n=2, p=1, q=2, tau=1 / 4, solver="decoupled")
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_bloch_fibres_agree_with_direct(self, n):
+        prob = co.homogenised_problem(T=0.5)
+        for p in (1, 2, 3):
+            mesh = build_mesh(n)
+            ndof_u = ScalarSpace(mesh, p).ndof
+            ndof = ndof_u + VectorSpace(mesh, p).ndof
+            # a random start excites every fibre, not only the constant mode
+            x0 = FieldPair.split(np.random.default_rng(n * p).standard_normal(ndof), ndof_u)
+            for q in range(5):
+                a = run(prob, n=n, p=p, q=q, tau=1 / 4, x0=x0, solver="direct")
+                b = run(prob, n=n, p=p, q=q, tau=1 / 4, x0=x0)
+                assert (b.meta["solver"], b.meta["spatial_solver"]) == ("decoupled", "bloch")
+                scale = np.abs(a.coeffs).max()
+                assert np.abs(a.coeffs - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
+
+    def test_rough_problem_keeps_sparse_lu(self):
+        sol = run(co.rough_problem(2, T=0.5), n=4, p=2, q=1, tau=1 / 4)
+        assert (sol.meta["solver"], sol.meta["spatial_solver"]) == ("decoupled", "splu")
+
+    def test_eigenbasis_diagnostics_recorded(self):
+        for q in range(5):
+            meta = run(co.rough_problem(2, T=0.5), n=2, p=1, q=q, tau=1 / 4).meta
+            assert 0.0 <= meta["eigenbasis_residual"] <= 1e-8
+            assert 1.0 <= meta["eigenbasis_cond"] < np.inf
+
+    @pytest.mark.parametrize("slabs", [1, 3])
+    def test_discrete_forcing_shape_checked_before_factorising(self, monkeypatch, slabs):
+        # T = 0.5, tau = 1/4: two slabs; n = 2, p = 1 gives 4 + 8 DOFs
+        def not_reached(*args):
+            raise AssertionError("factorised before checking the forcing")
+
+        monkeypatch.setattr(slab, "_make_factorisation", not_reached)
+        forcing = np.zeros((slabs, 2, 12))
+        with pytest.raises(ValueError, match=r"expected \(n_slabs, q\+1, ndof\) = \(2, 2, 12\)"):
+            run(ode_problem(T=0.5), n=2, p=1, q=1, tau=1 / 4, discrete_forcing=forcing)
+
     def test_rejects_non_integer_slab_count(self):
         with pytest.raises(ValueError):
             run(ode_problem(T=0.5), n=2, p=1, q=1, tau=0.3)

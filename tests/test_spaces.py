@@ -214,3 +214,21 @@ class TestVectorSpace:
         for table in (vx, vy):
             fit = monoms @ np.linalg.lstsq(monoms, table, rcond=None)[0]
             assert np.abs(fit - table).max() < 1e-9
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("build", [build_scalar_space, build_vector_space])
+def test_owned_dofs_bijective_and_translation_covariant(build, p):
+    n = 3
+    space = build(build_mesh(n), p)
+    owned = space.owned_dofs()
+    assert owned.shape[0] == n * n
+    assert np.array_equal(np.sort(owned.ravel()), np.arange(space.ndof))
+    i, j = np.arange(n * n) % n, np.arange(n * n) // n
+    for di, dj in ((1, 0), (0, 1)):
+        # the one-cell translation that the owned map defines on global DOFs
+        target = (j + dj) % n * n + (i + di) % n
+        shift = np.empty(space.ndof, dtype=np.int64)
+        shift[owned] = owned[target]
+        # moves every cell's full local DOF list onto its neighbour's
+        assert np.array_equal(shift[space.cell_dofs], space.cell_dofs[target])

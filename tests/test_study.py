@@ -158,6 +158,25 @@ class TestReferenceCheckpointing:
         assert any("loaded checkpoint" in line for line in logs)
         assert np.array_equal(again.coeffs, sol.coeffs)
 
+    def test_eigenbasis_diagnostics_outside_identity(self, tmp_path):
+        config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
+                             ref_time_cells=12, checkpoint="always")
+        logs = []
+        sol = solve_reference("hom", None, config, logs.append)
+        assert any("solver=decoupled/bloch" in line for line in logs)
+        for key in ("eigenbasis_residual", "eigenbasis_cond"):
+            assert np.isfinite(sol.meta[key])
+        # other diagnostics in the checkpoint do not make it another reference
+        path = os.path.join(config.out_dir, "ref_hom.ckpt")
+        old = load_solution(path)
+        old.meta = {**old.meta, "eigenbasis_residual": 1.0, "eigenbasis_cond": 1e9}
+        del old.meta["spatial_solver"]
+        save_solution(old, path)
+        logs.clear()
+        again = solve_reference("hom", None, config, logs.append)
+        assert any("loaded checkpoint" in line for line in logs)
+        assert np.array_equal(again.coeffs, sol.coeffs)
+
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
                              ref_time_cells=12, checkpoint="always")

@@ -10,7 +10,7 @@ method with exponentially weighted Gauss-Radau quadrature in time.
 
 from .assembly import (BlockSystem, assemble_div_block, assemble_grad_block,
                        assemble_load, assemble_mass_v, assemble_weighted_mass_u,
-                       build_block_system, dump_coo)
+                       build_block_system)
 from .coefficients import (CoefficientField, ProblemData, SeparableSource,
                            admissibility_constants, checkerboard,
                            checkerboard_complement, constant, epsilon_N,
@@ -25,8 +25,7 @@ from .mesh import Mesh, build_mesh, cell_containing, periodic_neighbor
 from .quadrature import (QuadratureRule, exponential_moments, gauss_legendre_1d,
                          gauss_legendre_2d, weighted_gauss_radau)
 from .slab import (DiscreteSolution, SlabBasis, TimeMatrices, build_slab_system,
-                   left_trace, load_solution, right_trace, run, save_solution,
-                   solve_slab, time_matrices)
+                   load_solution, run, save_solution, solve_slab, time_matrices)
 from .spaces import (FieldPair, ScalarSpace, VectorSpace, build_scalar_space,
                      build_vector_space, eval_div, eval_scalar, eval_scalar_grad,
                      eval_vector, gauss_lobatto_points, interpolate_scalar,

@@ -27,7 +27,7 @@ import scipy.sparse as sparse
 from .coefficients import CoefficientField
 from .mesh import cell_quadrature_points
 from .quadrature import gauss_legendre_1d
-from .spaces import ScalarSpace, VectorSpace
+from .spaces import Lagrange1D, ScalarSpace, VectorSpace, gauss_lobatto_points
 
 
 def _coefficient_cells(space: ScalarSpace, s) -> np.ndarray:
@@ -53,13 +53,13 @@ def _scatter(element: np.ndarray, cell_dofs_rows, cell_dofs_cols,
     return mat.tocsr()
 
 
-def _lagrange_integrals(space_u: ScalarSpace, space_v: VectorSpace | None):
-    """1D integral matrices shared by all element matrices."""
-    p = space_u.p
+def _lagrange_integrals(p: int, space_v: VectorSpace | None):
+    """1D integral matrices shared by all element matrices of degree p."""
     rule = gauss_legendre_1d(p + 2)
     xq, wq = rule.nodes, rule.weights
-    L = space_u.lagrange.values(xq)          # (Q, p+1)
-    dL = space_u.lagrange.derivatives(xq)
+    lagrange = Lagrange1D(gauss_lobatto_points(p))
+    L = lagrange.values(xq)                  # (Q, p+1)
+    dL = lagrange.derivatives(xq)
     out = {"m1": _sym((wq[:, None] * L).T @ L)}
     if space_v is not None:
         G = space_v.lag_normal.values(xq)     # (Q, k+2)
@@ -81,7 +81,7 @@ def _sym(m):
 def assemble_weighted_mass_u(space: ScalarSpace, s) -> sparse.csr_matrix:
     """Mass matrix with entries int s(x) phi_i phi_j dx, exact for cellwise s."""
     cells = _coefficient_cells(space, s)
-    ints = _lagrange_integrals(space, None)
+    ints = _lagrange_integrals(space.p, None)
     element = space.mesh.h**2 * np.kron(ints["m1"], ints["m1"])
     return _scatter(element, space.cell_dofs, space.cell_dofs,
                     cells, (space.ndof, space.ndof))
@@ -89,8 +89,7 @@ def assemble_weighted_mass_u(space: ScalarSpace, s) -> sparse.csr_matrix:
 
 def assemble_mass_v(space: VectorSpace) -> sparse.csr_matrix:
     """RT mass matrix, entries int psi_i . psi_j dx."""
-    su = ScalarSpace(space.mesh, space.p)    # only for the shared 1D quadrature
-    ints = _lagrange_integrals(su, space)
+    ints = _lagrange_integrals(space.p, space)
     comp = np.kron(ints["gnn"], ints["gee"])
     element = space.mesh.h**2 * np.block(
         [[comp, np.zeros_like(comp)], [np.zeros_like(comp), comp]])
@@ -100,7 +99,7 @@ def assemble_mass_v(space: VectorSpace) -> sparse.csr_matrix:
 
 
 def _div_element(space_u: ScalarSpace, space_v: VectorSpace) -> np.ndarray:
-    ints = _lagrange_integrals(space_u, space_v)
+    ints = _lagrange_integrals(space_u.p, space_v)
     h = space_u.mesh.h
     p, k = space_u.p, space_v.k
     de_x = h * np.einsum("aA,bB->BAab", ints["gdl"], ints["gel"])
@@ -110,7 +109,7 @@ def _div_element(space_u: ScalarSpace, space_v: VectorSpace) -> np.ndarray:
 
 
 def _grad_element(space_u: ScalarSpace, space_v: VectorSpace) -> np.ndarray:
-    ints = _lagrange_integrals(space_u, space_v)
+    ints = _lagrange_integrals(space_u.p, space_v)
     h = space_u.mesh.h
     p = space_u.p
     ge_x = h * np.einsum("Aa,Bb->abBA", ints["lg"], ints["le"])
@@ -193,6 +192,13 @@ class BlockSystem:
         """[[Mu(s1), B_div], [B_grad, 0]]."""
         return sparse.bmat([[self.mu1, self.b_div], [self.b_grad, None]], format="csr")
 
+    def rows(self, rows_u, rows_v) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+        """Rows (rows_u of the u block, then rows_v of the v block) of m0()
+        and of coupling(), without assembling either whole matrix."""
+        return (sparse.bmat([[self.mu0[rows_u], None], [None, self.mv[rows_v]]], format="csr"),
+                sparse.bmat([[self.mu1[rows_u], self.b_div[rows_u]],
+                             [self.b_grad[rows_v], None]], format="csr"))
+
 
 def build_block_system(space_u: ScalarSpace, space_v: VectorSpace,
                        s0, s1) -> BlockSystem:
@@ -212,12 +218,3 @@ def build_block_system(space_u: ScalarSpace, space_v: VectorSpace,
         s1_cells=s1_cells,
     )
 
-
-def dump_coo(op: sparse.spmatrix, path) -> None:
-    """Debug dump in 'row col value' coordinate text format."""
-    coo = op.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {float(v)!r}\n")

@@ -13,7 +13,8 @@ unit-cell scaling T_N f = (1/N) f(./N).
 
 The production use of the fibre decomposition is ``slab._BlochFibres``: the
 same FFT over the mesh cells splits each constant-coefficient slab system
-into n^2 dense fibre systems.
+into n^2 dense fibre systems, and the homogenised slab iteration runs in
+that fibre space from slab to slab.
 """
 
 from __future__ import annotations

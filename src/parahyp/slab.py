@@ -18,11 +18,14 @@ diagonalising the small temporal coupling matrix: the (q+1)-fold block
 system splits into one spatial system per eigenvalue, and complex conjugate
 pairs share a factorisation (Richter, Springer & Vexler, Numer. Math. 124,
 2013).  With constant coefficients each spatial system lam M0 + C is
-block-circulant over the mesh cells and is solved through its n^2
-Floquet-Bloch fibres (2-D FFT over the cells, one dense inverse per fibre);
-otherwise it gets a sparse LU.  A direct LU of the full block system is the
-fallback when the temporal eigenbasis fails its pairing or conditioning
-check.
+block-circulant over the mesh cells and splits into its n^2 Floquet-Bloch
+fibres (2-D FFT over the cells).  The iteration then stays in fibre space
+from slab to slab: the fibre operators are built once, each slab is one
+batched dense matvec per eigenvalue, and only the stored coefficients are
+transformed back.  Otherwise each spatial system gets a sparse LU and the
+slabs are solved on stacked coefficient vectors.  A direct LU of the full
+block system is the fallback when the temporal eigenbasis fails its pairing
+or conditioning check.
 """
 
 from __future__ import annotations
@@ -76,13 +79,15 @@ def time_matrices(basis: SlabBasis) -> TimeMatrices:
     return TimeMatrices(K=K, Mt=np.diag(basis.weights), jump=basis.left_values.copy())
 
 
-def build_slab_system(blocks: BlockSystem, basis: SlabBasis) -> sparse.csr_matrix:
-    """The full slab matrix kron(K, M0) + kron(diag(w), M1 + A)."""
+def _slab_matrix(basis: SlabBasis, m0, coupling) -> sparse.csr_matrix:
     tm = time_matrices(basis)
-    m0 = blocks.m0()
-    coupling = blocks.coupling()
     return (sparse.kron(sparse.csr_matrix(tm.K), m0)
             + sparse.kron(sparse.diags(basis.weights), coupling)).tocsr()
+
+
+def build_slab_system(blocks: BlockSystem, basis: SlabBasis) -> sparse.csr_matrix:
+    """The full slab matrix kron(K, M0) + kron(diag(w), M1 + A)."""
+    return _slab_matrix(basis, blocks.m0(), blocks.coupling())
 
 
 # the slab matrices have symmetric sparsity structure (masses plus the
@@ -100,9 +105,27 @@ def _factor(matrix):
                            f"ill-posed data): {err}") from err
 
 
-class _DirectFactorisation:
+class _RealSpaceSteps:
+    """Slab steps on stacked coefficient vectors: the right-hand side is the
+    weighted load plus the jump flux l(0) M0 U_prev, and ``solve`` applies
+    the inverse slab matrix.  The state handed from slab to slab is the
+    right trace itself."""
+
+    def initial_state(self, x0: np.ndarray) -> np.ndarray:
+        return x0
+
+    def step(self, prev: np.ndarray, loads, m: int, out: np.ndarray) -> np.ndarray:
+        rhs = self._basis.weights[:, None] * loads(m)
+        rhs += np.outer(self._basis.left_values, self.m0 @ prev)
+        out[:] = self.solve(rhs)
+        return out[-1]
+
+
+class _DirectFactorisation(_RealSpaceSteps):
     def __init__(self, blocks: BlockSystem, basis: SlabBasis):
-        self._lu = _factor(build_slab_system(blocks, basis).tocsc())
+        self._basis = basis
+        self.m0 = blocks.m0()
+        self._lu = _factor(_slab_matrix(basis, self.m0, blocks.coupling()).tocsc())
         self._shape = (basis.q + 1, blocks.ndof)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -113,58 +136,11 @@ class _EigenbasisError(RuntimeError):
     """The temporal coupling matrix has no usable eigenbasis."""
 
 
-class _BlochFibres:
-    """Solves of the translation-invariant spatial systems lam M0 + C.
-
-    Both spaces own 3p^2 DOFs per cell and wrap modulo n, so with constant
-    coefficients each system is block-circulant in cell-major order: cell
-    offset d couples through one 3p^2 x 3p^2 block A_d.  The 2-D DFT over
-    the cell grid splits it into n^2 dense fibres sum_d A_d e^{i theta.d},
-    inverted once each; a solve is gather, fft2, one batched matmul, ifft2
-    and scatter.
-    """
-
-    def __init__(self, blocks: BlockSystem, lams):
-        space_u, space_v = blocks.space_u, blocks.space_v
-        n = space_u.mesh.n
-        self._perm = np.concatenate([space_u.owned_dofs(),
-                                     space_u.ndof + space_v.owned_dofs()], axis=1)
-        n_own = self._perm.shape[1]
-        cell = np.empty(blocks.ndof, dtype=np.int64)
-        local = np.empty(blocks.ndof, dtype=np.int64)
-        cell[self._perm] = np.arange(n * n)[:, None]
-        local[self._perm] = np.arange(n_own)
-        # cell c = j n + i sits at (i, j); fibre [ky, kx] has theta = 2 pi (kx, ky) / n
-        theta = 2.0 * np.pi * np.arange(n) / n
-
-        def symbol(mat):
-            # cell 0's rows; the assembled matrix already folds the periodic wrap
-            rows = mat.tocsr()[self._perm[0]].tocoo()
-            offsets, which = np.unique(cell[rows.col], return_inverse=True)
-            blocks_d = np.zeros((len(offsets), n_own, n_own))
-            blocks_d[which, rows.row, local[rows.col]] = rows.data
-            phase = np.exp(1j * (theta[:, None, None] * (offsets // n)
-                                 + theta[None, :, None] * (offsets % n)))
-            return (phase @ blocks_d.reshape(len(offsets), -1)).reshape(n * n, n_own, n_own)
-
-        m0_hat, c_hat = symbol(blocks.m0()), symbol(blocks.coupling())
-        self._shape = (n, n, n_own)
-        self._inv = np.stack([np.linalg.inv(lam * m0_hat + c_hat).reshape(n, n, n_own, n_own)
-                              for lam in lams])
-
-    def solve(self, stack: np.ndarray) -> np.ndarray:
-        """Solve system r for row r of ``stack`` (stacked DOF order)."""
-        fibres = np.fft.fft2(stack[:, self._perm].reshape(-1, *self._shape), axes=(1, 2))
-        fibres = np.fft.ifft2((self._inv @ fibres[..., None])[..., 0], axes=(1, 2))
-        out = np.empty(stack.shape, dtype=complex)
-        out[:, self._perm] = fibres.reshape(len(stack), *self._perm.shape)
-        return out
-
-
-class _DecoupledFactorisation:
-    """Diagonalise the temporal coupling; factor one spatial system per eigenvalue
-    (or conjugate pair): Bloch fibres for translation-invariant blocks, else
-    a sparse LU."""
+class _DecoupledFactorisation(_RealSpaceSteps):
+    """Diagonalise the temporal coupling; one spatial system lam M0 + C per
+    eigenvalue (or conjugate pair).  Translation-invariant blocks leave the
+    spatial solves to ``_BlochFibres`` (``spatial == "bloch"``); otherwise
+    each system gets a sparse LU here."""
 
     def __init__(self, blocks: BlockSystem, basis: SlabBasis):
         tm = time_matrices(basis)
@@ -174,7 +150,7 @@ class _DecoupledFactorisation:
         # enforce the exact conjugate-pair structure so that real input data
         # provably yields conjugate partial solutions
         used = np.zeros(len(lam), dtype=bool)
-        self._plan = []   # (index, partner or None, real flag)
+        self.plan = []   # (index, partner or None, real flag)
         for i in range(len(lam)):
             if used[i]:
                 continue
@@ -183,7 +159,7 @@ class _DecoupledFactorisation:
                 lam[i] = lam[i].real
                 vmat[:, i] = vmat[:, i].real
                 vinv[i] = vinv[i].real
-                self._plan.append((i, None, True))
+                self.plan.append((i, None, True))
                 continue
             partner = None
             for j in range(i + 1, len(lam)):
@@ -197,80 +173,189 @@ class _DecoupledFactorisation:
             lam[partner] = lam[i].conjugate()
             vmat[:, partner] = vmat[:, i].conjugate()
             vinv[partner] = vinv[i].conjugate()
-            self._plan.append((i, partner, False))
+            self.plan.append((i, partner, False))
         resid = np.abs(vmat @ vinv - np.eye(len(lam))).max()
         if not np.isfinite(resid) or resid > 1e-8:
             raise _EigenbasisError("temporal eigenbasis too ill-conditioned "
                                    f"(residual {resid:.2e}); use the direct solver")
-        self._vmat, self._vinv = vmat, vinv
-        self._weights = basis.weights
+        self.lam, self.vmat, self.vinv = lam, vmat, vinv
+        self._basis = basis
         self.meta = {"eigenbasis_residual": float(resid),
                      "eigenbasis_cond": float(np.linalg.cond(vmat))}
         if np.all(blocks.s0_cells == blocks.s0_cells[0]) \
                 and np.all(blocks.s1_cells == blocks.s1_cells[0]):
             self.spatial = "bloch"
-            self._fibres = _BlochFibres(blocks, [lam[i] for i, _, _ in self._plan])
             return
         self.spatial = "splu"
-        m0 = blocks.m0().tocsc()
+        self.m0 = blocks.m0()
+        m0 = self.m0.tocsc()
         coupling = blocks.coupling().tocsc()
         self._lus = {}
-        for i, partner, is_real in self._plan:
+        for i, partner, is_real in self.plan:
             mat = float(lam[i].real) * m0 + coupling if is_real else \
                 complex(lam[i]) * m0.astype(np.complex128) + coupling.astype(np.complex128)
             self._lus[i] = _factor(mat.tocsc())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        scaled = rhs / self._weights[:, None]
-        transformed = self._vinv @ scaled
-        if self.spatial == "bloch":
-            solved = self._fibres.solve(transformed[[i for i, _, _ in self._plan]])
-        else:
-            solved = [self._lus[i].solve(transformed[i].real if is_real else transformed[i])
-                      for i, _, is_real in self._plan]
+        scaled = rhs / self._basis.weights[:, None]
+        transformed = self.vinv @ scaled
         out = np.empty_like(transformed)
-        for (i, partner, is_real), y in zip(self._plan, solved):
+        for i, partner, is_real in self.plan:
+            y = self._lus[i].solve(transformed[i].real if is_real else transformed[i])
             out[i] = y.real if is_real else y
             if partner is not None:
                 out[partner] = y.conjugate()
-        result = self._vmat @ out
+        result = self.vmat @ out
         return np.ascontiguousarray(result.real)
+
+
+class _BlochFibres:
+    """Decoupled slab steps for translation-invariant blocks, in fibre space.
+
+    Both spaces own 3p^2 DOFs per cell and wrap modulo n, so with constant
+    coefficients M0 and C are block-circulant in cell-major order: cell
+    offset d couples through one 3p^2 x 3p^2 block.  The 2-D DFT over the
+    cell grid (``fft2`` of the cell-major gather) splits them into n^2 dense
+    fibre symbols M0^(theta) and C^(theta), read from cell 0's rows.  With
+    A_i = lam_i M0^ + C^ for each planned temporal eigenvalue, the
+    factorisation stores G_i = beta_i A_i^-1 M0^ per fibre, where
+    beta_i = V^-1[i] (l(0) / w) weights the jump, and for a separable source
+    H_i = A_i^-1 L^ (its spatial load, transformed once); other loads keep
+    A_i^-1 itself.  Slab m is then
+
+        y^_i = alpha_i H_i + G_i p^,   alpha_i = V^-1[i] f(t_nodes of m),
+
+    one batched matvec per plan row, where p^ is the previous right trace in
+    fibre space: the time-basis change commutes with the FFT.  The next p^
+    is formed in fibre space too, since a conjugate partner's fibre at theta
+    is conj(y^(-theta)), an index flip.  Only the stored coefficients need an
+    ``ifft2`` and a scatter; there is no per-slab ``fft2`` and no sparse
+    matvec.
+    """
+
+    # fibres per batch while building the operators, bounding the temporaries
+    _CHUNK = 512
+
+    def __init__(self, blocks: BlockSystem, basis: SlabBasis,
+                 eig: _DecoupledFactorisation, loads):
+        space_u, space_v = blocks.space_u, blocks.space_v
+        n = space_u.mesh.n
+        own_u, own_v = space_u.owned_dofs(), space_v.owned_dofs()
+        perm = np.concatenate([own_u, space_u.ndof + own_v], axis=1)
+        n_own = perm.shape[1]
+        cell = np.empty(blocks.ndof, dtype=np.int64)
+        local = np.empty(blocks.ndof, dtype=np.int64)
+        cell[perm] = np.arange(n * n)[:, None]
+        local[perm] = np.arange(n_own)
+        # cell c = j n + i sits at (i, j); fibre [ky, kx] has theta = 2 pi (kx, ky) / n
+        theta = 2.0 * np.pi * np.arange(n) / n
+
+        def symbol(rows):
+            # the assembled blocks already fold the periodic wrap into cell 0's rows
+            rows = rows.tocoo()
+            offsets, which = np.unique(cell[rows.col], return_inverse=True)
+            blocks_d = np.zeros((len(offsets), n_own * n_own))
+            blocks_d[which, rows.row * n_own + local[rows.col]] = rows.data
+            phase = np.exp(1j * (theta[:, None, None] * (offsets // n)
+                                 + theta[None, :, None] * (offsets % n)))
+            return phase.reshape(n * n, -1), blocks_d
+
+        m0_rows, coupling_rows = blocks.rows(own_u[0], own_v[0])
+        (m0_phase, m0_d), (c_phase, c_d) = symbol(m0_rows), symbol(coupling_rows)
+        self._n, self._perm = n, perm.ravel()
+        self._order = np.argsort(self._perm)      # stacked DOF -> cell-major slot
+        fibre = np.arange(n)
+        self._flip = ((-fibre[:, None] % n) * n + (-fibre[None, :] % n)).ravel()
+        plan = eig.plan
+        lams = [eig.lam[i] for i, _, _ in plan]
+        self._vinv = eig.vinv[[i for i, _, _ in plan]]
+        beta = self._vinv @ (basis.left_values / basis.weights)
+        # a real row contributes v Re(y), a pair v y + conj(v y)
+        scale = np.array([1.0 if is_real else 2.0 for _, _, is_real in plan])
+        self._w_last = eig.vmat[-1, [i for i, _, _ in plan]] * scale / 2.0
+        w = eig.vmat[:, [i for i, _, _ in plan]] * scale
+        # coefficients = [Re w, -Im w] @ [Re y; Im y] in real arithmetic
+        self._w = np.stack([w.real, -w.imag], axis=2).reshape(len(w), -1)
+        self._separable = loads.spatial is not None
+        shape = (len(plan), n * n, n_own)
+        self._g = np.empty(shape + (n_own,), dtype=complex)
+        if self._separable:
+            self._h = np.empty(shape, dtype=complex)
+            l_hat = self.to_fibres(loads.spatial)
+        else:
+            self._inv = np.empty(shape + (n_own,), dtype=complex)
+        for start in range(0, n * n, self._CHUNK):
+            part = slice(start, start + self._CHUNK)
+            m0_hat = (m0_phase[part] @ m0_d).reshape(-1, n_own, n_own)
+            c_hat = (c_phase[part] @ c_d).reshape(-1, n_own, n_own)
+            for r, lam in enumerate(lams):
+                inv = np.linalg.inv(lam * m0_hat + c_hat)
+                self._g[r, part] = beta[r] * (inv @ m0_hat)
+                if self._separable:
+                    self._h[r, part] = (inv @ l_hat[part, :, None])[..., 0]
+                else:
+                    self._inv[r, part] = inv
+
+    def to_fibres(self, vec: np.ndarray) -> np.ndarray:
+        """The fibres (n^2, 3p^2) of stacked vectors (..., ndof)."""
+        n = self._n
+        cells = vec[..., self._perm].reshape(*vec.shape[:-1], n, n, -1)
+        return np.fft.fft2(cells, axes=(-3, -2)).reshape(*vec.shape[:-1], n * n, -1)
+
+    def initial_state(self, x0: np.ndarray) -> np.ndarray:
+        return self.to_fibres(x0)
+
+    def step(self, prev_hat: np.ndarray, loads, m: int, out: np.ndarray) -> np.ndarray:
+        if self._separable:
+            alpha = self._vinv @ loads.factors(m)
+            y = alpha[:, None, None] * self._h
+        else:
+            f_hat = self.to_fibres(self._vinv @ loads(m))
+            y = (self._inv @ f_hat[..., None])[..., 0]
+        y += (self._g @ prev_hat[:, :, None])[..., 0]
+        trace = np.tensordot(self._w_last, y, 1)
+        n = self._n
+        cells = np.fft.ifft2(y.reshape(len(y), n, n, -1), axes=(1, 2))
+        parts = cells.reshape(len(y), -1).view(float).reshape(len(y), -1, 2)
+        values = self._w @ parts.transpose(0, 2, 1).reshape(2 * len(y), -1)
+        np.take(values, self._order, axis=1, out=out)
+        partner = np.take(trace, self._flip, axis=0)
+        np.conjugate(partner, out=partner)
+        partner += trace
+        return partner
 
 
 SOLVERS = ("auto", "direct", "decoupled")
 
 
-def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, method: str):
+def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, method: str, loads):
     """The slab factorisation for ``method`` and the meta entries naming the
     path taken: ``auto`` decouples and falls back to the direct LU only when
     the temporal eigenbasis check fails, recording why.  The decoupled path
-    also records its spatial solver and eigenbasis diagnostics."""
+    also records its spatial solver and eigenbasis diagnostics.  ``loads``
+    lets the fibre path transform a separable source's spatial load once."""
     if method not in SOLVERS:
         raise ValueError(f"unknown solver method {method!r}; expected one of {SOLVERS}")
     if method == "direct":
         return _DirectFactorisation(blocks, basis), {"solver": "direct"}
     try:
         fact = _DecoupledFactorisation(blocks, basis)
-        return fact, {"solver": "decoupled", "spatial_solver": fact.spatial, **fact.meta}
     except _EigenbasisError as err:
         if method == "decoupled":
             raise
         return _DirectFactorisation(blocks, basis), {"solver": "direct",
                                                      "solver_fallback": str(err)}
+    path = {"solver": "decoupled", "spatial_solver": fact.spatial, **fact.meta}
+    if fact.spatial == "bloch":
+        return _BlochFibres(blocks, basis, fact, loads), path
+    return fact, path
 
 
-def solve_slab(factorisation, basis: SlabBasis, blocks: BlockSystem,
-               prev_trace: np.ndarray, loads: np.ndarray,
-               m0=None) -> np.ndarray:
-    """One slab solve: loads has shape (q+1, ndof), prev_trace shape (ndof,).
-
-    Returns the nodal coefficient array of shape (q+1, ndof).  Passing the
-    assembled ``m0`` avoids rebuilding the block-diagonal matrix per slab.
-    """
-    rhs = basis.weights[:, None] * loads
-    jump_flux = (blocks.m0() if m0 is None else m0) @ prev_trace
-    rhs += np.outer(basis.left_values, jump_flux)
-    return factorisation.solve(rhs)
+def solve_slab(factorisation, state, loads, m: int, out: np.ndarray):
+    """One slab solve: writes slab ``m``'s nodal coefficients, shape
+    (q+1, ndof), into ``out`` and returns the state the next slab couples
+    to (the right trace, in the factorisation's own representation)."""
+    return factorisation.step(state, loads, m, out)
 
 
 @dataclass
@@ -343,41 +428,48 @@ class DiscreteSolution:
         local = t - m * self.tau
         return self.basis.values_at(local) @ self.coeffs[m]
 
-    def state_at(self, t: float, side: str = "-") -> FieldPair:
-        return FieldPair.split(self.coefficients_at(t, side), self.ndof_u)
 
+class _Loads:
+    """The load vectors <F(t), Phi> of each slab at its nodes, (q+1, ndof).
 
-def left_trace(solution: DiscreteSolution, m: int) -> FieldPair:
-    return solution.left_trace(m)
+    For a separable source ``spatial`` is its stacked load vector, assembled
+    once, and ``factors(m)`` the time factor at slab m's nodes; otherwise
+    ``spatial`` is None.  ``forcing`` (M, q+1, ndof) gives the right-hand
+    side through its coefficients in the discrete space instead.
+    """
 
+    def __init__(self, blocks: BlockSystem, basis: SlabBasis, source,
+                 quad_points, forcing=None):
+        self._blocks, self._basis = blocks, basis
+        self._source, self._quad_points = source, quad_points
+        self._forcing = forcing
+        self._mass = blocks.m_unweighted() if forcing is not None else None
+        self.spatial = None
+        if forcing is None and isinstance(source, SeparableSource):
+            self.spatial = np.zeros(blocks.ndof)
+            self.spatial[:blocks.space_u.ndof] = assemble_load(
+                blocks.space_u, lambda t, x, y: source.spatial(x, y), 0.0, quad_points)
 
-def right_trace(solution: DiscreteSolution, m: int) -> FieldPair:
-    return solution.right_trace(m)
+    def _node_times(self, m: int) -> np.ndarray:
+        tau = self._basis.tau
+        times = m * tau + self._basis.nodes
+        times[-1] = (m + 1) * tau
+        return times
 
+    def factors(self, m: int) -> np.ndarray:
+        return np.array([self._source.time_factor(float(t)) for t in self._node_times(m)])
 
-class _LoadStack:
-    """Load vectors <F(t), Phi> for the scalar-source problem; for separable
-    sources the spatial factor is assembled once."""
-
-    def __init__(self, blocks: BlockSystem, problem_source, quad_points):
-        self._blocks = blocks
-        self._source = problem_source
-        self._quad_points = quad_points
-        self._spatial = None
-        if isinstance(problem_source, SeparableSource):
-            self._spatial = assemble_load(blocks.space_u,
-                                          lambda t, x, y: problem_source.spatial(x, y),
-                                          0.0, quad_points)
-
-    def __call__(self, times) -> np.ndarray:
+    def __call__(self, m: int) -> np.ndarray:
+        if self._forcing is not None:
+            return (self._mass @ self._forcing[m].T).T
         ndof_u = self._blocks.space_u.ndof
-        loads = np.zeros((len(times), self._blocks.ndof))
-        for idx, t in enumerate(times):
-            if self._spatial is not None:
-                loads[idx, :ndof_u] = self._source.time_factor(float(t)) * self._spatial
-            else:
-                loads[idx, :ndof_u] = assemble_load(self._blocks.space_u, self._source,
-                                                    float(t), self._quad_points)
+        loads = np.zeros((self._basis.q + 1, self._blocks.ndof))
+        if self.spatial is not None:
+            loads[:, :ndof_u] = np.outer(self.factors(m), self.spatial[:ndof_u])
+            return loads
+        for idx, t in enumerate(self._node_times(m)):
+            loads[idx, :ndof_u] = assemble_load(self._blocks.space_u, self._source,
+                                                float(t), self._quad_points)
         return loads
 
 
@@ -395,7 +487,10 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     path taken; ``meta["solver_fallback"]`` says why ``auto`` fell back to it.
     On the decoupled path ``meta["spatial_solver"]`` is ``"bloch"`` or
     ``"splu"`` and ``meta`` carries the temporal eigenbasis residual
-    ``|V V^-1 - I|_max`` and ``cond(V)``.
+    ``|V V^-1 - I|_max`` and ``cond(V)``.  On the ``bloch`` path the state
+    stays in Floquet-Bloch fibre space from slab to slab: each slab is one
+    batched fibre matvec per temporal eigenvalue plus one ``ifft2`` for the
+    stored coefficients (see ``_BlochFibres``).
     """
     T = problem.T
     n_slabs = int(round(T / tau))
@@ -411,33 +506,20 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     if discrete_forcing is not None and np.shape(discrete_forcing) != (n_slabs, q + 1, ndof):
         raise ValueError(f"discrete_forcing has shape {np.shape(discrete_forcing)}, "
                          f"expected (n_slabs, q+1, ndof) = {(n_slabs, q + 1, ndof)}")
-    fact, path = _make_factorisation(blocks, basis, solver)
-    if x0 is None:
-        prev = np.zeros(ndof)
-    else:
-        prev = x0.concat()
-        if prev.shape != (ndof,):
-            raise ValueError(f"initial state has {prev.shape[0]} coefficients, expected {ndof}")
-    mass_full = blocks.m_unweighted() if discrete_forcing is not None else None
-    load_stack = None if discrete_forcing is not None else \
-        _LoadStack(blocks, problem.source, load_quad_points)
-    m0 = blocks.m0()
+    initial = np.zeros(ndof) if x0 is None else x0.concat()
+    if initial.shape != (ndof,):
+        raise ValueError(f"initial state has {initial.shape[0]} coefficients, expected {ndof}")
+    loads = _Loads(blocks, basis, problem.source, load_quad_points, discrete_forcing)
+    fact, path = _make_factorisation(blocks, basis, solver, loads)
+    state = fact.initial_state(initial)
     coeffs = np.empty((n_slabs, q + 1, ndof))
     for m in range(n_slabs):
-        node_times = m * tau + basis.nodes
-        node_times[-1] = (m + 1) * tau
-        if discrete_forcing is not None:
-            loads = (mass_full @ discrete_forcing[m].T).T
-        else:
-            loads = load_stack(node_times)
-        coeffs[m] = solve_slab(fact, basis, blocks, prev, loads, m0=m0)
-        prev = coeffs[m, -1]
+        state = solve_slab(fact, state, loads, m, coeffs[m])
     return DiscreteSolution(space_u=blocks.space_u, space_v=blocks.space_v,
                             basis=basis, coeffs=coeffs, rho=problem.rho,
                             meta={"n": n, "p": p, "q": q, "tau": tau,
                                   "T": T, "rho": problem.rho, **path},
-                            initial_state=x0.concat() if x0 is not None
-                            else np.zeros(ndof))
+                            initial_state=initial)
 
 
 @contextmanager

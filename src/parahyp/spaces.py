@@ -127,20 +127,13 @@ class ScalarSpace:
 
     def _build_cell_dofs(self) -> np.ndarray:
         n, p = self.mesh.n, self.p
-        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        a, b = np.meshgrid(np.arange(p + 1), np.arange(p + 1), indexing="ij")
-        gx = (i[:, :, None, None] * p + a[None, None]) % (n * p)
-        gy = (j[:, :, None, None] * p + b[None, None]) % (n * p)
-        dofs = gy * (n * p) + gx
         # cell (i, j) -> row j*n + i, local node (a, b) -> column b*(p+1) + a
-        out = np.empty((n * n, self.n_loc), dtype=np.int64)
-        for ii in range(n):
-            for jj in range(n):
-                out[jj * n + ii] = dofs[ii, jj].T.ravel()
-        return out
-
-    def cell_index(self, i: int, j: int) -> int:
-        return j * self.mesh.n + i
+        first = np.arange(n) * p
+        node = np.arange(p + 1)
+        gx = (first[:, None] + node) % (n * p)                 # [i, a]
+        gy = (first[:, None] + node) % (n * p)                 # [j, b]
+        dofs = gy[:, None, :, None] * (n * p) + gx[None, :, None, :]   # [j, i, b, a]
+        return dofs.reshape(n * n, self.n_loc)
 
     def owned_dofs(self) -> np.ndarray:
         """Global DOFs each cell owns, shape (n^2, p^2) in cell order: the
@@ -203,36 +196,18 @@ class VectorSpace:
 
     def _build_cell_dofs(self) -> np.ndarray:
         n, k = self.mesh.n, self.k
-        out = np.empty((n * n, self.n_loc), dtype=np.int64)
-        int_base = 2 * n * n * (k + 1)
+        # cell c = j*n + i; x-component G_a(xi) E_b(eta) at local index
+        # a*(k+1) + b, y-component E_a(xi) G_b(eta) at n_comp_loc + b*(k+1) + a
+        cell = np.arange(n * n)[:, None]
+        j, i = np.divmod(cell, n)
+        t = np.arange(k + 1)
         int_per_cell = k * (k + 1)
-        for i in range(n):
-            for j in range(n):
-                c = j * n + i
-                loc = np.empty(self.n_loc, dtype=np.int64)
-                # x-component G_a(xi) E_b(eta): local index a*(k+1) + b
-                for a in range(k + 2):
-                    for b in range(k + 1):
-                        if a == 0:
-                            d = self._edge_dof_vertical(i, j, b)
-                        elif a == k + 1:
-                            d = self._edge_dof_vertical(i + 1, j, b)
-                        else:
-                            d = int_base + c * int_per_cell + (a - 1) * (k + 1) + b
-                        loc[a * (k + 1) + b] = d
-                # y-component E_a(xi) G_b(eta): local index offset + b*(k+1) + a
-                for b in range(k + 2):
-                    for a in range(k + 1):
-                        if b == 0:
-                            d = self._edge_dof_horizontal(i, j, a)
-                        elif b == k + 1:
-                            d = self._edge_dof_horizontal(i, j + 1, a)
-                        else:
-                            d = (int_base + n * n * int_per_cell
-                                 + c * int_per_cell + (b - 1) * (k + 1) + a)
-                        loc[self.n_comp_loc + b * (k + 1) + a] = d
-                out[c] = loc
-        return out
+        interior = 2 * n * n * (k + 1) + cell * int_per_cell + np.arange(int_per_cell)
+        x_comp = [self._edge_dof_vertical(i, j, t), interior,
+                  self._edge_dof_vertical(i + 1, j, t)]
+        y_comp = [self._edge_dof_horizontal(i, j, t), interior + n * n * int_per_cell,
+                  self._edge_dof_horizontal(i, j + 1, t)]
+        return np.concatenate(x_comp + y_comp, axis=1)
 
     def owned_dofs(self) -> np.ndarray:
         """Global DOFs each cell owns, shape (n^2, 2 p^2) in cell order: its

@@ -4,8 +4,7 @@ import pytest
 from parahyp import coefficients as co
 from parahyp.assembly import (assemble_div_block, assemble_grad_block,
                               assemble_load, assemble_mass_v,
-                              assemble_weighted_mass_u, build_block_system,
-                              dump_coo)
+                              assemble_weighted_mass_u, build_block_system)
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import gauss_legendre_2d
 from parahyp.spaces import (build_scalar_space, build_vector_space, eval_scalar_grad,
@@ -189,17 +188,14 @@ class TestBlockSystemAndDump:
         b = assemble_div_block(sv, su)
         assert abs(a - b).max() == 0.0
 
-    def test_coo_dump_round_trip(self, tmp_path):
-        space = build_scalar_space(build_mesh(2), 1)
-        m = assemble_weighted_mass_u(space, 1.0)
-        path = tmp_path / "mass.txt"
-        dump_coo(m, path)
-        rows, cols, vals = [], [], []
-        for line in path.read_text().splitlines():
-            if line.startswith("#"):
-                continue
-            r, c, v = line.split()
-            rows.append(int(r)), cols.append(int(c)), vals.append(float(v))
-        import scipy.sparse as sp
-        back = sp.coo_matrix((vals, (rows, cols)), shape=m.shape).tocsr()
-        assert abs(back - m).max() == 0.0
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_match_whole_matrices(self, n):
+        mesh = build_mesh(n)
+        su, sv = build_scalar_space(mesh, 2), build_vector_space(mesh, 2)
+        s0, s1 = np.random.default_rng(n).uniform(0.1, 1.0, (2, n * n))
+        blocks = build_block_system(su, sv, s0, s1)
+        rows_u, rows_v = np.array([0, su.ndof - 1, 3]), np.array([5, 0])
+        stacked = np.concatenate([rows_u, su.ndof + rows_v])
+        m0_rows, coupling_rows = blocks.rows(rows_u, rows_v)
+        assert abs(m0_rows - blocks.m0()[stacked]).max() == 0.0
+        assert abs(coupling_rows - blocks.coupling()[stacked]).max() == 0.0

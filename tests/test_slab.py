@@ -3,12 +3,11 @@ import pytest
 
 from parahyp import coefficients as co
 from parahyp import slab
-from parahyp.assembly import build_block_system
+from parahyp.assembly import BlockSystem, build_block_system
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import exponential_moments
 from parahyp.slab import (SlabBasis, atomic_open, build_slab_system,
-                          left_trace, load_solution, right_trace, run,
-                          save_solution, time_matrices)
+                          load_solution, run, save_solution, time_matrices)
 from parahyp.spaces import FieldPair, ScalarSpace, VectorSpace
 
 
@@ -206,6 +205,61 @@ class TestRunBehaviour:
                 scale = np.abs(a.coeffs).max()
                 assert np.abs(a.coeffs - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
 
+    @staticmethod
+    def assert_fibre_loop_matches_direct(prob, n, p, q, **kwargs):
+        a = run(prob, n=n, p=p, q=q, tau=1 / 4, solver="direct", **kwargs)
+        b = run(prob, n=n, p=p, q=q, tau=1 / 4, **kwargs)
+        assert (b.meta["solver"], b.meta["spatial_solver"]) == ("decoupled", "bloch")
+        scale = np.abs(a.coeffs).max()
+        assert scale > 0.0
+        assert np.abs(a.coeffs - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_fibre_loop_with_discrete_forcing(self, n):
+        # odd and even n: the conjugate partner's fibre is an index flip
+        for rho in (0.0, 3.0):
+            prob = co.homogenised_problem(T=0.5, rho=rho)
+            for q in range(5):
+                p = 1 + q % 3
+                mesh = build_mesh(n)
+                ndof = ScalarSpace(mesh, p).ndof + VectorSpace(mesh, p).ndof
+                forcing = np.random.default_rng(10 * n + q).standard_normal((2, q + 1, ndof))
+                self.assert_fibre_loop_matches_direct(prob, n, p, q,
+                                                      discrete_forcing=forcing)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_fibre_loop_with_non_separable_source(self, n):
+        def travelling(t, x, y):
+            return np.sin(2 * np.pi * (x - t)) * np.cos(2 * np.pi * y) + t * x
+
+        for rho in (0.0, 3.0):
+            prob = co.ProblemData(s0=co.constant(0.8), s1=co.constant(0.3),
+                                  source=travelling, T=0.5, rho=rho)
+            for q in range(5):
+                self.assert_fibre_loop_matches_direct(prob, n, 1 + q % 3, q,
+                                                      load_quad_points=4)
+
+    @pytest.mark.parametrize("problem", ["hom", "rough", "direct"])
+    def test_whole_matrices_built_at_most_once(self, monkeypatch, problem):
+        calls = {"m0": 0, "coupling": 0}
+        for name in calls:
+            original = getattr(BlockSystem, name)
+
+            def counted(self, name=name, original=original):
+                calls[name] += 1
+                return original(self)
+
+            monkeypatch.setattr(BlockSystem, name, counted)
+        prob = co.rough_problem(2, T=0.75) if problem == "rough" \
+            else co.homogenised_problem(T=0.75)
+        sol = run(prob, n=4, p=2, q=2, tau=1 / 4,
+                  solver="direct" if problem == "direct" else "auto")
+        if problem == "hom":
+            assert sol.meta["spatial_solver"] == "bloch"
+            assert calls == {"m0": 0, "coupling": 0}
+        else:
+            assert calls == {"m0": 1, "coupling": 1}
+
     def test_rough_problem_keeps_sparse_lu(self):
         sol = run(co.rough_problem(2, T=0.5), n=4, p=2, q=1, tau=1 / 4)
         assert (sol.meta["solver"], sol.meta["spatial_solver"]) == ("decoupled", "splu")
@@ -240,7 +294,7 @@ class TestTraces:
     def test_q0_traces_equal_single_node(self):
         sol = run(co.rough_problem(2, T=0.75), n=4, p=2, q=0, tau=1 / 4)
         for m in range(sol.n_slabs):
-            assert left_trace(sol, m).u == pytest.approx(right_trace(sol, m).u)
+            assert sol.left_trace(m).u == pytest.approx(sol.right_trace(m).u)
 
     def test_left_trace_is_lagrange_combination(self, solution):
         combo = solution.basis.left_values @ solution.coeffs[1]
@@ -248,7 +302,7 @@ class TestTraces:
         assert combo == pytest.approx(expected, abs=0.0)
 
     def test_right_trace_is_last_node(self, solution):
-        assert right_trace(solution, 2).u == pytest.approx(
+        assert solution.right_trace(2).u == pytest.approx(
             solution.coeffs[2, -1, : solution.ndof_u], abs=0.0)
 
     def test_trace_sensitivity_to_previous_slab(self):

@@ -3,9 +3,10 @@ import pytest
 
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import gauss_legendre_1d
-from parahyp.spaces import (build_scalar_space, build_vector_space, eval_div,
-                            eval_scalar, eval_scalar_grad, eval_vector,
-                            interpolate_scalar, project_vector)
+from parahyp.spaces import (ScalarSpace, VectorSpace, build_scalar_space,
+                            build_vector_space, eval_div, eval_scalar,
+                            eval_scalar_grad, eval_vector, interpolate_scalar,
+                            project_vector)
 
 
 @pytest.fixture
@@ -232,3 +233,53 @@ def test_owned_dofs_bijective_and_translation_covariant(build, p):
         shift[owned] = owned[target]
         # moves every cell's full local DOF list onto its neighbour's
         assert np.array_equal(shift[space.cell_dofs], space.cell_dofs[target])
+
+
+def scalar_cell_dofs_loop(space):
+    """Per-cell loop form of the Q_p cell-to-DOF map (the reference)."""
+    n, p = space.mesh.n, space.p
+    out = np.empty((n * n, (p + 1) ** 2), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            for a in range(p + 1):
+                for b in range(p + 1):
+                    gx, gy = (i * p + a) % (n * p), (j * p + b) % (n * p)
+                    out[j * n + i, b * (p + 1) + a] = gy * (n * p) + gx
+    return out
+
+
+def vector_cell_dofs_loop(space):
+    """Per-cell loop form of the RT cell-to-DOF map (the reference)."""
+    n, k = space.mesh.n, space.k
+    out = np.empty((n * n, space.n_loc), dtype=np.int64)
+    int_base, int_per_cell = 2 * n * n * (k + 1), k * (k + 1)
+    for i in range(n):
+        for j in range(n):
+            c = j * n + i
+            for a in range(k + 2):
+                for b in range(k + 1):
+                    if a in (0, k + 1):
+                        d = space._edge_dof_vertical(i + a // (k + 1), j, b)
+                    else:
+                        d = int_base + c * int_per_cell + (a - 1) * (k + 1) + b
+                    out[c, a * (k + 1) + b] = d
+            for b in range(k + 2):
+                for a in range(k + 1):
+                    if b in (0, k + 1):
+                        d = space._edge_dof_horizontal(i, j + b // (k + 1), a)
+                    else:
+                        d = (int_base + n * n * int_per_cell
+                             + c * int_per_cell + (b - 1) * (k + 1) + a)
+                    out[c, space.n_comp_loc + b * (k + 1) + a] = d
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cell_dofs_match_loop_reference(n, p):
+    mesh = build_mesh(n)
+    for space, reference in ((ScalarSpace(mesh, p), scalar_cell_dofs_loop),
+                             (VectorSpace(mesh, p), vector_cell_dofs_loop)):
+        expected = reference(space)
+        assert space.cell_dofs.dtype == expected.dtype
+        assert np.array_equal(space.cell_dofs, expected)

@@ -187,14 +187,15 @@ class _DecoupledFactorisation(_RealSpaceSteps):
             self.spatial = "bloch"
             return
         self.spatial = "splu"
-        self.m0 = blocks.m0()
-        m0 = self.m0.tocsc()
+        m0 = blocks.m0().tocsc()
         coupling = blocks.coupling().tocsc()
         self._lus = {}
         for i, partner, is_real in self.plan:
             mat = float(lam[i].real) * m0 + coupling if is_real else \
                 complex(lam[i]) * m0.astype(np.complex128) + coupling.astype(np.complex128)
             self._lus[i] = _factor(mat.tocsc())
+        # the jump flux's CSR copy, made once the factorisations are done
+        self.m0 = m0.tocsr()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         scaled = rhs / self._basis.weights[:, None]
@@ -234,7 +235,7 @@ class _BlochFibres:
     """
 
     # fibres per batch while building the operators, bounding the temporaries
-    _CHUNK = 512
+    _CHUNK = 128
 
     def __init__(self, blocks: BlockSystem, basis: SlabBasis,
                  eig: _DecoupledFactorisation, loads):
@@ -266,16 +267,16 @@ class _BlochFibres:
         self._order = np.argsort(self._perm)      # stacked DOF -> cell-major slot
         fibre = np.arange(n)
         self._flip = ((-fibre[:, None] % n) * n + (-fibre[None, :] % n)).ravel()
-        plan = eig.plan
-        lams = [eig.lam[i] for i, _, _ in plan]
-        self._vinv = eig.vinv[[i for i, _, _ in plan]]
+        plan = [i for i, _, _ in eig.plan]
+        lams, self._vinv = eig.lam[plan], eig.vinv[plan]
         beta = self._vinv @ (basis.left_values / basis.weights)
-        # a real row contributes v Re(y), a pair v y + conj(v y)
-        scale = np.array([1.0 if is_real else 2.0 for _, _, is_real in plan])
-        self._w_last = eig.vmat[-1, [i for i, _, _ in plan]] * scale / 2.0
-        w = eig.vmat[:, [i for i, _, _ in plan]] * scale
-        # coefficients = [Re w, -Im w] @ [Re y; Im y] in real arithmetic
+        # node j's coefficients are sum_r Re(w[j, r] y_r): a real row gives
+        # v Re(y), a conjugate pair v y + conj(v y); in real arithmetic that
+        # is [Re w, -Im w] @ [Re y; Im y]
+        w = eig.vmat[:, plan] * np.array([1.0 if real else 2.0 for _, _, real in eig.plan])
         self._w = np.stack([w.real, -w.imag], axis=2).reshape(len(w), -1)
+        # the right trace Re(z), z = sum_r w[-1, r] y_r, has fibres (z^ + conj z^(-theta)) / 2
+        self._w_last = w[-1] / 2.0
         self._separable = loads.spatial is not None
         shape = (len(plan), n * n, n_own)
         self._g = np.empty(shape + (n_own,), dtype=complex)
@@ -289,8 +290,12 @@ class _BlochFibres:
             m0_hat = (m0_phase[part] @ m0_d).reshape(-1, n_own, n_own)
             c_hat = (c_phase[part] @ c_d).reshape(-1, n_own, n_own)
             for r, lam in enumerate(lams):
-                inv = np.linalg.inv(lam * m0_hat + c_hat)
-                self._g[r, part] = beta[r] * (inv @ m0_hat)
+                a_hat = lam * m0_hat
+                a_hat += c_hat
+                inv = np.linalg.inv(a_hat)
+                del a_hat
+                np.matmul(inv, m0_hat, out=self._g[r, part])
+                self._g[r, part] *= beta[r]
                 if self._separable:
                     self._h[r, part] = (inv @ l_hat[part, :, None])[..., 0]
                 else:

@@ -128,11 +128,9 @@ class ScalarSpace:
     def _build_cell_dofs(self) -> np.ndarray:
         n, p = self.mesh.n, self.p
         # cell (i, j) -> row j*n + i, local node (a, b) -> column b*(p+1) + a
-        first = np.arange(n) * p
-        node = np.arange(p + 1)
-        gx = (first[:, None] + node) % (n * p)                 # [i, a]
-        gy = (first[:, None] + node) % (n * p)                 # [j, b]
-        dofs = gy[:, None, :, None] * (n * p) + gx[None, :, None, :]   # [j, i, b, a]
+        # global node index along one axis of cell i's local node a: [i, a]
+        g = (np.arange(n)[:, None] * p + np.arange(p + 1)) % (n * p)
+        dofs = g[:, None, :, None] * (n * p) + g[None, :, None, :]     # [j, i, b, a]
         return dofs.reshape(n * n, self.n_loc)
 
     def owned_dofs(self) -> np.ndarray:

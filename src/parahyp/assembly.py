@@ -15,11 +15,17 @@ Block structure of the evolutionary operator on coefficient vectors (u, v):
 
 with B_div[i, j] = <div psi_j, phi_i> and B_grad[i, j] = <grad phi_j, psi_i>;
 periodicity makes B_div = -B_grad^T hold entrywise.
+
+``BlockSystem`` assembles each whole block on first use only.  Its ``rows``
+scatters just the cells that touch the requested rows, which is all the
+Floquet-Bloch path needs: with constant coefficients the fibre symbols come
+from the rows of cell 0, so that path assembles no global matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -78,64 +84,71 @@ def _sym(m):
     return (m + m.T) / 2.0
 
 
-def assemble_weighted_mass_u(space: ScalarSpace, s) -> sparse.csr_matrix:
-    """Mass matrix with entries int s(x) phi_i phi_j dx, exact for cellwise s."""
-    cells = _coefficient_cells(space, s)
+def _same_mesh(space_u: ScalarSpace, space_v: VectorSpace) -> None:
+    if space_v.mesh is not space_u.mesh and space_v.mesh != space_u.mesh:
+        raise ValueError("spaces must share one mesh")
+
+
+# Each block is described once, as the arguments of ``_scatter``: its element
+# matrix, the row and column cell_dofs, the per-cell scale and the shape.
+
+def _mass_u_parts(space: ScalarSpace, cells: np.ndarray):
     ints = _lagrange_integrals(space.p, None)
     element = space.mesh.h**2 * np.kron(ints["m1"], ints["m1"])
-    return _scatter(element, space.cell_dofs, space.cell_dofs,
-                    cells, (space.ndof, space.ndof))
+    return element, space.cell_dofs, space.cell_dofs, cells, (space.ndof, space.ndof)
 
 
-def assemble_mass_v(space: VectorSpace) -> sparse.csr_matrix:
-    """RT mass matrix, entries int psi_i . psi_j dx."""
+def _mass_v_parts(space: VectorSpace):
     ints = _lagrange_integrals(space.p, space)
     comp = np.kron(ints["gnn"], ints["gee"])
     element = space.mesh.h**2 * np.block(
         [[comp, np.zeros_like(comp)], [np.zeros_like(comp), comp]])
-    ones = np.ones(space.mesh.n_cells)
-    return _scatter(element, space.cell_dofs, space.cell_dofs,
-                    ones, (space.ndof, space.ndof))
+    return (element, space.cell_dofs, space.cell_dofs, np.ones(space.mesh.n_cells),
+            (space.ndof, space.ndof))
 
 
-def _div_element(space_u: ScalarSpace, space_v: VectorSpace) -> np.ndarray:
+def _div_parts(space_u: ScalarSpace, space_v: VectorSpace):
     ints = _lagrange_integrals(space_u.p, space_v)
     h = space_u.mesh.h
-    p, k = space_u.p, space_v.k
     de_x = h * np.einsum("aA,bB->BAab", ints["gdl"], ints["gel"])
     de_y = h * np.einsum("aA,bB->BAba", ints["gel"], ints["gdl"])
-    n_u = (p + 1) ** 2
-    return np.concatenate([de_x.reshape(n_u, -1), de_y.reshape(n_u, -1)], axis=1)
+    n_u = (space_u.p + 1) ** 2
+    element = np.concatenate([de_x.reshape(n_u, -1), de_y.reshape(n_u, -1)], axis=1)
+    return (element, space_u.cell_dofs, space_v.cell_dofs, np.ones(space_u.mesh.n_cells),
+            (space_u.ndof, space_v.ndof))
 
 
-def _grad_element(space_u: ScalarSpace, space_v: VectorSpace) -> np.ndarray:
+def _grad_parts(space_u: ScalarSpace, space_v: VectorSpace):
     ints = _lagrange_integrals(space_u.p, space_v)
     h = space_u.mesh.h
-    p = space_u.p
     ge_x = h * np.einsum("Aa,Bb->abBA", ints["lg"], ints["le"])
     ge_y = h * np.einsum("Aa,Bb->baBA", ints["le"], ints["lg"])
-    n_u = (p + 1) ** 2
-    return np.concatenate([ge_x.reshape(-1, n_u), ge_y.reshape(-1, n_u)], axis=0)
+    n_u = (space_u.p + 1) ** 2
+    element = np.concatenate([ge_x.reshape(-1, n_u), ge_y.reshape(-1, n_u)], axis=0)
+    return (element, space_v.cell_dofs, space_u.cell_dofs, np.ones(space_u.mesh.n_cells),
+            (space_v.ndof, space_u.ndof))
+
+
+def assemble_weighted_mass_u(space: ScalarSpace, s) -> sparse.csr_matrix:
+    """Mass matrix with entries int s(x) phi_i phi_j dx, exact for cellwise s."""
+    return _scatter(*_mass_u_parts(space, _coefficient_cells(space, s)))
+
+
+def assemble_mass_v(space: VectorSpace) -> sparse.csr_matrix:
+    """RT mass matrix, entries int psi_i . psi_j dx."""
+    return _scatter(*_mass_v_parts(space))
 
 
 def assemble_div_block(space_v: VectorSpace, space_u: ScalarSpace) -> sparse.csr_matrix:
     """Coupling block with entries <div psi_j, phi_i>, shape (dim_u, dim_v)."""
-    if space_v.mesh is not space_u.mesh and space_v.mesh != space_u.mesh:
-        raise ValueError("spaces must share one mesh")
-    element = _div_element(space_u, space_v)
-    ones = np.ones(space_u.mesh.n_cells)
-    return _scatter(element, space_u.cell_dofs, space_v.cell_dofs,
-                    ones, (space_u.ndof, space_v.ndof))
+    _same_mesh(space_u, space_v)
+    return _scatter(*_div_parts(space_u, space_v))
 
 
 def assemble_grad_block(space_u: ScalarSpace, space_v: VectorSpace) -> sparse.csr_matrix:
     """Coupling block with entries <grad phi_j, psi_i>, shape (dim_v, dim_u)."""
-    if space_v.mesh is not space_u.mesh and space_v.mesh != space_u.mesh:
-        raise ValueError("spaces must share one mesh")
-    element = _grad_element(space_u, space_v)
-    ones = np.ones(space_u.mesh.n_cells)
-    return _scatter(element, space_v.cell_dofs, space_u.cell_dofs,
-                    ones, (space_v.ndof, space_u.ndof))
+    _same_mesh(space_u, space_v)
+    return _scatter(*_grad_parts(space_u, space_v))
 
 
 def assemble_load(space: ScalarSpace, f, t: float, quad_points: int | None = None) -> np.ndarray:
@@ -163,22 +176,52 @@ def assemble_load(space: ScalarSpace, f, t: float, quad_points: int | None = Non
 
 @dataclass
 class BlockSystem:
-    """Assembled spatial operators of one problem on one mesh."""
+    """The spatial operators of one problem on one mesh, assembled on demand.
+
+    Each whole block is assembled on first access and then cached under its
+    name: ``mu0`` = Mu(s0), ``mu1`` = Mu(s1), ``mu_unweighted`` = Mu(1),
+    ``mv``, ``b_div`` and ``b_grad``.  ``rows`` assembles none of them.
+    """
 
     space_u: ScalarSpace
     space_v: VectorSpace
-    mu0: sparse.csr_matrix
-    mu1: sparse.csr_matrix
-    mu_unweighted: sparse.csr_matrix
-    mv: sparse.csr_matrix
-    b_div: sparse.csr_matrix
-    b_grad: sparse.csr_matrix
     s0_cells: np.ndarray
     s1_cells: np.ndarray
+
+    mu0 = cached_property(lambda self: self._whole("mu0"))
+    mu1 = cached_property(lambda self: self._whole("mu1"))
+    mu_unweighted = cached_property(lambda self: self._whole("mu_unweighted"))
+    mv = cached_property(lambda self: self._whole("mv"))
+    b_div = cached_property(lambda self: self._whole("b_div"))
+    b_grad = cached_property(lambda self: self._whole("b_grad"))
 
     @property
     def ndof(self) -> int:
         return self.space_u.ndof + self.space_v.ndof
+
+    def _parts(self, name: str):
+        su, sv = self.space_u, self.space_v
+        if name == "mv":
+            return _mass_v_parts(sv)
+        if name == "b_div":
+            return _div_parts(su, sv)
+        if name == "b_grad":
+            return _grad_parts(su, sv)
+        cells = {"mu0": self.s0_cells, "mu1": self.s1_cells,
+                 "mu_unweighted": np.ones(su.mesh.n_cells)}[name]
+        return _mass_u_parts(su, cells)
+
+    def _whole(self, name: str) -> sparse.csr_matrix:
+        return _scatter(*self._parts(name))
+
+    def _rows(self, name: str, rows) -> sparse.csr_matrix:
+        # only the cells whose row DOFs meet ``rows`` add to those rows; they
+        # are scattered in the same order as for the whole block, so each row
+        # sums the same entries in the same order
+        element, row_dofs, col_dofs, scale, shape = self._parts(name)
+        touching = np.isin(row_dofs, rows).any(axis=1)
+        return _scatter(element, row_dofs[touching], col_dofs[touching],
+                        scale[touching], shape)[rows]
 
     def m0(self) -> sparse.csr_matrix:
         """blockdiag(Mu(s0), Mv)."""
@@ -194,27 +237,21 @@ class BlockSystem:
 
     def rows(self, rows_u, rows_v) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
         """Rows (rows_u of the u block, then rows_v of the v block) of m0()
-        and of coupling(), without assembling either whole matrix."""
-        return (sparse.bmat([[self.mu0[rows_u], None], [None, self.mv[rows_v]]], format="csr"),
-                sparse.bmat([[self.mu1[rows_u], self.b_div[rows_u]],
-                             [self.b_grad[rows_v], None]], format="csr"))
+        and of coupling(), equal to slicing the whole matrices.  Only the
+        cells whose DOFs touch the requested rows are assembled (for rows of
+        one cell, that cell and its neighbours; the periodic wrap folds in
+        as in the whole blocks), and no whole block is built or cached."""
+        return (sparse.bmat([[self._rows("mu0", rows_u), None],
+                             [None, self._rows("mv", rows_v)]], format="csr"),
+                sparse.bmat([[self._rows("mu1", rows_u), self._rows("b_div", rows_u)],
+                             [self._rows("b_grad", rows_v), None]], format="csr"))
 
 
 def build_block_system(space_u: ScalarSpace, space_v: VectorSpace,
                        s0, s1) -> BlockSystem:
-    """Assemble all operator blocks for a coefficient pair."""
-    s0_cells = _coefficient_cells(space_u, s0)
-    s1_cells = _coefficient_cells(space_u, s1)
-    return BlockSystem(
-        space_u=space_u,
-        space_v=space_v,
-        mu0=assemble_weighted_mass_u(space_u, s0_cells),
-        mu1=assemble_weighted_mass_u(space_u, s1_cells),
-        mu_unweighted=assemble_weighted_mass_u(space_u, 1.0),
-        mv=assemble_mass_v(space_v),
-        b_div=assemble_div_block(space_v, space_u),
-        b_grad=assemble_grad_block(space_u, space_v),
-        s0_cells=s0_cells,
-        s1_cells=s1_cells,
-    )
-
+    """The operator blocks for a coefficient pair; the coefficients are
+    checked here, the blocks assembled on first use."""
+    _same_mesh(space_u, space_v)
+    return BlockSystem(space_u=space_u, space_v=space_v,
+                       s0_cells=_coefficient_cells(space_u, s0),
+                       s1_cells=_coefficient_cells(space_u, s1))

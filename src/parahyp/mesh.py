@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_DIRECTIONS = {"+x": (1, 0), "-x": (-1, 0), "+y": (0, 1), "-y": (0, -1)}
-
-
 @dataclass(frozen=True)
 class Mesh:
     n: int
@@ -31,18 +28,6 @@ class Mesh:
     @property
     def n_cells(self) -> int:
         return self.n * self.n
-
-    @property
-    def n_edges(self) -> int:
-        return 2 * self.n * self.n
-
-    @property
-    def n_vertices(self) -> int:
-        return self.n * self.n
-
-    def cell_center(self, cell) -> tuple[float, float]:
-        i, j = cell
-        return ((i + 0.5) * self.h, (j + 0.5) * self.h)
 
     def cell_centers(self) -> np.ndarray:
         """Centers of all cells, shape (n, n, 2), indexed [i, j]."""
@@ -71,26 +56,3 @@ def cell_quadrature_points(mesh: Mesh, nodes_1d) -> tuple[np.ndarray, np.ndarray
     Y = np.broadcast_to(grid[:, None, None] + eta.ravel() * h, shape)
     return X.reshape(n * n, -1), Y.reshape(n * n, -1)
 
-
-def cell_containing(mesh: Mesh, point) -> tuple[int, int]:
-    """Index (i, j) of the half-open cell containing a point of [0,1)^2."""
-    x, y = point
-    if not (np.isfinite(x) and np.isfinite(y)):
-        raise ValueError(f"non-finite coordinates {point!r}")
-    if not (0.0 <= x < 1.0 and 0.0 <= y < 1.0):
-        raise ValueError(f"point {point!r} outside [0,1)^2; reduce modulo 1 first")
-    i = min(int(x * mesh.n), mesh.n - 1)
-    j = min(int(y * mesh.n), mesh.n - 1)
-    return (i, j)
-
-
-def periodic_neighbor(mesh: Mesh, cell, direction: str) -> tuple[int, int]:
-    """Neighbouring cell index in one of '+x', '-x', '+y', '-y', modulo n."""
-    i, j = cell
-    if not (0 <= i < mesh.n and 0 <= j < mesh.n):
-        raise ValueError(f"cell {cell!r} outside the index range of an n={mesh.n} mesh")
-    try:
-        di, dj = _DIRECTIONS[direction]
-    except KeyError:
-        raise ValueError(f"unknown direction {direction!r}") from None
-    return ((i + di) % mesh.n, (j + dj) % mesh.n)

@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .assembly import BlockSystem, assemble_load, build_block_system
+from .assembly import BlockSystem, _coefficient_cells, assemble_load, build_block_system
 from .coefficients import ProblemData, SeparableSource
 from .mesh import build_mesh
 from .quadrature import weighted_gauss_radau
@@ -217,7 +217,9 @@ class _BlochFibres:
     coefficients M0 and C are block-circulant in cell-major order: cell
     offset d couples through one 3p^2 x 3p^2 block.  The 2-D DFT over the
     cell grid (``fft2`` of the cell-major gather) splits them into n^2 dense
-    fibre symbols M0^(theta) and C^(theta), read from cell 0's rows.  With
+    fibre symbols M0^(theta) and C^(theta), read from cell 0's rows.
+    ``BlockSystem.rows`` assembles those rows from the cells around cell 0
+    alone, so this path builds no global matrix.  With
     A_i = lam_i M0^ + C^ for each planned temporal eigenvalue, the
     factorisation stores G_i = beta_i A_i^-1 M0^ per fibre, where
     beta_i = V^-1[i] (l(0) / w) weights the jump, and for a separable source
@@ -252,7 +254,7 @@ class _BlochFibres:
         theta = 2.0 * np.pi * np.arange(n) / n
 
         def symbol(rows):
-            # the assembled blocks already fold the periodic wrap into cell 0's rows
+            # the periodic wrap is already folded into cell 0's rows
             rows = rows.tocoo()
             offsets, which = np.unique(cell[rows.col], return_inverse=True)
             blocks_d = np.zeros((len(offsets), n_own * n_own))
@@ -478,6 +480,16 @@ class _Loads:
         return loads
 
 
+def _check_blocks(blocks: BlockSystem, n: int, p: int, problem: ProblemData):
+    space_u, space_v = blocks.space_u, blocks.space_v
+    if (space_u.mesh.n, space_u.p, space_v.p) != (n, p, p):
+        raise ValueError(f"blocks were built for n={space_u.mesh.n}, p={space_u.p}; "
+                         f"the run asks for n={n}, p={p}")
+    for name, s in (("s0", problem.s0), ("s1", problem.s1)):
+        if not np.array_equal(getattr(blocks, f"{name}_cells"), _coefficient_cells(space_u, s)):
+            raise ValueError(f"blocks were built for other {name} cell values than the problem's")
+
+
 def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
         x0: FieldPair | None = None, *, solver: str = "auto",
         load_quad_points: int | None = None,
@@ -496,6 +508,13 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     stays in Floquet-Bloch fibre space from slab to slab: each slab is one
     batched fibre matvec per temporal eigenvalue plus one ``ifft2`` for the
     stored coefficients (see ``_BlochFibres``).
+
+    ``blocks`` (from ``build_block_system``) shares one set of operator
+    blocks between runs; a ``ValueError`` is raised before factorising when
+    its mesh size, degree or coefficient cell values differ from ``n``,
+    ``p`` and the problem's.  Whole blocks are assembled on first use: the
+    ``bloch`` path assembles none, the ``splu`` and ``direct`` paths the
+    ones of M0 and C once, and ``discrete_forcing`` the unweighted mass.
     """
     T = problem.T
     n_slabs = int(round(T / tau))
@@ -506,6 +525,8 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
         space_u = ScalarSpace(mesh, p)
         space_v = VectorSpace(mesh, p)
         blocks = build_block_system(space_u, space_v, problem.s0, problem.s1)
+    else:
+        _check_blocks(blocks, n, p, problem)
     basis = SlabBasis(q, problem.rho, tau)
     ndof = blocks.ndof
     if discrete_forcing is not None and np.shape(discrete_forcing) != (n_slabs, q + 1, ndof):

@@ -188,14 +188,39 @@ class TestBlockSystemAndDump:
         b = assemble_div_block(sv, su)
         assert abs(a - b).max() == 0.0
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_rows_match_whole_matrices(self, n):
         mesh = build_mesh(n)
+        random = np.random.default_rng(n).uniform(0.1, 1.0, (2, n * n))
+        board = (np.add.outer(np.arange(n), np.arange(n)) % 2).ravel().astype(float)
+        coefficients = [random, (board, 1.0 - board)]
+        for p in (1, 2, 3):
+            su, sv = build_scalar_space(mesh, p), build_vector_space(mesh, p)
+            requests = [(np.array([0, su.ndof - 1, 3 % su.ndof]), np.array([5 % sv.ndof, 0])),
+                        (su.owned_dofs()[0], sv.owned_dofs()[0]),
+                        (su.owned_dofs()[-1], sv.owned_dofs()[n // 2])]
+            for s0, s1 in coefficients:
+                rows_blocks = build_block_system(su, sv, s0, s1)
+                whole = build_block_system(su, sv, s0, s1)
+                for rows_u, rows_v in requests:
+                    stacked = np.concatenate([rows_u, su.ndof + rows_v])
+                    m0_rows, coupling_rows = rows_blocks.rows(rows_u, rows_v)
+                    assert abs(m0_rows - whole.m0()[stacked]).max() == 0.0
+                    assert abs(coupling_rows - whole.coupling()[stacked]).max() == 0.0
+                # rows assembles only the cells it needs and caches no whole block
+                assert not {"mu0", "mu1", "mv", "b_div", "b_grad"} & vars(rows_blocks).keys()
+
+    def test_blocks_assembled_on_first_use_and_cached(self):
+        mesh = build_mesh(4)
         su, sv = build_scalar_space(mesh, 2), build_vector_space(mesh, 2)
-        s0, s1 = np.random.default_rng(n).uniform(0.1, 1.0, (2, n * n))
+        s0, s1 = co.checkerboard(2), co.checkerboard_complement(2)
         blocks = build_block_system(su, sv, s0, s1)
-        rows_u, rows_v = np.array([0, su.ndof - 1, 3]), np.array([5, 0])
-        stacked = np.concatenate([rows_u, su.ndof + rows_v])
-        m0_rows, coupling_rows = blocks.rows(rows_u, rows_v)
-        assert abs(m0_rows - blocks.m0()[stacked]).max() == 0.0
-        assert abs(coupling_rows - blocks.coupling()[stacked]).max() == 0.0
+        for name, eager in [("mu0", assemble_weighted_mass_u(su, s0)),
+                            ("mu1", assemble_weighted_mass_u(su, s1)),
+                            ("mu_unweighted", assemble_weighted_mass_u(su, 1.0)),
+                            ("mv", assemble_mass_v(sv)),
+                            ("b_div", assemble_div_block(sv, su)),
+                            ("b_grad", assemble_grad_block(su, sv))]:
+            assert name not in vars(blocks)
+            assert getattr(blocks, name) is getattr(blocks, name)
+            assert abs(getattr(blocks, name) - eager).max() == 0.0

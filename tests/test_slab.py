@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,55 @@ class TestRunBehaviour:
             assert calls == {"m0": 0, "coupling": 0}
         else:
             assert calls == {"m0": 1, "coupling": 1}
+
+    @pytest.mark.parametrize("case", ["hom", "rough", "forcing"])
+    def test_whole_blocks_assembled_once_and_only_when_used(self, monkeypatch, case):
+        built = {}
+        whole = BlockSystem._whole
+
+        def counted(self, name):
+            built[name] = built.get(name, 0) + 1
+            return whole(self, name)
+
+        monkeypatch.setattr(BlockSystem, "_whole", counted)
+        prob = co.rough_problem(2, T=0.75) if case == "rough" \
+            else co.homogenised_problem(T=0.75)
+        mesh = build_mesh(4)
+        forcing = None
+        if case == "forcing":
+            ndof = ScalarSpace(mesh, 2).ndof + VectorSpace(mesh, 2).ndof
+            forcing = np.random.default_rng(4).standard_normal((3, 3, ndof))
+        sol = run(prob, n=4, p=2, q=2, tau=1 / 4, discrete_forcing=forcing)
+        expected = {"hom": {},
+                    "rough": {"mu0": 1, "mv": 1, "mu1": 1, "b_div": 1, "b_grad": 1},
+                    "forcing": {"mu_unweighted": 1, "mv": 1}}[case]
+        assert built == expected
+        assert sol.meta["spatial_solver"] == ("splu" if case == "rough" else "bloch")
+
+    @pytest.mark.parametrize("case", ["n", "p", "hom", "s1"])
+    def test_blocks_must_fit_the_run(self, monkeypatch, case):
+        def not_reached(*args):
+            raise AssertionError("factorised before checking the blocks")
+
+        mesh = build_mesh(4)
+        prob = co.rough_problem(2, T=0.5)
+        blocks = build_block_system(ScalarSpace(mesh, 2), VectorSpace(mesh, 2),
+                                    prob.s0, prob.s1)
+        # fitting blocks give the same solution as a run that builds its own
+        fitted = run(prob, n=4, p=2, q=1, tau=1 / 4, blocks=blocks)
+        assert np.array_equal(fitted.coeffs, run(prob, n=4, p=2, q=1, tau=1 / 4).coeffs)
+        n, p, match = 4, 2, "other s0 cell values"
+        if case == "n":
+            n, match = 8, "asks for n=8, p=2"
+        elif case == "p":
+            p, match = 3, "asks for n=4, p=3"
+        elif case == "hom":
+            prob = co.homogenised_problem(T=0.5)
+        else:
+            prob, match = dataclasses.replace(prob, s1=co.constant(0.5)), "other s1 cell values"
+        monkeypatch.setattr(slab, "_make_factorisation", not_reached)
+        with pytest.raises(ValueError, match=match):
+            run(prob, n=n, p=p, q=1, tau=1 / 4, blocks=blocks)
 
     def test_rough_problem_keeps_sparse_lu(self):
         sol = run(co.rough_problem(2, T=0.5), n=4, p=2, q=1, tau=1 / 4)

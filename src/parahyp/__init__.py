@@ -21,7 +21,7 @@ from .errors import (ErrorReport, ErrorTable, compare_solutions, compare_to_exac
                      e_sup_from_samples, eoc)
 from .gelfand import (BlockGridFunction, FibreDecomposition, forward,
                       gelfand_transform, inverse, scale_T_N, unit_square_norm)
-from .mesh import Mesh, build_mesh
+from .mesh import Mesh, build_mesh, periodic_neighbor
 from .quadrature import (QuadratureRule, exponential_moments, gauss_legendre_1d,
                          gauss_legendre_2d, weighted_gauss_radau)
 from .slab import (DiscreteSolution, SlabBasis, TimeMatrices, build_slab_system,

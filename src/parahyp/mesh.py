@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_DIRECTIONS = {"+x": (1, 0), "-x": (-1, 0), "+y": (0, 1), "-y": (0, -1)}
+
+
 @dataclass(frozen=True)
 class Mesh:
     n: int
@@ -56,3 +59,14 @@ def cell_quadrature_points(mesh: Mesh, nodes_1d) -> tuple[np.ndarray, np.ndarray
     Y = np.broadcast_to(grid[:, None, None] + eta.ravel() * h, shape)
     return X.reshape(n * n, -1), Y.reshape(n * n, -1)
 
+
+def periodic_neighbor(mesh: Mesh, cell, direction: str) -> tuple[int, int]:
+    """Neighbouring cell index in one of '+x', '-x', '+y', '-y', modulo n."""
+    i, j = cell
+    if not (0 <= i < mesh.n and 0 <= j < mesh.n):
+        raise ValueError(f"cell {cell!r} outside the index range of an n={mesh.n} mesh")
+    try:
+        di, dj = _DIRECTIONS[direction]
+    except KeyError:
+        raise ValueError(f"unknown direction {direction!r}") from None
+    return ((i + di) % mesh.n, (j + dj) % mesh.n)

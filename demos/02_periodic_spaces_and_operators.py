@@ -8,15 +8,14 @@ the periodic seams and the discrete skew-adjointness B_div = -B_grad^T.
 
 import numpy as np
 
-from parahyp import (assemble_div_block, assemble_grad_block, build_mesh,
-                     build_scalar_space, build_vector_space, eval_div,
-                     eval_scalar, eval_vector, interpolate_scalar,
-                     project_vector)
+from parahyp import (ScalarSpace, VectorSpace, assemble_div_block,
+                     assemble_grad_block, build_mesh, eval_div, eval_scalar,
+                     eval_vector, interpolate_scalar, project_vector)
 
 mesh = build_mesh(8)
 p = 2
-space_u = build_scalar_space(mesh, p)
-space_v = build_vector_space(mesh, p)
+space_u = ScalarSpace(mesh, p)
+space_v = VectorSpace(mesh, p)
 print(f"mesh 8x8, degree p={p}: dim V_u = {space_u.ndof} (= (p n)^2), "
       f"dim V_v = {space_v.ndof} (= 2 n^2 p^2)")
 

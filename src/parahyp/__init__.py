@@ -21,15 +21,14 @@ from .errors import (ErrorReport, ErrorTable, compare_solutions, compare_to_exac
                      e_sup_from_samples, eoc)
 from .gelfand import (BlockGridFunction, FibreDecomposition, forward,
                       gelfand_transform, inverse, scale_T_N, unit_square_norm)
-from .mesh import Mesh, build_mesh, periodic_neighbor
+from .mesh import Mesh, build_mesh
 from .quadrature import (QuadratureRule, exponential_moments, gauss_legendre_1d,
                          gauss_legendre_2d, weighted_gauss_radau)
 from .slab import (DiscreteSolution, SlabBasis, TimeMatrices, build_slab_system,
                    load_solution, run, save_solution, solve_slab, time_matrices)
-from .spaces import (FieldPair, ScalarSpace, VectorSpace, build_scalar_space,
-                     build_vector_space, eval_div, eval_scalar, eval_scalar_grad,
-                     eval_vector, gauss_lobatto_points, interpolate_scalar,
-                     project_vector)
+from .spaces import (FieldPair, ScalarSpace, VectorSpace, eval_div, eval_scalar,
+                     eval_scalar_grad, eval_vector, gauss_lobatto_points,
+                     interpolate_scalar, project_vector)
 from .study import (StudyConfig, export_snapshot, parse_config, run_study,
                     single_solve, solve_reference)
 

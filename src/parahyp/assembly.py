@@ -16,10 +16,11 @@ Block structure of the evolutionary operator on coefficient vectors (u, v):
 with B_div[i, j] = <div psi_j, phi_i> and B_grad[i, j] = <grad phi_j, psi_i>;
 periodicity makes B_div = -B_grad^T hold entrywise.
 
-``BlockSystem`` assembles each whole block on first use only.  Its ``rows``
-scatters just the cells that touch the requested rows, which is all the
-Floquet-Bloch path needs: with constant coefficients the fibre symbols come
-from the rows of cell 0, so that path assembles no global matrix.
+``BlockSystem`` assembles each whole block on first use only.  Its
+``stencil`` sums cell 0's element matrices into the cell-offset blocks of
+M0 or C, which is all the Floquet-Bloch path needs: with constant
+coefficients those blocks are the fibre symbols' Fourier coefficients, so
+that path assembles no global matrix.
 """
 
 from __future__ import annotations
@@ -174,13 +175,18 @@ def assemble_load(space: ScalarSpace, f, t: float, quad_points: int | None = Non
     return out
 
 
+# the blocks of m0() and coupling(): (name, row space, column space), 0 = u, 1 = v
+_STACKED = {"m0": (("mu0", 0, 0), ("mv", 1, 1)),
+            "coupling": (("mu1", 0, 0), ("b_div", 0, 1), ("b_grad", 1, 0))}
+
+
 @dataclass
 class BlockSystem:
     """The spatial operators of one problem on one mesh, assembled on demand.
 
     Each whole block is assembled on first access and then cached under its
     name: ``mu0`` = Mu(s0), ``mu1`` = Mu(s1), ``mu_unweighted`` = Mu(1),
-    ``mv``, ``b_div`` and ``b_grad``.  ``rows`` assembles none of them.
+    ``mv``, ``b_div`` and ``b_grad``.  ``stencil`` assembles none of them.
     """
 
     space_u: ScalarSpace
@@ -214,14 +220,46 @@ class BlockSystem:
     def _whole(self, name: str) -> sparse.csr_matrix:
         return _scatter(*self._parts(name))
 
-    def _rows(self, name: str, rows) -> sparse.csr_matrix:
-        # only the cells whose row DOFs meet ``rows`` add to those rows; they
-        # are scattered in the same order as for the whole block, so each row
-        # sums the same entries in the same order
-        element, row_dofs, col_dofs, scale, shape = self._parts(name)
-        touching = np.isin(row_dofs, rows).any(axis=1)
-        return _scatter(element, row_dofs[touching], col_dofs[touching],
-                        scale[touching], shape)[rows]
+    def owned_dofs(self) -> np.ndarray:
+        """Stacked DOFs each cell owns, shape (n^2, 3p^2) in cell order: its
+        u DOFs, then its v DOFs (shifted by ndof_u)."""
+        su, sv = self.space_u, self.space_v
+        return np.concatenate([su.owned_dofs(), su.ndof + sv.owned_dofs()], axis=1)
+
+    def stencil(self, matrix: str) -> tuple[np.ndarray, np.ndarray]:
+        """The cell-offset blocks of ``m0()`` or ``coupling()`` (``matrix`` =
+        "m0" or "coupling") for constant coefficients, from cell 0's element
+        matrices; nothing is assembled or cached.
+
+        Every cell adds cell 0's element entries, translated, so the DOFs
+        that cell 0 owns couple to those that cell d = j n + i owns through
+        one block: the sum of cell 0's entries whose column's owner lies
+        (i, j) cells from its row's owner, mod n per axis (the periodic
+        wrap).  Returns the offsets d that occur, increasing, and their
+        row-major blocks in the order of ``owned_dofs()``, shape
+        (len(d), (3p^2)^2).
+        """
+        n = self.space_u.mesh.n
+        owned = self.owned_dofs()
+        n_own = owned.shape[1]
+        slot = np.empty(self.ndof, dtype=np.int64)      # stacked DOF -> cell-major slot
+        slot[owned.ravel()] = np.arange(self.ndof)
+        cell, local = np.divmod(slot, n_own)
+        shift = (0, self.space_u.ndof)
+        offsets, indices, values = [], [], []
+        for name, row_space, col_space in _STACKED[matrix]:
+            element, row_dofs, col_dofs, scale, _ = self._parts(name)
+            rows = shift[row_space] + row_dofs[0][:, None]
+            cols = shift[col_space] + col_dofs[0][None, :]
+            row_cell, col_cell = cell[rows], cell[cols]
+            offsets.append(((col_cell // n - row_cell // n) % n * n
+                            + (col_cell - row_cell) % n).ravel())
+            indices.append((local[rows] * n_own + local[cols]).ravel())
+            values.append((scale[0] * element).ravel())
+        offsets, which = np.unique(np.concatenate(offsets), return_inverse=True)
+        blocks = np.zeros((len(offsets), n_own * n_own))
+        np.add.at(blocks, (which, np.concatenate(indices)), np.concatenate(values))
+        return offsets, blocks
 
     def m0(self) -> sparse.csr_matrix:
         """blockdiag(Mu(s0), Mv)."""
@@ -234,17 +272,6 @@ class BlockSystem:
     def coupling(self) -> sparse.csr_matrix:
         """[[Mu(s1), B_div], [B_grad, 0]]."""
         return sparse.bmat([[self.mu1, self.b_div], [self.b_grad, None]], format="csr")
-
-    def rows(self, rows_u, rows_v) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-        """Rows (rows_u of the u block, then rows_v of the v block) of m0()
-        and of coupling(), equal to slicing the whole matrices.  Only the
-        cells whose DOFs touch the requested rows are assembled (for rows of
-        one cell, that cell and its neighbours; the periodic wrap folds in
-        as in the whole blocks), and no whole block is built or cached."""
-        return (sparse.bmat([[self._rows("mu0", rows_u), None],
-                             [None, self._rows("mv", rows_v)]], format="csr"),
-                sparse.bmat([[self._rows("mu1", rows_u), self._rows("b_div", rows_u)],
-                             [self._rows("b_grad", rows_v), None]], format="csr"))
 
 
 def build_block_system(space_u: ScalarSpace, space_v: VectorSpace,

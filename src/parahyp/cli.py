@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -74,7 +75,6 @@ def main(argv=None) -> int:
         if args.problem == "rough" and args.N is None:
             parser.error("solve --problem rough requires --N")
         sol = single_solve(args.problem, N, config)
-        import os
         os.makedirs(config.out_dir, exist_ok=True)
         tag = f"{args.problem}_N{args.N}" if args.problem == "rough" else "hom"
         path = os.path.join(config.out_dir, f"solution_{tag}.ckpt")
@@ -91,7 +91,6 @@ def main(argv=None) -> int:
     if args.verb == "snapshot":
         sol = load_solution(args.checkpoint)
         resolution = args.resolution or config.snapshot_resolution
-        import os
         os.makedirs(config.out_dir, exist_ok=True)
         base = os.path.join(config.out_dir, f"{args.tag}_t{args.time}")
         vtk, csv = export_snapshot(sol, args.time, resolution, base)

@@ -217,10 +217,9 @@ class _BlochFibres:
     coefficients M0 and C are block-circulant in cell-major order: cell
     offset d couples through one 3p^2 x 3p^2 block.  The 2-D DFT over the
     cell grid (``fft2`` of the cell-major gather) splits them into n^2 dense
-    fibre symbols M0^(theta) and C^(theta), read from cell 0's rows.
-    ``BlockSystem.rows`` assembles those rows from the cells around cell 0
-    alone, so this path builds no global matrix.  With
-    A_i = lam_i M0^ + C^ for each planned temporal eigenvalue, the
+    fibre symbols M0^(theta) and C^(theta), read from cell 0's element
+    matrices (``BlockSystem.stencil``), so this path builds no global matrix.
+    With A_i = lam_i M0^ + C^ for each planned temporal eigenvalue, the
     factorisation stores G_i = beta_i A_i^-1 M0^ per fibre, where
     beta_i = V^-1[i] (l(0) / w) weights the jump, and for a separable source
     H_i = A_i^-1 L^ (its spatial load, transformed once); other loads keep
@@ -241,30 +240,19 @@ class _BlochFibres:
 
     def __init__(self, blocks: BlockSystem, basis: SlabBasis,
                  eig: _DecoupledFactorisation, loads):
-        space_u, space_v = blocks.space_u, blocks.space_v
-        n = space_u.mesh.n
-        own_u, own_v = space_u.owned_dofs(), space_v.owned_dofs()
-        perm = np.concatenate([own_u, space_u.ndof + own_v], axis=1)
+        n = blocks.space_u.mesh.n
+        perm = blocks.owned_dofs()
         n_own = perm.shape[1]
-        cell = np.empty(blocks.ndof, dtype=np.int64)
-        local = np.empty(blocks.ndof, dtype=np.int64)
-        cell[perm] = np.arange(n * n)[:, None]
-        local[perm] = np.arange(n_own)
         # cell c = j n + i sits at (i, j); fibre [ky, kx] has theta = 2 pi (kx, ky) / n
         theta = 2.0 * np.pi * np.arange(n) / n
 
-        def symbol(rows):
-            # the periodic wrap is already folded into cell 0's rows
-            rows = rows.tocoo()
-            offsets, which = np.unique(cell[rows.col], return_inverse=True)
-            blocks_d = np.zeros((len(offsets), n_own * n_own))
-            blocks_d[which, rows.row * n_own + local[rows.col]] = rows.data
+        def symbol(matrix):
+            offsets, blocks_d = blocks.stencil(matrix)
             phase = np.exp(1j * (theta[:, None, None] * (offsets // n)
                                  + theta[None, :, None] * (offsets % n)))
             return phase.reshape(n * n, -1), blocks_d
 
-        m0_rows, coupling_rows = blocks.rows(own_u[0], own_v[0])
-        (m0_phase, m0_d), (c_phase, c_d) = symbol(m0_rows), symbol(coupling_rows)
+        (m0_phase, m0_d), (c_phase, c_d) = symbol("m0"), symbol("coupling")
         self._n, self._perm = n, perm.ravel()
         self._order = np.argsort(self._perm)      # stacked DOF -> cell-major slot
         fibre = np.arange(n)
@@ -612,6 +600,7 @@ def load_solution(path) -> DiscreteSolution:
             version, meta = header["format"], header["meta"]
             ndof_u, ndof_v = header["ndof_u"], header["ndof_v"]
             shape = (header["slabs"], meta["q"] + 1, ndof_u + ndof_v)
+            n, p, rho, tau = meta["n"], meta["p"], meta["rho"], meta["tau"]
         except (ValueError, KeyError, TypeError) as err:
             raise ValueError(f"{path}: malformed checkpoint header ({err!r})") from None
         if version != _FORMAT_VERSION:
@@ -625,14 +614,14 @@ def load_solution(path) -> DiscreteSolution:
             raise ValueError(f"{path}: checkpoint holds {actual} bytes, its header "
                              f"describes {expected}; truncated or corrupt, re-solve it")
         x0 = np.frombuffer(fh.read(state_bytes), dtype=_FLOAT).astype(float)
-    mesh = build_mesh(meta["n"])
-    space_u = ScalarSpace(mesh, meta["p"])
-    space_v = VectorSpace(mesh, meta["p"])
+    mesh = build_mesh(n)
+    space_u = ScalarSpace(mesh, p)
+    space_v = VectorSpace(mesh, p)
     if (space_u.ndof, space_v.ndof) != (ndof_u, ndof_v):
         raise ValueError(f"{path}: checkpoint dimensions do not match its metadata")
     coeffs = np.memmap(path, dtype=_FLOAT, mode="r", shape=shape,
                        offset=offset + state_bytes)
     return DiscreteSolution(space_u=space_u, space_v=space_v,
-                            basis=SlabBasis(meta["q"], meta["rho"], meta["tau"]),
-                            coeffs=coeffs, rho=meta["rho"], meta=meta,
+                            basis=SlabBasis(meta["q"], rho, tau),
+                            coeffs=coeffs, rho=rho, meta=meta,
                             initial_state=x0)

@@ -239,14 +239,6 @@ class VectorSpace:
         return vx, vy, div
 
 
-def build_scalar_space(mesh: Mesh, p: int) -> ScalarSpace:
-    return ScalarSpace(mesh, p)
-
-
-def build_vector_space(mesh: Mesh, p: int) -> VectorSpace:
-    return VectorSpace(mesh, p)
-
-
 def _check_coeffs(coeffs, ndof):
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (ndof,):

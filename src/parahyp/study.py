@@ -56,6 +56,11 @@ class StudyConfig:
             raise ValueError("n_list must be strictly increasing")
         if self.p < 1 or self.q < 0:
             raise ValueError(f"invalid degrees p={self.p}, q={self.q}")
+        for key, rule, ok in (("T", "> 0", self.T > 0), ("ref_p", ">= 1", self.ref_p >= 1),
+                              ("ref_q", ">= 0", self.ref_q >= 0),
+                              ("snapshot_resolution", ">= 1", self.snapshot_resolution >= 1)):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
         if self.checkpoint not in _CHECKPOINT_MODES:
             raise ValueError(f"checkpoint must be one of {_CHECKPOINT_MODES}, "
                              f"got {self.checkpoint!r}")

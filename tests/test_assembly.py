@@ -7,8 +7,8 @@ from parahyp.assembly import (assemble_div_block, assemble_grad_block,
                               assemble_weighted_mass_u, build_block_system)
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import gauss_legendre_2d
-from parahyp.spaces import (build_scalar_space, build_vector_space, eval_scalar_grad,
-                            eval_vector, interpolate_scalar, project_vector)
+from parahyp.spaces import (ScalarSpace, VectorSpace, eval_scalar_grad, eval_vector,
+                            interpolate_scalar, project_vector)
 
 
 @pytest.fixture
@@ -18,52 +18,52 @@ def rng():
 
 class TestWeightedMass:
     def test_single_cell_p1(self):
-        space = build_scalar_space(build_mesh(1), 1)
+        space = ScalarSpace(build_mesh(1), 1)
         m = assemble_weighted_mass_u(space, 1.0)
         assert m.toarray() == pytest.approx(np.array([[1.0]]), abs=1e-15)
 
     def test_zero_coefficient(self):
-        space = build_scalar_space(build_mesh(2), 2)
+        space = ScalarSpace(build_mesh(2), 2)
         m = assemble_weighted_mass_u(space, 0.0)
         assert abs(m).max() == 0.0
 
     def test_total_mass_is_one(self):
-        space = build_scalar_space(build_mesh(4), 2)
+        space = ScalarSpace(build_mesh(4), 2)
         m = assemble_weighted_mass_u(space, 1.0)
         assert m.sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_coefficient_linearity(self):
-        space = build_scalar_space(build_mesh(8), 2)
+        space = ScalarSpace(build_mesh(8), 2)
         a = assemble_weighted_mass_u(space, co.checkerboard(4))
         b = assemble_weighted_mass_u(space, co.checkerboard_complement(4))
         c = assemble_weighted_mass_u(space, 1.0)
         assert abs(a + b - c).max() <= 1e-15
 
     def test_symmetry(self):
-        space = build_scalar_space(build_mesh(3), 3)
+        space = ScalarSpace(build_mesh(3), 3)
         m = assemble_weighted_mass_u(space, co.constant(0.7))
         assert abs(m - m.T).max() <= 1e-13 * abs(m).max()
 
     def test_misaligned_coefficient_rejected(self):
-        space = build_scalar_space(build_mesh(3), 1)
+        space = ScalarSpace(build_mesh(3), 1)
         with pytest.raises(ValueError):
             assemble_weighted_mass_u(space, co.checkerboard(2))
 
 
 class TestMassV:
     def test_constant_field_energy(self):
-        space = build_vector_space(build_mesh(2), 2)
+        space = VectorSpace(build_mesh(2), 2)
         coeffs = project_vector(space, lambda x, y: (np.ones_like(x), np.zeros_like(x)))
         mv = assemble_mass_v(space)
         assert coeffs @ (mv @ coeffs) == pytest.approx(1.0, rel=1e-13)
 
     def test_symmetry(self):
-        space = build_vector_space(build_mesh(2), 2)
+        space = VectorSpace(build_mesh(2), 2)
         mv = assemble_mass_v(space)
         assert abs(mv - mv.T).max() <= 1e-14
 
     def test_positive_definite(self):
-        space = build_vector_space(build_mesh(2), 2)
+        space = VectorSpace(build_mesh(2), 2)
         mv = assemble_mass_v(space)
         smallest = np.linalg.eigvalsh(mv.toarray()).min()
         assert smallest > 0.0
@@ -73,14 +73,14 @@ class TestCouplingBlocks:
     @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (4, 2), (8, 2)])
     def test_skew_adjointness(self, n, p):
         mesh = build_mesh(n)
-        su, sv = build_scalar_space(mesh, p), build_vector_space(mesh, p)
+        su, sv = ScalarSpace(mesh, p), VectorSpace(mesh, p)
         bd = assemble_div_block(sv, su)
         bg = assemble_grad_block(su, sv)
         assert abs(bd + bg.T).max() <= 1e-12
 
     def test_constant_field_in_divergence_kernel(self):
         mesh = build_mesh(4)
-        su, sv = build_scalar_space(mesh, 2), build_vector_space(mesh, 2)
+        su, sv = ScalarSpace(mesh, 2), VectorSpace(mesh, 2)
         bd = assemble_div_block(sv, su)
         coeffs = project_vector(sv, lambda x, y: (np.full_like(x, 0.7),
                                                   np.full_like(x, -0.3)))
@@ -88,7 +88,7 @@ class TestCouplingBlocks:
 
     def test_divergence_theorem_on_torus(self):
         mesh = build_mesh(8)
-        su, sv = build_scalar_space(mesh, 2), build_vector_space(mesh, 2)
+        su, sv = ScalarSpace(mesh, 2), VectorSpace(mesh, 2)
         bd = assemble_div_block(sv, su)
         ones = interpolate_scalar(su, lambda x, y: np.ones_like(x))
         coeffs = project_vector(sv, lambda x, y: (np.sin(2 * np.pi * x),
@@ -97,7 +97,7 @@ class TestCouplingBlocks:
 
     def test_constant_u_in_gradient_kernel(self):
         mesh = build_mesh(4)
-        su, sv = build_scalar_space(mesh, 2), build_vector_space(mesh, 2)
+        su, sv = ScalarSpace(mesh, 2), VectorSpace(mesh, 2)
         bg = assemble_grad_block(su, sv)
         const = interpolate_scalar(su, lambda x, y: np.full_like(x, 2.5))
         assert np.abs(bg @ const).max() <= 1e-13
@@ -107,7 +107,7 @@ class TestCouplingBlocks:
         # entry against an independent per-cell high-order quadrature
         n, p = 4, 3
         mesh = build_mesh(n)
-        su, sv = build_scalar_space(mesh, p), build_vector_space(mesh, p)
+        su, sv = ScalarSpace(mesh, p), VectorSpace(mesh, p)
         cu = interpolate_scalar(su, lambda x, y: np.sin(2 * np.pi * x))
         assembled = assemble_grad_block(su, sv) @ cu
         rule = gauss_legendre_2d(10)
@@ -125,7 +125,7 @@ class TestCouplingBlocks:
 
     def test_skew_adjointness_on_random_vectors(self, rng):
         mesh = build_mesh(4)
-        su, sv = build_scalar_space(mesh, 2), build_vector_space(mesh, 2)
+        su, sv = ScalarSpace(mesh, 2), VectorSpace(mesh, 2)
         bd = assemble_div_block(sv, su)
         bg = assemble_grad_block(su, sv)
         for _ in range(5):
@@ -138,23 +138,23 @@ class TestCouplingBlocks:
 
 class TestLoad:
     def test_unit_source_sums_to_one(self):
-        space = build_scalar_space(build_mesh(4), 2)
+        space = ScalarSpace(build_mesh(4), 2)
         load = assemble_load(space, lambda t, x, y: np.ones_like(x), 0.0)
         assert load.sum() == pytest.approx(1.0, rel=1e-13)
 
     def test_box_source_sums_to_quarter(self):
-        space = build_scalar_space(build_mesh(8), 2)
+        space = ScalarSpace(build_mesh(8), 2)
         src = co.source_f()
         load = assemble_load(space, src, 0.5)
         assert load.sum() == pytest.approx(0.25, rel=1e-13)
 
     def test_box_source_after_cutoff_is_zero(self):
-        space = build_scalar_space(build_mesh(8), 2)
+        space = ScalarSpace(build_mesh(8), 2)
         load = assemble_load(space, co.source_f(), 1.2)
         assert np.abs(load).max() == 0.0
 
     def test_box_load_exact_against_fine_quadrature(self):
-        space = build_scalar_space(build_mesh(8), 2)
+        space = ScalarSpace(build_mesh(8), 2)
         src = co.source_f()
         coarse = assemble_load(space, src, 0.5)
         fine = assemble_load(space, src, 0.5, quad_points=12)
@@ -164,7 +164,7 @@ class TestLoad:
 class TestBlockSystemAndDump:
     def test_block_shapes(self):
         mesh = build_mesh(4)
-        su, sv = build_scalar_space(mesh, 2), build_vector_space(mesh, 2)
+        su, sv = ScalarSpace(mesh, 2), VectorSpace(mesh, 2)
         blocks = build_block_system(su, sv, co.checkerboard(2),
                                     co.checkerboard_complement(2))
         assert blocks.mu0.shape == (su.ndof, su.ndof)
@@ -175,7 +175,7 @@ class TestBlockSystemAndDump:
 
     def test_mu0_singular_with_vanishing_s0(self):
         mesh = build_mesh(4)
-        su = build_scalar_space(mesh, 2)
+        su = ScalarSpace(mesh, 2)
         mu0 = assemble_weighted_mass_u(su, co.checkerboard(2))
         eigvals = np.linalg.eigvalsh(mu0.toarray())
         assert eigvals.min() < 1e-14
@@ -183,36 +183,37 @@ class TestBlockSystemAndDump:
 
     def test_determinism(self):
         mesh = build_mesh(4)
-        su, sv = build_scalar_space(mesh, 2), build_vector_space(mesh, 2)
+        su, sv = ScalarSpace(mesh, 2), VectorSpace(mesh, 2)
         a = assemble_div_block(sv, su)
         b = assemble_div_block(sv, su)
         assert abs(a - b).max() == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_rows_match_whole_matrices(self, n):
+        # the stencil blocks, placed at the DOFs of their offset cells, are
+        # cell 0's owned rows of the whole matrices
         mesh = build_mesh(n)
-        random = np.random.default_rng(n).uniform(0.1, 1.0, (2, n * n))
-        board = (np.add.outer(np.arange(n), np.arange(n)) % 2).ravel().astype(float)
-        coefficients = [random, (board, 1.0 - board)]
         for p in (1, 2, 3):
-            su, sv = build_scalar_space(mesh, p), build_vector_space(mesh, p)
-            requests = [(np.array([0, su.ndof - 1, 3 % su.ndof]), np.array([5 % sv.ndof, 0])),
-                        (su.owned_dofs()[0], sv.owned_dofs()[0]),
-                        (su.owned_dofs()[-1], sv.owned_dofs()[n // 2])]
-            for s0, s1 in coefficients:
-                rows_blocks = build_block_system(su, sv, s0, s1)
-                whole = build_block_system(su, sv, s0, s1)
-                for rows_u, rows_v in requests:
-                    stacked = np.concatenate([rows_u, su.ndof + rows_v])
-                    m0_rows, coupling_rows = rows_blocks.rows(rows_u, rows_v)
-                    assert abs(m0_rows - whole.m0()[stacked]).max() == 0.0
-                    assert abs(coupling_rows - whole.coupling()[stacked]).max() == 0.0
-                # rows assembles only the cells it needs and caches no whole block
-                assert not {"mu0", "mu1", "mv", "b_div", "b_grad"} & vars(rows_blocks).keys()
+            su, sv = ScalarSpace(mesh, p), VectorSpace(mesh, p)
+            for s0, s1 in [(0.8, 0.3), (0.5, 0.5)]:
+                blocks = build_block_system(su, sv, s0, s1)
+                owned = blocks.owned_dofs()
+                n_own = owned.shape[1]
+                stencils = {name: blocks.stencil(name) for name in ("m0", "coupling")}
+                # the stencil assembles no whole block
+                assert not {"mu0", "mu1", "mv", "b_div", "b_grad"} & vars(blocks).keys()
+                for name, whole in [("m0", blocks.m0()), ("coupling", blocks.coupling())]:
+                    offsets, parts = stencils[name]
+                    assert np.array_equal(offsets, np.unique(offsets))
+                    rows = np.zeros((n_own, blocks.ndof))
+                    rows[:, owned[offsets].ravel()] = np.concatenate(
+                        parts.reshape(-1, n_own, n_own), axis=1)
+                    expected = whole[owned[0]].toarray()
+                    assert abs(rows - expected).max() <= 1e-15 * abs(expected).max()
 
     def test_blocks_assembled_on_first_use_and_cached(self):
         mesh = build_mesh(4)
-        su, sv = build_scalar_space(mesh, 2), build_vector_space(mesh, 2)
+        su, sv = ScalarSpace(mesh, 2), VectorSpace(mesh, 2)
         s0, s1 = co.checkerboard(2), co.checkerboard_complement(2)
         blocks = build_block_system(su, sv, s0, s1)
         for name, eager in [("mu0", assemble_weighted_mass_u(su, s0)),

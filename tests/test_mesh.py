@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from parahyp.mesh import build_mesh, cell_quadrature_points, periodic_neighbor
+from parahyp.mesh import build_mesh, cell_quadrature_points
 from parahyp.spaces import ScalarSpace, VectorSpace
 
 
@@ -18,35 +18,6 @@ def test_entity_counts(n, cells, edges, vertices):
 def test_rejects_empty_mesh():
     with pytest.raises(ValueError):
         build_mesh(0)
-
-
-class TestPeriodicNeighbor:
-    def test_wraparound(self):
-        mesh = build_mesh(4)
-        assert periodic_neighbor(mesh, (3, 2), "+x") == (0, 2)
-        assert periodic_neighbor(mesh, (0, 0), "-y") == (0, 3)
-
-    def test_self_neighbour_on_single_cell(self):
-        mesh = build_mesh(1)
-        assert periodic_neighbor(mesh, (0, 0), "+x") == (0, 0)
-
-    def test_n_steps_return_home(self):
-        mesh = build_mesh(6)
-        for direction in ("+x", "-x", "+y", "-y"):
-            cell = (2, 5)
-            for _ in range(mesh.n):
-                cell = periodic_neighbor(mesh, cell, direction)
-            assert cell == (2, 5)
-
-    def test_rejects_bad_direction(self):
-        mesh = build_mesh(2)
-        with pytest.raises(ValueError):
-            periodic_neighbor(mesh, (0, 0), "up")
-
-    def test_rejects_bad_cell(self):
-        mesh = build_mesh(2)
-        with pytest.raises(ValueError):
-            periodic_neighbor(mesh, (2, 0), "+x")
 
 
 def test_cell_quadrature_points_layout():

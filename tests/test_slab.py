@@ -433,6 +433,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="format version 9"):
             load_solution(path)
 
+    def test_rejects_header_without_mesh_size(self, tmp_path, solution):
+        path = tmp_path / "solution.ckpt"
+        save_solution(solution, path)
+        data = path.read_bytes()
+        assert data.count(b'"n": 4, ') == 1
+        # same header length, so only the missing key can be at fault
+        path.write_bytes(data.replace(b'"n": 4, ', b'"_": 4, '))
+        with pytest.raises(ValueError, match="malformed checkpoint header.*'n'"):
+            load_solution(path)
+
     def test_rejects_truncated_file(self, tmp_path, solution):
         path = tmp_path / "solution.ckpt"
         save_solution(solution, path)

@@ -3,8 +3,7 @@ import pytest
 
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import gauss_legendre_1d
-from parahyp.spaces import (ScalarSpace, VectorSpace, build_scalar_space,
-                            build_vector_space, eval_div, eval_scalar,
+from parahyp.spaces import (ScalarSpace, VectorSpace, eval_div, eval_scalar,
                             eval_scalar_grad, eval_vector, interpolate_scalar,
                             project_vector)
 
@@ -18,27 +17,27 @@ class TestScalarSpace:
     @pytest.mark.parametrize("n,p,dim", [(1, 1, 1), (2, 2, 16), (4, 1, 16),
                                          (3, 3, 81)])
     def test_dimension(self, n, p, dim):
-        assert build_scalar_space(build_mesh(n), p).ndof == dim
+        assert ScalarSpace(build_mesh(n), p).ndof == dim
 
     def test_single_basis_function_is_constant(self):
-        space = build_scalar_space(build_mesh(1), 1)
+        space = ScalarSpace(build_mesh(1), 1)
         vals = eval_scalar(space, np.array([1.0]), np.array([[0.3, 0.9], [0.0, 0.0]]))
         assert vals == pytest.approx([1.0, 1.0], abs=1e-14)
 
     def test_partition_of_unity(self, rng):
-        space = build_scalar_space(build_mesh(3), 2)
+        space = ScalarSpace(build_mesh(3), 2)
         coeffs = interpolate_scalar(space, lambda x, y: np.ones_like(x))
         pts = rng.random((50, 2))
         assert eval_scalar(space, coeffs, pts) == pytest.approx(np.ones(50), abs=1e-13)
 
     def test_quadratic_reproduction(self):
-        space = build_scalar_space(build_mesh(4), 2)
+        space = ScalarSpace(build_mesh(4), 2)
         coeffs = interpolate_scalar(space, lambda x, y: x * (1 - x))
         val = eval_scalar(space, coeffs, np.array([[0.3, 0.64]]))
         assert val[0] == pytest.approx(0.21, abs=1e-12)
 
     def test_interpolation_matches_at_nodes(self):
-        space = build_scalar_space(build_mesh(16), 2)
+        space = ScalarSpace(build_mesh(16), 2)
         fn = lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
         coeffs = interpolate_scalar(space, fn)
         xs, ys = space.node_coordinates()
@@ -47,7 +46,7 @@ class TestScalarSpace:
             fn(pts[:, 0], pts[:, 1]), abs=1e-14)
 
     def test_periodicity_of_random_function(self, rng):
-        space = build_scalar_space(build_mesh(4), 2)
+        space = ScalarSpace(build_mesh(4), 2)
         coeffs = rng.standard_normal(space.ndof)
         z = rng.random(20)
         delta = 1e-12
@@ -62,7 +61,7 @@ class TestScalarSpace:
         # tensor-degree-p polynomials are reproduced exactly on cells whose
         # closure avoids the periodic seam (a non-periodic polynomial cannot
         # match across the identified boundary)
-        space = build_scalar_space(build_mesh(2), 3)
+        space = ScalarSpace(build_mesh(2), 3)
         coeffs_poly = rng.standard_normal((4, 4))
         fn = lambda x, y: np.polynomial.polynomial.polyval2d(x, y, coeffs_poly)
         coeffs = interpolate_scalar(space, fn)
@@ -71,13 +70,13 @@ class TestScalarSpace:
             fn(pts[:, 0], pts[:, 1]), rel=1e-12, abs=1e-12)
 
     def test_gradient(self):
-        space = build_scalar_space(build_mesh(4), 2)
+        space = ScalarSpace(build_mesh(4), 2)
         coeffs = interpolate_scalar(space, lambda x, y: x * (1 - x))
         grad = eval_scalar_grad(space, coeffs, np.array([[0.3, 0.6]]))
         assert grad[0] == pytest.approx([1 - 2 * 0.3, 0.0], abs=1e-12)
 
     def test_coefficient_length_mismatch(self):
-        space = build_scalar_space(build_mesh(2), 1)
+        space = ScalarSpace(build_mesh(2), 1)
         with pytest.raises(ValueError):
             eval_scalar(space, np.zeros(3), np.array([[0.5, 0.5]]))
 
@@ -86,17 +85,17 @@ class TestVectorSpace:
     @pytest.mark.parametrize("n,p,dim", [(1, 1, 2), (2, 2, 32), (2, 1, 8),
                                          (3, 3, 162)])
     def test_dimension(self, n, p, dim):
-        assert build_vector_space(build_mesh(n), p).ndof == dim
+        assert VectorSpace(build_mesh(n), p).ndof == dim
 
     def test_mass_matrix_rank_matches_dimension(self):
         from parahyp.assembly import assemble_mass_v
-        space = build_vector_space(build_mesh(2), 2)
+        space = VectorSpace(build_mesh(2), 2)
         mv = assemble_mass_v(space).toarray()
         assert np.linalg.matrix_rank(mv, tol=1e-10) == space.ndof
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_constant_field_reproduction(self, p, rng):
-        space = build_vector_space(build_mesh(3), p)
+        space = VectorSpace(build_mesh(3), p)
         coeffs = project_vector(space, lambda x, y: (np.ones_like(x), np.zeros_like(x)))
         pts = rng.random((30, 2))
         vals = eval_vector(space, coeffs, pts)
@@ -106,19 +105,19 @@ class TestVectorSpace:
     def test_linear_normal_field_has_unit_divergence(self, rng):
         # (x, 0) is reproduced cell-locally; across the periodic seam the
         # function itself jumps, so check divergence away from the last column
-        space = build_vector_space(build_mesh(4), 2)
+        space = VectorSpace(build_mesh(4), 2)
         coeffs = project_vector(space, lambda x, y: (x, np.zeros_like(x)))
         pts = rng.random((40, 2)) * [0.74, 1.0]
         assert eval_div(space, coeffs, pts) == pytest.approx(np.ones(40), abs=1e-11)
 
     def test_zero_coefficients(self):
-        space = build_vector_space(build_mesh(2), 2)
+        space = VectorSpace(build_mesh(2), 2)
         vals = eval_vector(space, np.zeros(space.ndof), np.array([[0.3, 0.7]]))
         assert vals == pytest.approx(np.zeros((1, 2)), abs=0.0)
 
     def test_normal_trace_continuity(self, rng):
         # jump of v . n across every vertical/horizontal edge, incl. the seams
-        space = build_vector_space(build_mesh(4), 2)
+        space = VectorSpace(build_mesh(4), 2)
         coeffs = rng.standard_normal(space.ndof)
         samples = gauss_legendre_1d(space.p).nodes
         delta = 1e-12
@@ -138,7 +137,7 @@ class TestVectorSpace:
         assert worst <= 1e-10
 
     def test_divergence_is_cellwise_q_pm1(self, rng):
-        space = build_vector_space(build_mesh(3), 2)
+        space = VectorSpace(build_mesh(3), 2)
         coeffs = rng.standard_normal(space.ndof)
         rule = gauss_legendre_1d(6)
         xi, eta = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
@@ -154,7 +153,7 @@ class TestVectorSpace:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_projection_idempotent(self, p, rng):
-        space = build_vector_space(build_mesh(3), p)
+        space = VectorSpace(build_mesh(3), p)
         coeffs = rng.standard_normal(space.ndof)
 
         def as_function(x, y):
@@ -169,7 +168,7 @@ class TestVectorSpace:
     def test_edge_moments_match_analytic_integrals(self):
         # canonical interpolation property for (sin 2 pi y, 0): the normal
         # trace moments on vertical edges equal the field's own moments
-        space = build_vector_space(build_mesh(4), 2)
+        space = VectorSpace(build_mesh(4), 2)
         coeffs = project_vector(space, lambda x, y: (np.sin(2 * np.pi * y),
                                                      np.zeros_like(x)))
         h = 0.25
@@ -191,7 +190,7 @@ class TestVectorSpace:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_local_space_containments(self, p, rng):
         # (Q_{p-1})^2  subset  RT_{p-1}  subset  (Q_p)^2 on the reference cell
-        space = build_vector_space(build_mesh(2), p)
+        space = VectorSpace(build_mesh(2), p)
         k = p - 1
         pts = rng.random((3 * (p + 2) ** 2, 2))
         vx, vy, _ = space.basis_tables(pts[:, 0], pts[:, 1])
@@ -218,7 +217,9 @@ class TestVectorSpace:
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
-@pytest.mark.parametrize("build", [build_scalar_space, build_vector_space])
+# the ids are the names these cases are known by in test reports
+@pytest.mark.parametrize("build", [ScalarSpace, VectorSpace],
+                         ids=["build_scalar_space", "build_vector_space"])
 def test_owned_dofs_bijective_and_translation_covariant(build, p):
     n = 3
     space = build(build_mesh(n), p)

@@ -119,6 +119,13 @@ snapshot_times = 0.5 1.0
         with pytest.raises(ValueError, match="solver must be one of"):
             StudyConfig(solver="bogus")
 
+    @pytest.mark.parametrize("key, value", [("T", 0.0), ("T", -1.5), ("ref_p", 0),
+                                            ("ref_q", -1), ("snapshot_resolution", 0)])
+    def test_out_of_range_value_rejected(self, key, value):
+        # rejected on construction, before a study opens its run.log
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            StudyConfig(**{key: value})
+
     def test_reference_nesting_validated(self):
         with pytest.raises(ValueError, match="twice as fine"):
             StudyConfig(n_list=(2,), ref_space_cells=6, ref_time_cells=9)

@@ -26,7 +26,8 @@ that path assembles no global matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sparse
@@ -60,25 +61,29 @@ def _scatter(element: np.ndarray, cell_dofs_rows, cell_dofs_cols,
     return mat.tocsr()
 
 
-def _lagrange_integrals(p: int, space_v: VectorSpace | None):
-    """1D integral matrices shared by all element matrices of degree p."""
+@cache
+def _lagrange_integrals(p: int) -> MappingProxyType:
+    """1D integral matrices shared by all element matrices of degree p,
+    computed once per degree and read-only."""
     rule = gauss_legendre_1d(p + 2)
     xq, wq = rule.nodes, rule.weights
     lagrange = Lagrange1D(gauss_lobatto_points(p))
     L = lagrange.values(xq)                  # (Q, p+1)
     dL = lagrange.derivatives(xq)
-    out = {"m1": _sym((wq[:, None] * L).T @ L)}
-    if space_v is not None:
-        G = space_v.lag_normal.values(xq)     # (Q, k+2)
-        dG = space_v.lag_normal.derivatives(xq)
-        E = space_v.lag_tangent.values(xq)    # (Q, k+1)
-        out["gnn"] = _sym((wq[:, None] * G).T @ G)
-        out["gee"] = _sym((wq[:, None] * E).T @ E)
-        out["gdl"] = (wq[:, None] * dG).T @ L   # [a, alpha] = int G_a' L_alpha
-        out["gel"] = (wq[:, None] * E).T @ L    # [b, beta]  = int E_b L_beta
-        out["lg"] = (wq[:, None] * dL).T @ G    # [alpha, a] = int L_alpha' G_a
-        out["le"] = (wq[:, None] * L).T @ E     # [beta, b]  = int L_beta E_b
-    return out
+    # RT_{p-1} (``VectorSpace``): its normal basis G is Q_p's basis L, its
+    # tangential basis E is Lagrange on the p Gauss points
+    G, dG = L, dL
+    E = Lagrange1D((np.polynomial.legendre.leggauss(p)[0] + 1.0) / 2.0).values(xq)  # (Q, p)
+    out = {"m1": _sym((wq[:, None] * L).T @ L),
+           "gnn": _sym((wq[:, None] * G).T @ G),
+           "gee": _sym((wq[:, None] * E).T @ E),
+           "gdl": (wq[:, None] * dG).T @ L,     # [a, alpha] = int G_a' L_alpha
+           "gel": (wq[:, None] * E).T @ L,      # [b, beta]  = int E_b L_beta
+           "lg": (wq[:, None] * dL).T @ G,      # [alpha, a] = int L_alpha' G_a
+           "le": (wq[:, None] * L).T @ E}       # [beta, b]  = int L_beta E_b
+    for matrix in out.values():
+        matrix.flags.writeable = False
+    return MappingProxyType(out)
 
 
 def _sym(m):
@@ -94,13 +99,13 @@ def _same_mesh(space_u: ScalarSpace, space_v: VectorSpace) -> None:
 # matrix, the row and column cell_dofs, the per-cell scale and the shape.
 
 def _mass_u_parts(space: ScalarSpace, cells: np.ndarray):
-    ints = _lagrange_integrals(space.p, None)
+    ints = _lagrange_integrals(space.p)
     element = space.mesh.h**2 * np.kron(ints["m1"], ints["m1"])
     return element, space.cell_dofs, space.cell_dofs, cells, (space.ndof, space.ndof)
 
 
 def _mass_v_parts(space: VectorSpace):
-    ints = _lagrange_integrals(space.p, space)
+    ints = _lagrange_integrals(space.p)
     comp = np.kron(ints["gnn"], ints["gee"])
     element = space.mesh.h**2 * np.block(
         [[comp, np.zeros_like(comp)], [np.zeros_like(comp), comp]])
@@ -109,7 +114,7 @@ def _mass_v_parts(space: VectorSpace):
 
 
 def _div_parts(space_u: ScalarSpace, space_v: VectorSpace):
-    ints = _lagrange_integrals(space_u.p, space_v)
+    ints = _lagrange_integrals(space_u.p)
     h = space_u.mesh.h
     de_x = h * np.einsum("aA,bB->BAab", ints["gdl"], ints["gel"])
     de_y = h * np.einsum("aA,bB->BAba", ints["gel"], ints["gdl"])
@@ -120,7 +125,7 @@ def _div_parts(space_u: ScalarSpace, space_v: VectorSpace):
 
 
 def _grad_parts(space_u: ScalarSpace, space_v: VectorSpace):
-    ints = _lagrange_integrals(space_u.p, space_v)
+    ints = _lagrange_integrals(space_u.p)
     h = space_u.mesh.h
     ge_x = h * np.einsum("Aa,Bb->abBA", ints["lg"], ints["le"])
     ge_y = h * np.einsum("Aa,Bb->baBA", ints["le"], ints["lg"])
@@ -220,11 +225,17 @@ class BlockSystem:
     def _whole(self, name: str) -> sparse.csr_matrix:
         return _scatter(*self._parts(name))
 
+    @cached_property
+    def _owned(self) -> np.ndarray:
+        su, sv = self.space_u, self.space_v
+        owned = np.concatenate([su.owned_dofs(), su.ndof + sv.owned_dofs()], axis=1)
+        owned.flags.writeable = False
+        return owned
+
     def owned_dofs(self) -> np.ndarray:
         """Stacked DOFs each cell owns, shape (n^2, 3p^2) in cell order: its
-        u DOFs, then its v DOFs (shifted by ndof_u)."""
-        su, sv = self.space_u, self.space_v
-        return np.concatenate([su.owned_dofs(), su.ndof + sv.owned_dofs()], axis=1)
+        u DOFs, then its v DOFs (shifted by ndof_u).  Built once, read-only."""
+        return self._owned
 
     def stencil(self, matrix: str) -> tuple[np.ndarray, np.ndarray]:
         """The cell-offset blocks of ``m0()`` or ``coupling()`` (``matrix`` =

@@ -19,13 +19,16 @@ system splits into one spatial system per eigenvalue, and complex conjugate
 pairs share a factorisation (Richter, Springer & Vexler, Numer. Math. 124,
 2013).  With constant coefficients each spatial system lam M0 + C is
 block-circulant over the mesh cells and splits into its n^2 Floquet-Bloch
-fibres (2-D FFT over the cells).  The iteration then stays in fibre space
-from slab to slab: the fibre operators are built once, each slab is one
-batched dense matvec per eigenvalue, and only the stored coefficients are
-transformed back.  Otherwise each spatial system gets a sparse LU and the
-slabs are solved on stacked coefficient vectors.  A direct LU of the full
-block system is the fallback when the temporal eigenbasis fails its pairing
-or conditioning check.
+fibres (2-D FFT over the cells).  Each fibre eliminates its flux unknowns
+through the invertible RT mass symbol, which leaves a p^2 x p^2 Schur
+complement per eigenvalue in place of the 3p^2 x 3p^2 fibre system.  The
+iteration then stays in fibre space from slab to slab: the eliminated fibre
+operators are built once, each slab is two small batched matvecs per
+eigenvalue, and only the stored coefficients are transformed back.
+Otherwise each spatial system gets a sparse LU and the slabs are solved on
+stacked coefficient vectors.  A direct LU of the full block system is the
+fallback when the temporal eigenbasis fails its pairing or conditioning
+check.
 """
 
 from __future__ import annotations
@@ -210,6 +213,20 @@ class _DecoupledFactorisation(_RealSpaceSteps):
         return np.ascontiguousarray(result.real)
 
 
+def _symbol_terms(blocks: BlockSystem, matrix: str) -> tuple[np.ndarray, np.ndarray]:
+    """The fibre symbols of ``m0()`` or ``coupling()`` for constant
+    coefficients as a product: row k of ``phases @ offset_blocks`` is the
+    row-major 3p^2 x 3p^2 symbol of fibre k = ky n + kx, at theta =
+    2 pi (kx, ky) / n, in the order of ``blocks.owned_dofs()``."""
+    n = blocks.space_u.mesh.n
+    theta = 2.0 * np.pi * np.arange(n) / n
+    # cell d = j n + i sits at (i, j)
+    offsets, offset_blocks = blocks.stencil(matrix)
+    phases = np.exp(1j * (theta[:, None, None] * (offsets // n)
+                          + theta[None, :, None] * (offsets % n)))
+    return phases.reshape(n * n, -1), offset_blocks
+
+
 class _BlochFibres:
     """Decoupled slab steps for translation-invariant blocks, in fibre space.
 
@@ -217,22 +234,40 @@ class _BlochFibres:
     coefficients M0 and C are block-circulant in cell-major order: cell
     offset d couples through one 3p^2 x 3p^2 block.  The 2-D DFT over the
     cell grid (``fft2`` of the cell-major gather) splits them into n^2 dense
-    fibre symbols M0^(theta) and C^(theta), read from cell 0's element
-    matrices (``BlockSystem.stencil``), so this path builds no global matrix.
-    With A_i = lam_i M0^ + C^ for each planned temporal eigenvalue, the
-    factorisation stores G_i = beta_i A_i^-1 M0^ per fibre, where
-    beta_i = V^-1[i] (l(0) / w) weights the jump, and for a separable source
+    fibre symbols, read from cell 0's element matrices (``_symbol_terms``),
+    so this path builds no global matrix.  A fibre holds p^2 u-unknowns,
+    then 2p^2 flux unknowns v:
+
+        M0^ = [[M_u, 0], [0, M_v]],   C^ = [[C_uu, C_uv], [C_vu, 0]],
+
+    where M_v, the RT mass symbol, is Hermitian and invertible, and
+    C_uv = -C_vu^H (B_div = -B_grad^T).  Each planned temporal eigenvalue
+    lam_i (never 0) gives A_i = lam_i M0^ + C^, solved by eliminating v
+    through K = M_v^-1 C_vu (once per fibre, independent of lam_i) and the
+    p^2 x p^2 Schur complement S_i = lam_i M_u + C_uu - C_uv K / lam_i:
+
+        A_i^-1 [f_u; f_v] = [y_u; (M_v^-1 f_v - K y_u) / lam_i],
+        y_u = S_i^-1 (f_u + K^H f_v / lam_i),
+
+    using -C_uv M_v^-1 = K^H.  The jump term G_i p^ = beta_i A_i^-1 M0^ p^,
+    with beta_i = V^-1[i] (l(0) / w), needs no M_v^-1:
+
+        G_i p^ = [z; (beta_i p^_v - K z) / lam_i],
+        z = X_i p^,   X_i = beta_i S_i^-1 [M_u, -C_uv / lam_i].
+
+    The factorisation stores X_i and K (5p^4 numbers per fibre for one
+    eigenvalue, against 9p^4 for a dense G_i) and, for a separable source,
     H_i = A_i^-1 L^ (its spatial load, transformed once); other loads keep
-    A_i^-1 itself.  Slab m is then
+    S_i^-1 and M_v^-1.  Slab m is then
 
         y^_i = alpha_i H_i + G_i p^,   alpha_i = V^-1[i] f(t_nodes of m),
 
-    one batched matvec per plan row, where p^ is the previous right trace in
-    fibre space: the time-basis change commutes with the FFT.  The next p^
-    is formed in fibre space too, since a conjugate partner's fibre at theta
-    is conj(y^(-theta)), an index flip.  Only the stored coefficients need an
-    ``ifft2`` and a scatter; there is no per-slab ``fft2`` and no sparse
-    matvec.
+    two batched small matvecs per plan row, where p^ is the previous right
+    trace in fibre space: the time-basis change commutes with the FFT.  The
+    next p^ is formed in fibre space too, since a conjugate partner's fibre
+    at theta is conj(y^(-theta)), an index flip.  Only the stored
+    coefficients need an ``ifft2`` and a scatter; there is no per-slab
+    ``fft2`` and no sparse matvec.
     """
 
     # fibres per batch while building the operators, bounding the temporaries
@@ -243,23 +278,16 @@ class _BlochFibres:
         n = blocks.space_u.mesh.n
         perm = blocks.owned_dofs()
         n_own = perm.shape[1]
-        # cell c = j n + i sits at (i, j); fibre [ky, kx] has theta = 2 pi (kx, ky) / n
-        theta = 2.0 * np.pi * np.arange(n) / n
-
-        def symbol(matrix):
-            offsets, blocks_d = blocks.stencil(matrix)
-            phase = np.exp(1j * (theta[:, None, None] * (offsets // n)
-                                 + theta[None, :, None] * (offsets % n)))
-            return phase.reshape(n * n, -1), blocks_d
-
-        (m0_phase, m0_d), (c_phase, c_d) = symbol("m0"), symbol("coupling")
-        self._n, self._perm = n, perm.ravel()
+        n_u = n_own // 3
+        (m0_phase, m0_d), (c_phase, c_d) = (_symbol_terms(blocks, "m0"),
+                                            _symbol_terms(blocks, "coupling"))
+        self._n, self._n_u, self._perm = n, n_u, perm.ravel()
         self._order = np.argsort(self._perm)      # stacked DOF -> cell-major slot
         fibre = np.arange(n)
         self._flip = ((-fibre[:, None] % n) * n + (-fibre[None, :] % n)).ravel()
         plan = [i for i, _, _ in eig.plan]
-        lams, self._vinv = eig.lam[plan], eig.vinv[plan]
-        beta = self._vinv @ (basis.left_values / basis.weights)
+        self._lam, self._vinv = eig.lam[plan], eig.vinv[plan]
+        self._beta = self._vinv @ (basis.left_values / basis.weights)
         # node j's coefficients are sum_r Re(w[j, r] y_r): a real row gives
         # v Re(y), a conjugate pair v y + conj(v y); in real arithmetic that
         # is [Re w, -Im w] @ [Re y; Im y]
@@ -268,28 +296,36 @@ class _BlochFibres:
         # the right trace Re(z), z = sum_r w[-1, r] y_r, has fibres (z^ + conj z^(-theta)) / 2
         self._w_last = w[-1] / 2.0
         self._separable = loads.spatial is not None
-        shape = (len(plan), n * n, n_own)
-        self._g = np.empty(shape + (n_own,), dtype=complex)
+        rows, n_fib = len(plan), n * n
+        self._x = np.empty((rows, n_fib, n_u, n_own), dtype=complex)
+        self._k = np.empty((n_fib, n_own - n_u, n_u), dtype=complex)
         if self._separable:
-            self._h = np.empty(shape, dtype=complex)
-            l_hat = self.to_fibres(loads.spatial)
+            self._h = np.empty((rows, n_fib, n_own), dtype=complex)
+            l_u = self.to_fibres(loads.spatial)[:, :n_u, None]
         else:
-            self._inv = np.empty(shape + (n_own,), dtype=complex)
-        for start in range(0, n * n, self._CHUNK):
+            self._s_inv = np.empty((rows, n_fib, n_u, n_u), dtype=complex)
+            self._mv_inv = np.empty((n_fib, n_own - n_u, n_own - n_u), dtype=complex)
+        u, v = slice(None, n_u), slice(n_u, None)
+        for start in range(0, n_fib, self._CHUNK):
             part = slice(start, start + self._CHUNK)
             m0_hat = (m0_phase[part] @ m0_d).reshape(-1, n_own, n_own)
             c_hat = (c_phase[part] @ c_d).reshape(-1, n_own, n_own)
-            for r, lam in enumerate(lams):
-                a_hat = lam * m0_hat
-                a_hat += c_hat
-                inv = np.linalg.inv(a_hat)
-                del a_hat
-                np.matmul(inv, m0_hat, out=self._g[r, part])
-                self._g[r, part] *= beta[r]
+            m_u, m_v, c_uv = m0_hat[:, u, u], m0_hat[:, v, v], c_hat[:, u, v]
+            self._k[part] = k = np.linalg.solve(m_v, c_hat[:, v, u])
+            c_uv_k = c_uv @ k
+            if not self._separable:
+                self._mv_inv[part] = np.linalg.inv(m_v)
+            for r, lam in enumerate(self._lam):
+                s_inv = np.linalg.inv(lam * m_u + c_hat[:, u, u] - c_uv_k / lam)
+                jump = np.concatenate([m_u, -c_uv / lam], axis=2)
+                np.matmul(s_inv, jump, out=self._x[r, part])
+                self._x[r, part] *= self._beta[r]
                 if self._separable:
-                    self._h[r, part] = (inv @ l_hat[part, :, None])[..., 0]
+                    h_u = s_inv @ l_u[part]
+                    self._h[r, part, u] = h_u[..., 0]
+                    self._h[r, part, v] = (k @ h_u)[..., 0] / -lam
                 else:
-                    self._inv[r, part] = inv
+                    self._s_inv[r, part] = s_inv
 
     def to_fibres(self, vec: np.ndarray) -> np.ndarray:
         """The fibres (n^2, 3p^2) of stacked vectors (..., ndof)."""
@@ -300,14 +336,32 @@ class _BlochFibres:
     def initial_state(self, x0: np.ndarray) -> np.ndarray:
         return self.to_fibres(x0)
 
+    def jump(self, prev_hat: np.ndarray) -> np.ndarray:
+        """G_i p^ for every plan row i, shape (rows, n^2, 3p^2)."""
+        z = self._x @ prev_hat[:, :, None]
+        y_v = self._k @ z
+        y_v[..., 0] -= self._beta[:, None, None] * prev_hat[:, self._n_u:]
+        y_v /= -self._lam[:, None, None, None]
+        return np.concatenate([z, y_v], axis=2)[..., 0]
+
+    def solve(self, f_hat: np.ndarray) -> np.ndarray:
+        """A_i^-1 f^_i for every plan row i; ``f_hat`` is (rows, n^2, 3p^2).
+        Needs a factorisation built for a non-separable load."""
+        n_u = self._n_u
+        lam = self._lam[:, None, None, None]
+        f_u, f_v = f_hat[..., :n_u, None], f_hat[..., n_u:, None]
+        k_h = self._k.conj().swapaxes(1, 2)
+        y_u = self._s_inv @ (f_u + (k_h @ f_v) / lam)
+        y_v = (self._mv_inv @ f_v - self._k @ y_u) / lam
+        return np.concatenate([y_u, y_v], axis=2)[..., 0]
+
     def step(self, prev_hat: np.ndarray, loads, m: int, out: np.ndarray) -> np.ndarray:
+        y = self.jump(prev_hat)
         if self._separable:
             alpha = self._vinv @ loads.factors(m)
-            y = alpha[:, None, None] * self._h
+            y += alpha[:, None, None] * self._h
         else:
-            f_hat = self.to_fibres(self._vinv @ loads(m))
-            y = (self._inv @ f_hat[..., None])[..., 0]
-        y += (self._g @ prev_hat[:, :, None])[..., 0]
+            y += self.solve(self.to_fibres(self._vinv @ loads(m)))
         trace = np.tensordot(self._w_last, y, 1)
         n = self._n
         cells = np.fft.ifft2(y.reshape(len(y), n, n, -1), axes=(1, 2))
@@ -493,9 +547,10 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     On the decoupled path ``meta["spatial_solver"]`` is ``"bloch"`` or
     ``"splu"`` and ``meta`` carries the temporal eigenbasis residual
     ``|V V^-1 - I|_max`` and ``cond(V)``.  On the ``bloch`` path the state
-    stays in Floquet-Bloch fibre space from slab to slab: each slab is one
-    batched fibre matvec per temporal eigenvalue plus one ``ifft2`` for the
-    stored coefficients (see ``_BlochFibres``).
+    stays in Floquet-Bloch fibre space from slab to slab.  Each fibre's flux
+    unknowns are eliminated once, so each slab is a p^2 x 3p^2 and a
+    2p^2 x p^2 batched fibre matvec per temporal eigenvalue plus one
+    ``ifft2`` for the stored coefficients (see ``_BlochFibres``).
 
     ``blocks`` (from ``build_block_system``) shares one set of operator
     blocks between runs; a ``ValueError`` is raised before factorising when

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .mesh import Mesh
 
@@ -51,8 +50,12 @@ def gauss_lobatto_points(p: int) -> np.ndarray:
     pts = np.empty(p + 1)
     pts[0], pts[-1] = 0.0, 1.0
     if p > 1:
-        # interior points are the roots of P'_p, i.e. of the Jacobi(1,1) poly
-        interior, _ = roots_jacobi(p - 1, 1.0, 1.0)
+        # interior points are the roots of P'_p, i.e. of the Jacobi(1, 1)
+        # polynomial of degree p-1: the eigenvalues of its symmetric Jacobi
+        # matrix (Golub-Welsch), whose diagonal is zero
+        k = np.arange(1.0, p - 1)
+        off = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
+        interior = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
         pts[1:-1] = (interior + 1.0) / 2.0
     return pts
 

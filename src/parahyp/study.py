@@ -76,6 +76,10 @@ class StudyConfig:
                 raise ValueError(f"reference mesh ({ref_n} cells) does not nest the "
                                  f"study mesh for N={N} ({2 * N} cells)")
         m_ref = self.reference_time_cells
+        if m_ref < 1:
+            raise ValueError(f"reference time cells must be >= 1, got {m_ref} (T={self.T!r}, "
+                             f"ref_time_cells={self.ref_time_cells!r}, reference space "
+                             f"cells {ref_n}); raise T or set ref_time_cells")
         tau_ref = self.T / m_ref
         for N in self.n_list:
             ratio = (1.0 / (2 * N)) / tau_ref

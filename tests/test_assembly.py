@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from parahyp import coefficients as co
-from parahyp.assembly import (assemble_div_block, assemble_grad_block,
-                              assemble_load, assemble_mass_v,
+from parahyp.assembly import (_lagrange_integrals, assemble_div_block,
+                              assemble_grad_block, assemble_load, assemble_mass_v,
                               assemble_weighted_mass_u, build_block_system)
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import gauss_legendre_2d
@@ -225,3 +225,18 @@ class TestBlockSystemAndDump:
             assert name not in vars(blocks)
             assert getattr(blocks, name) is getattr(blocks, name)
             assert abs(getattr(blocks, name) - eager).max() == 0.0
+
+    def test_integrals_and_owned_dofs_built_once_and_read_only(self):
+        mesh = build_mesh(3)
+        su, sv = ScalarSpace(mesh, 2), VectorSpace(mesh, 2)
+        ints = _lagrange_integrals(2)
+        assert _lagrange_integrals(2) is ints
+        blocks = build_block_system(su, sv, 0.5, 0.5)
+        owned = blocks.owned_dofs()
+        assert blocks.owned_dofs() is owned
+        assert np.array_equal(owned[:, :4], su.owned_dofs())
+        for array in (owned, *ints.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            ints["m1"] = np.eye(3)

@@ -207,6 +207,50 @@ class TestRunBehaviour:
                 scale = np.abs(a.coeffs).max()
                 assert np.abs(a.coeffs - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
 
+    @pytest.mark.parametrize("s0, s1", [(0.0, 0.7), (0.6, 0.0)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bloch_fibres_with_degenerate_constants(self, n, s0, s1):
+        # s0 = 0 leaves the Schur complement without its u-mass term, s1 = 0
+        # without its damping term
+        prob = co.ProblemData(s0=co.constant(s0), s1=co.constant(s1),
+                              source=co.source_f(), T=0.5)
+        mesh = build_mesh(n)
+        for p in (1, 2, 3):
+            ndof_u = ScalarSpace(mesh, p).ndof
+            ndof = ndof_u + VectorSpace(mesh, p).ndof
+            x0 = FieldPair.split(np.random.default_rng(n * p).standard_normal(ndof), ndof_u)
+            for q in (1, 2):
+                self.assert_fibre_loop_matches_direct(prob, n, p, q, x0=x0)
+
+    @pytest.mark.parametrize("separable", [True, False])
+    def test_eliminated_fibre_operator_matches_dense_inverse(self, separable):
+        # q = 2 plans one real eigenvalue and one conjugate pair
+        n, p, q = 3, 2, 2
+        source = co.source_f() if separable else (lambda t, x, y: x * y + t)
+        prob = co.ProblemData(s0=co.constant(0.8), s1=co.constant(0.3), source=source, T=0.5)
+        mesh = build_mesh(n)
+        blocks = build_block_system(ScalarSpace(mesh, p), VectorSpace(mesh, p), prob.s0, prob.s1)
+        basis = SlabBasis(q, prob.rho, 1 / 4)
+        fibres, path = slab._make_factorisation(blocks, basis, "auto",
+                                                slab._Loads(blocks, basis, source, None))
+        assert path["spatial_solver"] == "bloch"
+        n_own = 3 * p * p
+        m0_hat, c_hat = ((phases @ terms).reshape(n * n, n_own, n_own) for phases, terms
+                         in (slab._symbol_terms(blocks, name) for name in ("m0", "coupling")))
+        rng = np.random.default_rng(5)
+        p_hat = rng.standard_normal((n * n, n_own)) + 1j * rng.standard_normal((n * n, n_own))
+        f_hat = rng.standard_normal((2, n * n, n_own)) + 1j * rng.standard_normal((2, n * n, n_own))
+        jumps = fibres.jump(p_hat)
+        solved = None if separable else fibres.solve(f_hat)
+        assert len(fibres._lam) == 2
+        for r, lam in enumerate(fibres._lam):
+            a_hat = lam * m0_hat + c_hat
+            dense = fibres._beta[r] * np.linalg.solve(a_hat, m0_hat @ p_hat[..., None])[..., 0]
+            assert np.abs(jumps[r] - dense).max() <= 1e-12 * np.abs(dense).max()
+            if not separable:
+                dense = np.linalg.solve(a_hat, f_hat[r, ..., None])[..., 0]
+                assert np.abs(solved[r] - dense).max() <= 1e-12 * np.abs(dense).max()
+
     @staticmethod
     def assert_fibre_loop_matches_direct(prob, n, p, q, **kwargs):
         a = run(prob, n=n, p=p, q=q, tau=1 / 4, solver="direct", **kwargs)

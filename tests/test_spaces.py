@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import gauss_legendre_1d
 from parahyp.spaces import (ScalarSpace, VectorSpace, eval_div, eval_scalar,
-                            eval_scalar_grad, eval_vector, interpolate_scalar,
-                            project_vector)
+                            eval_scalar_grad, eval_vector, gauss_lobatto_points,
+                            interpolate_scalar, project_vector)
 
 
 @pytest.fixture
@@ -284,3 +289,23 @@ def test_cell_dofs_match_loop_reference(n, p):
         expected = reference(space)
         assert space.cell_dofs.dtype == expected.dtype
         assert np.array_equal(space.cell_dofs, expected)
+
+
+@pytest.mark.parametrize("p, interior", [(1, []), (2, [0.0]),
+                                         (3, [-np.sqrt(1 / 5), np.sqrt(1 / 5)]),
+                                         (4, [-np.sqrt(3 / 7), 0.0, np.sqrt(3 / 7)])])
+def test_gauss_lobatto_points_closed_forms(p, interior):
+    # on [-1, 1] the interior points are the roots of P'_p
+    expected = (np.array([-1.0, *interior, 1.0]) + 1.0) / 2.0
+    assert np.abs(gauss_lobatto_points(p) - expected).max() <= 1e-15
+
+
+def test_import_leaves_scipy_special_out():
+    # scipy.special is slow to import and nothing in parahyp needs it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, parahyp; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

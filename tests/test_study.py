@@ -126,6 +126,14 @@ snapshot_times = 0.5 1.0
         with pytest.raises(ValueError, match=f"^{key} must be"):
             StudyConfig(**{key: value})
 
+    @pytest.mark.parametrize("kwargs, cells", [({"T": 1e-4}, 0),
+                                               ({"ref_time_cells": -3}, -3)])
+    def test_reference_time_cells_must_be_positive(self, kwargs, cells):
+        # T = 1e-4 on the default 128-cell reference rounds to 0 time cells
+        with pytest.raises(ValueError, match=rf"reference time cells must be >= 1, "
+                                             rf"got {cells} \(T=.*reference space cells 128\)"):
+            StudyConfig(**kwargs)
+
     def test_reference_nesting_validated(self):
         with pytest.raises(ValueError, match="twice as fine"):
             StudyConfig(n_list=(2,), ref_space_cells=6, ref_time_cells=9)

@@ -7,6 +7,7 @@ h = tau = 1/(2N) and writes VTK + CSV rasters at a few times.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +25,7 @@ for t in (0.025, 0.5, 1.0, 1.5):
     t_snap = min(t, solution.T)
     vtk, csv = export_snapshot(solution, t_snap, 64, os.path.join(out, f"u_t{t_snap}"))
     grid = np.array([[float(v) for v in line.split(",")]
-                     for line in open(csv).read().strip().splitlines()])
+                     for line in Path(csv).read_text().strip().splitlines()])
     print(f"t = {t_snap:5.3f}: u range [{grid.min():+.4f}, {grid.max():+.4f}] "
           f"-> {os.path.basename(vtk)}, {os.path.basename(csv)}")
 

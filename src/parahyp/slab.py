@@ -14,21 +14,23 @@ quadrature is exact for all products of slab polynomials, and testing with
 the nodal Lagrange basis makes the temporal mass matrix diagonal.
 
 The slab matrix is identical for every slab, so it is factorised once, by
-diagonalising the small temporal coupling matrix: the (q+1)-fold block
-system splits into one spatial system per eigenvalue, and complex conjugate
-pairs share a factorisation (Richter, Springer & Vexler, Numer. Math. 124,
-2013).  With constant coefficients each spatial system lam M0 + C is
-block-circulant over the mesh cells and splits into its n^2 Floquet-Bloch
-fibres (2-D FFT over the cells).  Each fibre eliminates its flux unknowns
-through the invertible RT mass symbol, which leaves a p^2 x p^2 Schur
-complement per eigenvalue in place of the 3p^2 x 3p^2 fibre system.  The
-iteration then stays in fibre space from slab to slab: the eliminated fibre
-operators are built once, each slab is two small batched matvecs per
-eigenvalue, and only the stored coefficients are transformed back.
-Otherwise each spatial system gets a sparse LU and the slabs are solved on
-stacked coefficient vectors.  A direct LU of the full block system is the
-fallback when the temporal eigenbasis fails its pairing or conditioning
-check.
+diagonalising the small temporal coupling matrix K / w = V diag(lam) V^-1
+(Richter, Springer & Vexler, Numer. Math. 124, 2013): the (q+1)-fold block
+system splits into one spatial system lam M0 + C per eigenvalue.  The
+solutions of a complex conjugate pair are conjugate, so both spatial solvers
+step by one eigenbasis row per real eigenvalue or pair and recombine the
+nodal coefficients as Re(w @ y) (``_temporal_eigenbasis``).  With constant
+coefficients each spatial system is block-circulant over the mesh cells
+and splits into its n^2 Floquet-Bloch fibres (2-D FFT over the cells).
+Each fibre eliminates its flux unknowns through the invertible RT mass
+symbol, which leaves a p^2 x p^2 Schur complement per row in place of the
+3p^2 x 3p^2 fibre system.  The iteration then stays in fibre space from
+slab to slab: the eliminated fibre operators are built once, each slab is
+two small batched matvecs per row, and only the stored coefficients are
+transformed back.  Otherwise each row's spatial system gets a sparse LU and
+the slabs are solved on stacked coefficient vectors (``_SpluSteps``).  A
+direct LU of the full block system is the fallback when the temporal
+eigenbasis fails its conditioning check.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ from .spaces import FieldPair, Lagrange1D, ScalarSpace, VectorSpace
 
 
 class SlabBasis:
-    """Lagrange time basis at the weighted Radau nodes of one slab."""
+    """Lagrange time basis at the weighted Radau nodes of one slab, and the
+    temporal coupling K[j, i] = w_j l_i'(s_j) + l_i(0) l_j(0)."""
 
     def __init__(self, q: int, rho: float, tau: float):
         rule = weighted_gauss_radau(q, rho, tau)
@@ -62,29 +65,15 @@ class SlabBasis:
         self.lagrange = Lagrange1D(self.nodes)
         self.left_values = self.lagrange.values(np.array([0.0]))[0]
         self.deriv_at_nodes = self.lagrange.derivatives(self.nodes)  # [j, i] = l_i'(s_j)
+        self.K = self.weights[:, None] * self.deriv_at_nodes \
+            + np.outer(self.left_values, self.left_values)
 
     def values_at(self, s: float) -> np.ndarray:
         return self.lagrange.values(np.array([float(s)]))[0]
 
 
-@dataclass(frozen=True)
-class TimeMatrices:
-    """Temporal coupling K, diagonal temporal mass, and jump vector."""
-
-    K: np.ndarray
-    Mt: np.ndarray
-    jump: np.ndarray
-
-
-def time_matrices(basis: SlabBasis) -> TimeMatrices:
-    K = basis.weights[:, None] * basis.deriv_at_nodes \
-        + np.outer(basis.left_values, basis.left_values)
-    return TimeMatrices(K=K, Mt=np.diag(basis.weights), jump=basis.left_values.copy())
-
-
 def _slab_matrix(basis: SlabBasis, m0, coupling) -> sparse.csr_matrix:
-    tm = time_matrices(basis)
-    return (sparse.kron(sparse.csr_matrix(tm.K), m0)
+    return (sparse.kron(sparse.csr_matrix(basis.K), m0)
             + sparse.kron(sparse.diags(basis.weights), coupling)).tocsr()
 
 
@@ -108,11 +97,15 @@ def _factor(matrix):
                            f"ill-posed data): {err}") from err
 
 
-class _RealSpaceSteps:
-    """Slab steps on stacked coefficient vectors: the right-hand side is the
-    weighted load plus the jump flux l(0) M0 U_prev, and ``solve`` applies
-    the inverse slab matrix.  The state handed from slab to slab is the
-    right trace itself."""
+class _DirectFactorisation:
+    """One LU of the full (q+1)-fold slab matrix.  Each slab solves for the
+    weighted load plus the jump flux l(0) M0 U_prev; the state handed from
+    slab to slab is the right trace itself."""
+
+    def __init__(self, blocks: BlockSystem, basis: SlabBasis):
+        self._basis = basis
+        self.m0 = blocks.m0()
+        self._lu = _factor(_slab_matrix(basis, self.m0, blocks.coupling()).tocsc())
 
     def initial_state(self, x0: np.ndarray) -> np.ndarray:
         return x0
@@ -120,97 +113,93 @@ class _RealSpaceSteps:
     def step(self, prev: np.ndarray, loads, m: int, out: np.ndarray) -> np.ndarray:
         rhs = self._basis.weights[:, None] * loads(m)
         rhs += np.outer(self._basis.left_values, self.m0 @ prev)
-        out[:] = self.solve(rhs)
+        out[:] = self._lu.solve(rhs.ravel()).reshape(out.shape)
         return out[-1]
-
-
-class _DirectFactorisation(_RealSpaceSteps):
-    def __init__(self, blocks: BlockSystem, basis: SlabBasis):
-        self._basis = basis
-        self.m0 = blocks.m0()
-        self._lu = _factor(_slab_matrix(basis, self.m0, blocks.coupling()).tocsc())
-        self._shape = (basis.q + 1, blocks.ndof)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs.ravel()).reshape(self._shape)
 
 
 class _EigenbasisError(RuntimeError):
     """The temporal coupling matrix has no usable eigenbasis."""
 
 
-class _DecoupledFactorisation(_RealSpaceSteps):
-    """Diagonalise the temporal coupling; one spatial system lam M0 + C per
-    eigenvalue (or conjugate pair).  Translation-invariant blocks leave the
-    spatial solves to ``_BlochFibres`` (``spatial == "bloch"``); otherwise
-    each system gets a sparse LU here."""
+@dataclass(frozen=True)
+class _Eigenbasis:
+    """One row r per real eigenvalue or conjugate pair of K / w: ``lam[r]``
+    (imaginary part >= 0), row r of V^-1 (``vinv``), the jump weight
+    ``beta = vinv (l(0) / w)`` and the recombination weights ``w``, the
+    columns of V with a pair's column doubled, so that the nodal
+    coefficients of a slab are Re(w @ y) for the row solutions y."""
 
-    def __init__(self, blocks: BlockSystem, basis: SlabBasis):
-        tm = time_matrices(basis)
-        ktil = tm.K / basis.weights[:, None]
-        lam, vmat = np.linalg.eig(ktil)
-        vinv = np.linalg.inv(vmat)
-        # enforce the exact conjugate-pair structure so that real input data
-        # provably yields conjugate partial solutions
-        used = np.zeros(len(lam), dtype=bool)
-        self.plan = []   # (index, partner or None, real flag)
-        for i in range(len(lam)):
-            if used[i]:
-                continue
-            used[i] = True
-            if abs(lam[i].imag) < 1e-12 * max(1.0, abs(lam[i])):
-                lam[i] = lam[i].real
-                vmat[:, i] = vmat[:, i].real
-                vinv[i] = vinv[i].real
-                self.plan.append((i, None, True))
-                continue
-            partner = None
-            for j in range(i + 1, len(lam)):
-                if not used[j] and abs(lam[j] - lam[i].conjugate()) < 1e-8 * abs(lam[i]):
-                    partner = j
-                    break
-            if partner is None:
-                raise _EigenbasisError("temporal eigenvalues do not pair up; "
-                                       "use the direct solver")
-            used[partner] = True
-            lam[partner] = lam[i].conjugate()
-            vmat[:, partner] = vmat[:, i].conjugate()
-            vinv[partner] = vinv[i].conjugate()
-            self.plan.append((i, partner, False))
-        resid = np.abs(vmat @ vinv - np.eye(len(lam))).max()
-        if not np.isfinite(resid) or resid > 1e-8:
-            raise _EigenbasisError("temporal eigenbasis too ill-conditioned "
-                                   f"(residual {resid:.2e}); use the direct solver")
-        self.lam, self.vmat, self.vinv = lam, vmat, vinv
-        self._basis = basis
-        self.meta = {"eigenbasis_residual": float(resid),
-                     "eigenbasis_cond": float(np.linalg.cond(vmat))}
-        if np.all(blocks.s0_cells == blocks.s0_cells[0]) \
-                and np.all(blocks.s1_cells == blocks.s1_cells[0]):
-            self.spatial = "bloch"
-            return
-        self.spatial = "splu"
+    lam: np.ndarray
+    vinv: np.ndarray
+    beta: np.ndarray
+    w: np.ndarray
+    meta: dict
+
+
+def _temporal_eigenbasis(basis: SlabBasis) -> _Eigenbasis:
+    """Diagonalise K / w = V diag(lam) V^-1.  For a real matrix LAPACK returns
+    real eigenvalues with real vectors and complex ones as adjacent, exactly
+    conjugate pairs, the member with positive imaginary part first; the
+    partner's solution is the conjugate of its row's, so only rows with
+    ``lam.imag >= 0`` are kept."""
+    lam, vmat = np.linalg.eig(basis.K / basis.weights[:, None])
+    vinv = np.linalg.inv(vmat)
+    # a real eigenvalue's row of V^-1 is real up to the rounding of inv
+    real = lam.imag == 0
+    vinv[real] = vinv[real].real
+    keep = lam.imag >= 0
+    vinv = vinv[keep]
+    w = vmat[:, keep] * np.where(lam[keep].imag > 0, 2.0, 1.0)
+    # the identity as the kept rows reproduce it, V V^-1 with every pair's
+    # second row taken as the conjugate of its first
+    resid = np.abs((w @ vinv).real - np.eye(len(lam))).max()
+    if not np.isfinite(resid) or resid > 1e-8:
+        raise _EigenbasisError("temporal eigenbasis too ill-conditioned "
+                               f"(residual {resid:.2e}); use the direct solver")
+    return _Eigenbasis(lam=lam[keep], vinv=vinv,
+                       beta=vinv @ (basis.left_values / basis.weights), w=w,
+                       meta={"eigenbasis_residual": float(resid),
+                             "eigenbasis_cond": float(np.linalg.cond(vmat))})
+
+
+def _recombine(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re(w @ y) for complex eigenbasis rows y (rows, ...), flattened to
+    (len(w), -1), in real arithmetic: [Re w, -Im w] @ [Re y; Im y]."""
+    rows = len(y)
+    w_parts = np.stack([w.real, -w.imag], axis=2).reshape(len(w), -1)
+    parts = y.reshape(rows, -1).view(float).reshape(rows, -1, 2)
+    return w_parts @ parts.transpose(0, 2, 1).reshape(2 * rows, -1)
+
+
+class _SpluSteps:
+    """Decoupled slab steps with one sparse LU of lam_r M0 + C per eigenbasis
+    row r (real for a real eigenvalue).  Slab m solves
+
+        y_r = (lam_r M0 + C)^-1 (vinv_r F + beta_r M0 p)
+
+    for the loads F at its nodes and the previous right trace p, and its
+    nodal coefficients are Re(w @ y)."""
+
+    def __init__(self, blocks: BlockSystem, eig: _Eigenbasis):
+        self._eig = eig
         m0 = blocks.m0().tocsc()
         coupling = blocks.coupling().tocsc()
-        self._lus = {}
-        for i, partner, is_real in self.plan:
-            mat = float(lam[i].real) * m0 + coupling if is_real else \
-                complex(lam[i]) * m0.astype(np.complex128) + coupling.astype(np.complex128)
-            self._lus[i] = _factor(mat.tocsc())
+        self._lus = [_factor((float(lam.real) if lam.imag == 0 else complex(lam)) * m0
+                             + coupling) for lam in eig.lam]
         # the jump flux's CSR copy, made once the factorisations are done
         self.m0 = m0.tocsr()
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        scaled = rhs / self._basis.weights[:, None]
-        transformed = self.vinv @ scaled
-        out = np.empty_like(transformed)
-        for i, partner, is_real in self.plan:
-            y = self._lus[i].solve(transformed[i].real if is_real else transformed[i])
-            out[i] = y.real if is_real else y
-            if partner is not None:
-                out[partner] = y.conjugate()
-        result = self.vmat @ out
-        return np.ascontiguousarray(result.real)
+    def initial_state(self, x0: np.ndarray) -> np.ndarray:
+        return x0
+
+    def step(self, prev: np.ndarray, loads, m: int, out: np.ndarray) -> np.ndarray:
+        eig = self._eig
+        rhs = eig.vinv @ loads(m) + np.outer(eig.beta, self.m0 @ prev)
+        y = np.empty(rhs.shape, dtype=complex)
+        for r, lu in enumerate(self._lus):
+            y[r] = lu.solve(rhs[r].real if eig.lam[r].imag == 0 else rhs[r])
+        out[:] = _recombine(eig.w, y)
+        return out[-1]
 
 
 def _symbol_terms(blocks: BlockSystem, matrix: str) -> tuple[np.ndarray, np.ndarray]:
@@ -241,10 +230,11 @@ class _BlochFibres:
         M0^ = [[M_u, 0], [0, M_v]],   C^ = [[C_uu, C_uv], [C_vu, 0]],
 
     where M_v, the RT mass symbol, is Hermitian and invertible, and
-    C_uv = -C_vu^H (B_div = -B_grad^T).  Each planned temporal eigenvalue
-    lam_i (never 0) gives A_i = lam_i M0^ + C^, solved by eliminating v
-    through K = M_v^-1 C_vu (once per fibre, independent of lam_i) and the
-    p^2 x p^2 Schur complement S_i = lam_i M_u + C_uu - C_uv K / lam_i:
+    C_uv = -C_vu^H (B_div = -B_grad^T).  The eigenvalue lam_i (never 0) of
+    each row of ``_temporal_eigenbasis`` gives A_i = lam_i M0^ + C^, solved
+    by eliminating v through K = M_v^-1 C_vu (once per fibre, independent of
+    lam_i) and the p^2 x p^2 Schur complement
+    S_i = lam_i M_u + C_uu - C_uv K / lam_i:
 
         A_i^-1 [f_u; f_v] = [y_u; (M_v^-1 f_v - K y_u) / lam_i],
         y_u = S_i^-1 (f_u + K^H f_v / lam_i),
@@ -262,19 +252,18 @@ class _BlochFibres:
 
         y^_i = alpha_i H_i + G_i p^,   alpha_i = V^-1[i] f(t_nodes of m),
 
-    two batched small matvecs per plan row, where p^ is the previous right
-    trace in fibre space: the time-basis change commutes with the FFT.  The
-    next p^ is formed in fibre space too, since a conjugate partner's fibre
-    at theta is conj(y^(-theta)), an index flip.  Only the stored
-    coefficients need an ``ifft2`` and a scatter; there is no per-slab
-    ``fft2`` and no sparse matvec.
+    two batched small matvecs per eigenbasis row, where p^ is the previous
+    right trace in fibre space: the time-basis change commutes with the
+    FFT.  The next p^ is formed in fibre space too, since a conjugate
+    partner's fibre at theta is conj(y^(-theta)), an index flip.  Only the
+    stored coefficients need an ``ifft2`` and a scatter; there is no
+    per-slab ``fft2`` and no sparse matvec.
     """
 
     # fibres per batch while building the operators, bounding the temporaries
     _CHUNK = 128
 
-    def __init__(self, blocks: BlockSystem, basis: SlabBasis,
-                 eig: _DecoupledFactorisation, loads):
+    def __init__(self, blocks: BlockSystem, eig: _Eigenbasis, loads):
         n = blocks.space_u.mesh.n
         perm = blocks.owned_dofs()
         n_own = perm.shape[1]
@@ -285,18 +274,11 @@ class _BlochFibres:
         self._order = np.argsort(self._perm)      # stacked DOF -> cell-major slot
         fibre = np.arange(n)
         self._flip = ((-fibre[:, None] % n) * n + (-fibre[None, :] % n)).ravel()
-        plan = [i for i, _, _ in eig.plan]
-        self._lam, self._vinv = eig.lam[plan], eig.vinv[plan]
-        self._beta = self._vinv @ (basis.left_values / basis.weights)
-        # node j's coefficients are sum_r Re(w[j, r] y_r): a real row gives
-        # v Re(y), a conjugate pair v y + conj(v y); in real arithmetic that
-        # is [Re w, -Im w] @ [Re y; Im y]
-        w = eig.vmat[:, plan] * np.array([1.0 if real else 2.0 for _, _, real in eig.plan])
-        self._w = np.stack([w.real, -w.imag], axis=2).reshape(len(w), -1)
+        self._lam, self._vinv, self._beta, self._w = eig.lam, eig.vinv, eig.beta, eig.w
         # the right trace Re(z), z = sum_r w[-1, r] y_r, has fibres (z^ + conj z^(-theta)) / 2
-        self._w_last = w[-1] / 2.0
+        self._w_last = eig.w[-1] / 2.0
         self._separable = loads.spatial is not None
-        rows, n_fib = len(plan), n * n
+        rows, n_fib = len(eig.lam), n * n
         self._x = np.empty((rows, n_fib, n_u, n_own), dtype=complex)
         self._k = np.empty((n_fib, n_own - n_u, n_u), dtype=complex)
         if self._separable:
@@ -337,7 +319,7 @@ class _BlochFibres:
         return self.to_fibres(x0)
 
     def jump(self, prev_hat: np.ndarray) -> np.ndarray:
-        """G_i p^ for every plan row i, shape (rows, n^2, 3p^2)."""
+        """G_i p^ for every eigenbasis row i, shape (rows, n^2, 3p^2)."""
         z = self._x @ prev_hat[:, :, None]
         y_v = self._k @ z
         y_v[..., 0] -= self._beta[:, None, None] * prev_hat[:, self._n_u:]
@@ -345,7 +327,7 @@ class _BlochFibres:
         return np.concatenate([z, y_v], axis=2)[..., 0]
 
     def solve(self, f_hat: np.ndarray) -> np.ndarray:
-        """A_i^-1 f^_i for every plan row i; ``f_hat`` is (rows, n^2, 3p^2).
+        """A_i^-1 f^_i for every eigenbasis row i; ``f_hat`` is (rows, n^2, 3p^2).
         Needs a factorisation built for a non-separable load."""
         n_u = self._n_u
         lam = self._lam[:, None, None, None]
@@ -365,9 +347,7 @@ class _BlochFibres:
         trace = np.tensordot(self._w_last, y, 1)
         n = self._n
         cells = np.fft.ifft2(y.reshape(len(y), n, n, -1), axes=(1, 2))
-        parts = cells.reshape(len(y), -1).view(float).reshape(len(y), -1, 2)
-        values = self._w @ parts.transpose(0, 2, 1).reshape(2 * len(y), -1)
-        np.take(values, self._order, axis=1, out=out)
+        np.take(_recombine(self._w, cells), self._order, axis=1, out=out)
         partner = np.take(trace, self._flip, axis=0)
         np.conjugate(partner, out=partner)
         partner += trace
@@ -381,23 +361,27 @@ def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, method: str, load
     """The slab factorisation for ``method`` and the meta entries naming the
     path taken: ``auto`` decouples and falls back to the direct LU only when
     the temporal eigenbasis check fails, recording why.  The decoupled path
-    also records its spatial solver and eigenbasis diagnostics.  ``loads``
-    lets the fibre path transform a separable source's spatial load once."""
+    steps translation-invariant blocks in fibre space and others by sparse
+    LUs, and records that spatial solver and the eigenbasis diagnostics.
+    ``loads`` lets the fibre path transform a separable source's spatial
+    load once."""
     if method not in SOLVERS:
         raise ValueError(f"unknown solver method {method!r}; expected one of {SOLVERS}")
     if method == "direct":
         return _DirectFactorisation(blocks, basis), {"solver": "direct"}
     try:
-        fact = _DecoupledFactorisation(blocks, basis)
+        eig = _temporal_eigenbasis(basis)
     except _EigenbasisError as err:
         if method == "decoupled":
             raise
         return _DirectFactorisation(blocks, basis), {"solver": "direct",
                                                      "solver_fallback": str(err)}
-    path = {"solver": "decoupled", "spatial_solver": fact.spatial, **fact.meta}
-    if fact.spatial == "bloch":
-        return _BlochFibres(blocks, basis, fact, loads), path
-    return fact, path
+    if np.all(blocks.s0_cells == blocks.s0_cells[0]) \
+            and np.all(blocks.s1_cells == blocks.s1_cells[0]):
+        fact, spatial = _BlochFibres(blocks, eig, loads), "bloch"
+    else:
+        fact, spatial = _SpluSteps(blocks, eig), "splu"
+    return fact, {"solver": "decoupled", "spatial_solver": spatial, **eig.meta}
 
 
 def solve_slab(factorisation, state, loads, m: int, out: np.ndarray):
@@ -546,10 +530,12 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     path taken; ``meta["solver_fallback"]`` says why ``auto`` fell back to it.
     On the decoupled path ``meta["spatial_solver"]`` is ``"bloch"`` or
     ``"splu"`` and ``meta`` carries the temporal eigenbasis residual
-    ``|V V^-1 - I|_max`` and ``cond(V)``.  On the ``bloch`` path the state
-    stays in Floquet-Bloch fibre space from slab to slab.  Each fibre's flux
-    unknowns are eliminated once, so each slab is a p^2 x 3p^2 and a
-    2p^2 x p^2 batched fibre matvec per temporal eigenvalue plus one
+    ``|V V^-1 - I|_max`` and ``cond(V)``.  Both spatial solvers step by one
+    eigenbasis row per real temporal eigenvalue or conjugate pair.  On the
+    ``splu`` path each slab is one sparse triangular solve per row.  On the
+    ``bloch`` path the state stays in Floquet-Bloch fibre space from slab to
+    slab.  Each fibre's flux unknowns are eliminated once, so each slab is a
+    p^2 x 3p^2 and a 2p^2 x p^2 batched fibre matvec per row plus one
     ``ifft2`` for the stored coefficients (see ``_BlochFibres``).
 
     ``blocks`` (from ``build_block_system``) shares one set of operator

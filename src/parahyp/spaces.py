@@ -342,24 +342,18 @@ def project_vector(space: VectorSpace, fn) -> np.ndarray:
 
     coeffs = np.zeros(space.ndof)
     grid = np.arange(n) * h
+    # edge (i, j, t): the vertical/horizontal edge at the lower left corner of
+    # cell (i, j), local DOF t along it
+    ei, ej, et = np.meshgrid(np.arange(n), np.arange(n), np.arange(k + 1), indexing="ij")
     # vertical edges: normal component is v_x, edge coordinate is y
     xe, ye, sq = np.meshgrid(grid, grid, qx, indexing="ij")
     fx, _ = field(xe, ye + sq * h)
     moments = np.einsum("ijq,rq,q->ijr", fx, leg, qw) * scale   # projection coeffs
-    vals = np.einsum("ijr,rb->ijb", moments, nodal)
-    for i in range(n):
-        for j in range(n):
-            for b in range(k + 1):
-                coeffs[space._edge_dof_vertical(i, j, b)] = vals[i, j, b]
+    coeffs[space._edge_dof_vertical(ei, ej, et)] = np.einsum("ijr,rb->ijb", moments, nodal)
     # horizontal edges: normal component is v_y, edge coordinate is x
-    xe, ye, sq = np.meshgrid(grid, grid, qx, indexing="ij")
     _, fy = field(xe + sq * h, ye)
     moments = np.einsum("ijq,rq,q->ijr", fy, leg, qw) * scale
-    vals = np.einsum("ijr,ra->ija", moments, nodal)
-    for i in range(n):
-        for j in range(n):
-            for a in range(k + 1):
-                coeffs[space._edge_dof_horizontal(i, j, a)] = vals[i, j, a]
+    coeffs[space._edge_dof_horizontal(ei, ej, et)] = np.einsum("ijr,ra->ija", moments, nodal)
 
     if k == 0:
         return coeffs
@@ -397,21 +391,14 @@ def project_vector(space: VectorSpace, fn) -> np.ndarray:
     m_int = m_full[:, interior_loc]
     m_edge = m_full[:, edge_loc]
 
-    # right-hand sides per cell, vectorized over cells
-    cx = grid[:, None, None] + xi2[None, None, :] * h
-    cy = grid[None, :, None] + eta2[None, None, :] * h
+    # right-hand sides per cell c = j n + i, one column each
+    cx = grid[None, :, None] + xi2[None, None, :] * h
+    cy = grid[:, None, None] + eta2[None, None, :] * h
     fvx, fvy = field(np.ascontiguousarray(np.broadcast_to(cx, (n, n, len(xi2)))),
                      np.ascontiguousarray(np.broadcast_to(cy, (n, n, len(xi2)))))
-    rhs = np.empty((n, n, n_int))
+    rhs = np.empty((n_int, n * n))
     for r, (wvals, comp) in enumerate(tests):
-        field = fvx if comp == 0 else fvy
-        rhs[:, :, r] = np.einsum("ijq,q->ij", field, w2 * wvals)
-
-    solve = np.linalg.solve
-    for i in range(n):
-        for j in range(n):
-            c = j * n + i
-            edge_vals = coeffs[space.cell_dofs[c][edge_loc]]
-            c_int = solve(m_int, rhs[i, j] - m_edge @ edge_vals)
-            coeffs[space.cell_dofs[c][interior_loc]] = c_int
+        rhs[r] = (fvx if comp == 0 else fvy).reshape(n * n, -1) @ (w2 * wvals)
+    rhs -= m_edge @ coeffs[space.cell_dofs[:, edge_loc]].T
+    coeffs[space.cell_dofs[:, interior_loc]] = np.linalg.solve(m_int, rhs).T
     return coeffs

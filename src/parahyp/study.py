@@ -89,18 +89,19 @@ class StudyConfig:
 
     @property
     def reference_space_cells(self) -> int:
-        return self.ref_space_cells or 8 * max(self.n_list)
+        if self.ref_space_cells is None:
+            return 8 * max(self.n_list)
+        return self.ref_space_cells
 
     @property
     def reference_time_cells(self) -> int:
-        return self.ref_time_cells or int(round(self.T * self.reference_space_cells))
+        if self.ref_time_cells is None:
+            return int(round(self.T * self.reference_space_cells))
+        return self.ref_time_cells
 
 
-_SCHEMA = {
-    "study": {"n_list", "p", "q", "rho", "t", "solver", "seed"},
-    "reference": {"p", "q", "space_cells", "time_cells", "checkpoint"},
-    "output": {"dir", "snapshot_times", "snapshot_resolution"},
-}
+def _parse_str(section, key, raw):
+    return raw
 
 
 def _parse_int(section, key, raw):
@@ -117,6 +118,30 @@ def _parse_float(section, key, raw):
         raise ValueError(f"[{section}] {key} = {raw!r}: not a number") from None
 
 
+def _parse_list(parse_item):
+    """A parser of comma- or space-separated items."""
+    def parse(section, key, raw):
+        items = [s for chunk in raw.split(",") for s in chunk.split()]
+        return tuple(parse_item(section, key, s) for s in items)
+    return parse
+
+
+# config section -> key -> (StudyConfig field, parser of the raw value)
+_SCHEMA = {
+    "study": {"n_list": ("n_list", _parse_list(_parse_int)), "p": ("p", _parse_int),
+              "q": ("q", _parse_int), "rho": ("rho", _parse_float),
+              "t": ("T", _parse_float), "solver": ("solver", _parse_str),
+              "seed": ("seed", _parse_int)},
+    "reference": {"p": ("ref_p", _parse_int), "q": ("ref_q", _parse_int),
+                  "space_cells": ("ref_space_cells", _parse_int),
+                  "time_cells": ("ref_time_cells", _parse_int),
+                  "checkpoint": ("checkpoint", _parse_str)},
+    "output": {"dir": ("out_dir", _parse_str),
+               "snapshot_times": ("snapshot_times", _parse_list(_parse_float)),
+               "snapshot_resolution": ("snapshot_resolution", _parse_int)},
+}
+
+
 def parse_config(path) -> StudyConfig:
     """Read an INI-style study configuration; unknown keys are rejected.
 
@@ -130,38 +155,14 @@ def parse_config(path) -> StudyConfig:
         parser.read_file(fh, source=str(path))
     kwargs = {}
     for section in parser.sections():
-        name = section.lower()
-        if name not in _SCHEMA:
+        keys = _SCHEMA.get(section.lower())
+        if keys is None:
             raise ValueError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[name]:
+            if key not in keys:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
-            if name == "study":
-                if key == "n_list":
-                    items = [s for chunk in raw.split(",") for s in chunk.split()]
-                    kwargs["n_list"] = tuple(_parse_int(section, key, s) for s in items)
-                elif key in ("p", "q", "seed"):
-                    kwargs[key] = _parse_int(section, key, raw)
-                elif key == "rho":
-                    kwargs["rho"] = _parse_float(section, key, raw)
-                elif key == "t":
-                    kwargs["T"] = _parse_float(section, key, raw)
-                elif key == "solver":
-                    kwargs["solver"] = raw
-            elif name == "reference":
-                if key == "checkpoint":
-                    kwargs["checkpoint"] = raw
-                else:
-                    kwargs[{"p": "ref_p", "q": "ref_q", "space_cells": "ref_space_cells",
-                            "time_cells": "ref_time_cells"}[key]] = _parse_int(section, key, raw)
-            elif name == "output":
-                if key == "dir":
-                    kwargs["out_dir"] = raw
-                elif key == "snapshot_times":
-                    items = [s for chunk in raw.split(",") for s in chunk.split()]
-                    kwargs["snapshot_times"] = tuple(_parse_float(section, key, s) for s in items)
-                else:
-                    kwargs["snapshot_resolution"] = _parse_int(section, key, raw)
+            field, parse = keys[key]
+            kwargs[field] = parse(section, key, raw)
     return StudyConfig(**kwargs)
 
 

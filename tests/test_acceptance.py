@@ -203,7 +203,7 @@ def test_criterion_9_study_determinism(tmp_path):
         config = StudyConfig(n_list=(2, 4), ref_space_cells=32, ref_time_cells=48,
                              checkpoint="never", out_dir=str(tmp_path / tag))
         run_study(config, log=lambda *_: None)
-        results.append(open(tmp_path / tag / "table.csv", "rb").read())
+        results.append((tmp_path / tag / "table.csv").read_bytes())
     report(9, results[0] == results[1],
            f"two study runs, CSV bytes equal ({len(results[0])} bytes)")
 

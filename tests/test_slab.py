@@ -9,7 +9,7 @@ from parahyp.assembly import BlockSystem, build_block_system
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import exponential_moments
 from parahyp.slab import (SlabBasis, atomic_open, build_slab_system,
-                          load_solution, run, save_solution, time_matrices)
+                          load_solution, run, save_solution)
 from parahyp.spaces import FieldPair, ScalarSpace, VectorSpace
 
 
@@ -61,11 +61,42 @@ class TestSlabBasis:
 
     def test_q0_time_matrices(self):
         basis = SlabBasis(0, 2.0, 0.5)
-        tm = time_matrices(basis)
-        assert tm.K.ravel() == pytest.approx([1.0], abs=1e-14)
+        assert basis.K.ravel() == pytest.approx([1.0], abs=1e-14)
         w0 = exponential_moments(2.0, 0.5, 0)[0]
-        assert tm.Mt.ravel() == pytest.approx([w0], rel=1e-13)
-        assert tm.jump == pytest.approx([1.0])
+        assert basis.weights == pytest.approx([w0], rel=1e-13)
+        assert basis.left_values == pytest.approx([1.0])
+
+
+class TestTemporalEigenbasis:
+    @pytest.mark.parametrize("q", range(8))
+    def test_one_row_per_real_eigenvalue_or_pair(self, q):
+        for rho in (0.0, 1.0, 3.0, 10.0):
+            for tau in (1.0, 1 / 4, 1 / 96, 1 / 192):
+                basis = SlabBasis(q, rho, tau)
+                try:
+                    eig = slab._temporal_eigenbasis(basis)
+                except slab._EigenbasisError:
+                    # only long slabs under a strong weight get this ill-conditioned
+                    assert q >= 3 and rho * tau >= 10
+                    continue
+                assert np.all(eig.lam.imag >= 0)
+                lam = np.linalg.eigvals(basis.K / basis.weights[:, None])
+                n_real = np.sum(np.abs(lam.imag) <= 1e-12 * np.abs(lam))
+                assert len(eig.lam) == n_real + (q + 1 - n_real) // 2
+                assert eig.vinv.shape == (len(eig.lam), q + 1)
+                assert eig.w.shape == (q + 1, len(eig.lam))
+                # the recombination reconstructs the identity, as accurately
+                # as the conditioning of V allows (cond(V) ~ 4e3 at q = 7)
+                bound = max(1e-12, 1e-13 * eig.meta["eigenbasis_cond"])
+                assert np.abs((eig.w @ eig.vinv).real - np.eye(q + 1)).max() <= bound
+
+    def test_auto_falls_back_when_recombination_misses_identity(self):
+        # q = 5, rho tau = 10: V V^-1 is the identity to 6e-9, but Re(w @ vinv)
+        # only to 3e-6, and the decoupled solution would be that far off
+        prob = co.rough_problem(2, T=2.0, rho=10.0)
+        sol = run(prob, n=2, p=1, q=5, tau=1.0)
+        assert sol.meta["solver"] == "direct"
+        assert "ill-conditioned" in sol.meta["solver_fallback"]
 
 
 class TestSlabSystem:
@@ -179,11 +210,10 @@ class TestRunBehaviour:
         prob = co.rough_problem(2, T=0.5)
         direct = run(prob, n=2, p=1, q=2, tau=1 / 4, solver="direct")
 
-        class FailingEigenbasis:
-            def __init__(self, blocks, basis):
-                raise slab._EigenbasisError("temporal eigenbasis too ill-conditioned")
+        def failing_eigenbasis(basis):
+            raise slab._EigenbasisError("temporal eigenbasis too ill-conditioned")
 
-        monkeypatch.setattr(slab, "_DecoupledFactorisation", FailingEigenbasis)
+        monkeypatch.setattr(slab, "_temporal_eigenbasis", failing_eigenbasis)
         sol = run(prob, n=2, p=1, q=2, tau=1 / 4)
         assert sol.meta["solver"] == "direct"
         assert sol.meta["solver_fallback"] == "temporal eigenbasis too ill-conditioned"

@@ -8,8 +8,8 @@ import pytest
 
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import gauss_legendre_1d
-from parahyp.spaces import (ScalarSpace, VectorSpace, eval_div, eval_scalar,
-                            eval_scalar_grad, eval_vector, gauss_lobatto_points,
+from parahyp.spaces import (ScalarSpace, VectorSpace, _shifted_legendre_values, eval_div,
+                            eval_scalar, eval_scalar_grad, eval_vector, gauss_lobatto_points,
                             interpolate_scalar, project_vector)
 
 
@@ -155,6 +155,67 @@ class TestVectorSpace:
         gram = basis.T @ (w2[:, None] * basis)
         proj = basis @ np.linalg.solve(gram, basis.T @ (w2 * div))
         assert np.abs(div - proj).max() <= 1e-12 * max(1.0, np.abs(div).max())
+
+    @staticmethod
+    def project_vector_loops(space, fn):
+        """project_vector with one loop over the edges and one interior solve
+        per cell, as it was written before it was vectorised."""
+        n, k, h = space.mesh.n, space.k, space.mesh.h
+        qx, qw = np.polynomial.legendre.leggauss(max(10, 2 * k + 4))
+        qx, qw = (qx + 1.0) / 2.0, qw / 2.0
+        leg = _shifted_legendre_values(k, qx)
+        scale = 2.0 * np.arange(k + 1) + 1.0
+        nodal = _shifted_legendre_values(k, space.tangent_nodes)
+        coeffs = np.zeros(space.ndof)
+        grid = np.arange(n) * h
+        xe, ye, sq = np.meshgrid(grid, grid, qx, indexing="ij")
+        fx = np.broadcast_to(fn(xe, ye + sq * h)[0], xe.shape)
+        fy = np.broadcast_to(fn(xe + sq * h, ye)[1], xe.shape)
+        vals_x = np.einsum("ijq,rq,q->ijr", fx, leg, qw) * scale @ nodal
+        vals_y = np.einsum("ijq,rq,q->ijr", fy, leg, qw) * scale @ nodal
+        for i in range(n):
+            for j in range(n):
+                for t in range(k + 1):
+                    coeffs[space._edge_dof_vertical(i, j, t)] = vals_x[i, j, t]
+                    coeffs[space._edge_dof_horizontal(i, j, t)] = vals_y[i, j, t]
+        if k == 0:
+            return coeffs
+        xi2, eta2 = (a.ravel() for a in np.meshgrid(qx, qx, indexing="ij"))
+        w2 = np.outer(qw, qw).ravel()
+        comps = space.basis_tables(xi2, eta2)[:2]
+        leg_xi, leg_eta = _shifted_legendre_values(k, xi2), _shifted_legendre_values(k, eta2)
+        tests = [(leg_xi[c] * leg_eta[d], 0) for c in range(k) for d in range(k + 1)] \
+            + [(leg_xi[c] * leg_eta[d], 1) for c in range(k + 1) for d in range(k)]
+        interior_loc, edge_loc = [], []
+        for a in range(k + 2):
+            for b in range(k + 1):
+                (edge_loc if a in (0, k + 1) else interior_loc).append(a * (k + 1) + b)
+        for b in range(k + 2):
+            for a in range(k + 1):
+                loc = space.n_comp_loc + b * (k + 1) + a
+                (edge_loc if b in (0, k + 1) else interior_loc).append(loc)
+        m_full = np.array([(w2 * wvals) @ comps[comp] for wvals, comp in tests])
+        m_int, m_edge = m_full[:, interior_loc], m_full[:, edge_loc]
+        for i in range(n):
+            for j in range(n):
+                x, y = grid[i] + xi2 * h, grid[j] + eta2 * h
+                field = [np.broadcast_to(f, x.shape) for f in fn(x, y)]
+                rhs = np.array([field[comp] @ (w2 * wvals) for wvals, comp in tests])
+                dofs = space.cell_dofs[j * n + i]
+                coeffs[dofs[interior_loc]] = np.linalg.solve(
+                    m_int, rhs - m_edge @ coeffs[dofs[edge_loc]])
+        return coeffs
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_projection_matches_per_cell_loops(self, n):
+        def fn(x, y):
+            return (np.sin(2 * np.pi * y) + x * y, np.cos(2 * np.pi * x) * y + 0.3)
+
+        for p in (1, 2, 3):
+            space = VectorSpace(build_mesh(n), p)
+            oracle = self.project_vector_loops(space, fn)
+            coeffs = project_vector(space, fn)
+            assert np.abs(coeffs - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_projection_idempotent(self, p, rng):

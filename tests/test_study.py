@@ -134,6 +134,24 @@ snapshot_times = 0.5 1.0
                                              rf"got {cells} \(T=.*reference space cells 128\)"):
             StudyConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"ref_space_cells": 0}, r"reference mesh \(0 cells\)"),
+        ({"ref_time_cells": 0}, r"reference time cells must be >= 1, got 0"),
+        ({"ref_space_cells": 0, "ref_time_cells": 0}, r"reference mesh \(0 cells\)")])
+    def test_zero_reference_cells_rejected(self, kwargs, match):
+        # 0 is a resolution, not a request for the default one
+        with pytest.raises(ValueError, match=match):
+            StudyConfig(n_list=(2,), **kwargs)
+
+    @pytest.mark.parametrize("key, match", [
+        ("space_cells", r"reference mesh \(0 cells\)"),
+        ("time_cells", r"reference time cells must be >= 1, got 0")])
+    def test_zero_reference_cells_rejected_from_config(self, tmp_path, key, match):
+        path = tmp_path / "zero.ini"
+        path.write_text(f"[study]\nn_list = 2\n[reference]\n{key} = 0\n")
+        with pytest.raises(ValueError, match=match):
+            parse_config(path)
+
     def test_reference_nesting_validated(self):
         with pytest.raises(ValueError, match="twice as fine"):
             StudyConfig(n_list=(2,), ref_space_cells=6, ref_time_cells=9)
@@ -265,8 +283,8 @@ class TestRunStudy:
         config_b = mini_config(tmp_path, out_dir=str(tmp_path / "b"))
         run_study(config_a, log=lambda *_: None)
         run_study(config_b, log=lambda *_: None)
-        csv_a = open(os.path.join(config_a.out_dir, "table.csv"), "rb").read()
-        csv_b = open(os.path.join(config_b.out_dir, "table.csv"), "rb").read()
+        csv_a = Path(config_a.out_dir, "table.csv").read_bytes()
+        csv_b = Path(config_b.out_dir, "table.csv").read_bytes()
         assert csv_a == csv_b
 
 
@@ -276,10 +294,10 @@ class TestSnapshots:
         base = str(tmp_path / "snap")
         vtk, csv = export_snapshot(sol, 0.0, 8, base)
         grid = np.array([[float(v) for v in line.split(",")]
-                         for line in open(csv).read().strip().splitlines()])
+                         for line in Path(csv).read_text().strip().splitlines()])
         assert grid.shape == (8, 8)
         assert np.abs(grid).max() == 0.0
-        text = open(vtk).read()
+        text = Path(vtk).read_text()
         assert text.startswith("# vtk DataFile Version 2.0")
         assert "DATASET STRUCTURED_POINTS" in text
         assert "ORIGIN 0.0625 0.0625 0\n" in text
@@ -309,7 +327,7 @@ class TestSnapshots:
         sol.coeffs[:, :, : sol.ndof_u] = 1.0
         sol.coeffs[:, :, sol.ndof_u:] = 0.0
         _, csv = export_snapshot(sol, 0.25, 6, str(tmp_path / "const"))
-        rows = open(csv).read().strip().splitlines()
+        rows = Path(csv).read_text().strip().splitlines()
         values = np.array([[float(v) for v in line.split(",")] for line in rows])
         assert values == pytest.approx(np.full((6, 6), values[0, 0]), abs=1e-12)
 
@@ -318,7 +336,7 @@ class TestSnapshots:
         sol = run(co.rough_problem(N, T=0.25), n=8, p=2, q=1, tau=1 / 16)
         _, csv = export_snapshot(sol, 0.125, 16, str(tmp_path / "rough"))
         grid = np.array([[float(v) for v in line.split(",")]
-                         for line in open(csv).read().strip().splitlines()])
+                         for line in Path(csv).read_text().strip().splitlines()])
         # grid[i, j] samples u at ((i+0.5)/16, (j+0.5)/16); average |u| over
         # wave cells (s0 = 1) vs heat cells and require a visible contrast
         pts = (np.arange(16) + 0.5) / 16

@@ -24,13 +24,14 @@ coefficients each spatial system is block-circulant over the mesh cells
 and splits into its n^2 Floquet-Bloch fibres (2-D FFT over the cells).
 Each fibre eliminates its flux unknowns through the invertible RT mass
 symbol, which leaves a p^2 x p^2 Schur complement per row in place of the
-3p^2 x 3p^2 fibre system.  The iteration then stays in fibre space from
-slab to slab: the eliminated fibre operators are built once, each slab is
-two small batched matvecs per row, and only the stored coefficients are
-transformed back.  Otherwise each row's spatial system gets a sparse LU and
-the slabs are solved on stacked coefficient vectors (``_SpluSteps``).  A
-direct LU of the full block system is the fallback when the temporal
-eigenbasis fails its conditioning check.
+3p^2 x 3p^2 fibre system.  For a separable source the iteration then stays
+in fibre space from slab to slab: the eliminated fibre operators and loads
+are built once, each slab is two small batched matvecs per row, and only
+the stored coefficients are transformed back.  For other coefficients or
+loads each row's spatial system gets a sparse LU and the slabs are solved
+on stacked coefficient vectors (``_SpluSteps``).  A direct LU of the full
+block system is the fallback when the temporal eigenbasis fails its
+conditioning check.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def _symbol_terms(blocks: BlockSystem, matrix: str) -> tuple[np.ndarray, np.ndar
 
 
 class _BlochFibres:
-    """Decoupled slab steps for translation-invariant blocks, in fibre space.
+    """Decoupled slab steps in fibre space: constant coefficients, separable source.
 
     Both spaces own 3p^2 DOFs per cell and wrap modulo n, so with constant
     coefficients M0 and C are block-circulant in cell-major order: cell
@@ -246,9 +247,8 @@ class _BlochFibres:
         z = X_i p^,   X_i = beta_i S_i^-1 [M_u, -C_uv / lam_i].
 
     The factorisation stores X_i and K (5p^4 numbers per fibre for one
-    eigenvalue, against 9p^4 for a dense G_i) and, for a separable source,
-    H_i = A_i^-1 L^ (its spatial load, transformed once); other loads keep
-    S_i^-1 and M_v^-1.  Slab m is then
+    eigenvalue, against 9p^4 for a dense G_i) and H_i = A_i^-1 L^ for the
+    separable source's spatial load L, transformed once.  Slab m is then
 
         y^_i = alpha_i H_i + G_i p^,   alpha_i = V^-1[i] f(t_nodes of m),
 
@@ -263,7 +263,7 @@ class _BlochFibres:
     # fibres per batch while building the operators, bounding the temporaries
     _CHUNK = 128
 
-    def __init__(self, blocks: BlockSystem, eig: _Eigenbasis, loads):
+    def __init__(self, blocks: BlockSystem, eig: _Eigenbasis, spatial_load: np.ndarray):
         n = blocks.space_u.mesh.n
         perm = blocks.owned_dofs()
         n_own = perm.shape[1]
@@ -277,16 +277,11 @@ class _BlochFibres:
         self._lam, self._vinv, self._beta, self._w = eig.lam, eig.vinv, eig.beta, eig.w
         # the right trace Re(z), z = sum_r w[-1, r] y_r, has fibres (z^ + conj z^(-theta)) / 2
         self._w_last = eig.w[-1] / 2.0
-        self._separable = loads.spatial is not None
         rows, n_fib = len(eig.lam), n * n
         self._x = np.empty((rows, n_fib, n_u, n_own), dtype=complex)
         self._k = np.empty((n_fib, n_own - n_u, n_u), dtype=complex)
-        if self._separable:
-            self._h = np.empty((rows, n_fib, n_own), dtype=complex)
-            l_u = self.to_fibres(loads.spatial)[:, :n_u, None]
-        else:
-            self._s_inv = np.empty((rows, n_fib, n_u, n_u), dtype=complex)
-            self._mv_inv = np.empty((n_fib, n_own - n_u, n_own - n_u), dtype=complex)
+        self._h = np.empty((rows, n_fib, n_own), dtype=complex)
+        l_u = self.to_fibres(spatial_load)[:, :n_u, None]
         u, v = slice(None, n_u), slice(n_u, None)
         for start in range(0, n_fib, self._CHUNK):
             part = slice(start, start + self._CHUNK)
@@ -295,19 +290,14 @@ class _BlochFibres:
             m_u, m_v, c_uv = m0_hat[:, u, u], m0_hat[:, v, v], c_hat[:, u, v]
             self._k[part] = k = np.linalg.solve(m_v, c_hat[:, v, u])
             c_uv_k = c_uv @ k
-            if not self._separable:
-                self._mv_inv[part] = np.linalg.inv(m_v)
             for r, lam in enumerate(self._lam):
                 s_inv = np.linalg.inv(lam * m_u + c_hat[:, u, u] - c_uv_k / lam)
                 jump = np.concatenate([m_u, -c_uv / lam], axis=2)
                 np.matmul(s_inv, jump, out=self._x[r, part])
                 self._x[r, part] *= self._beta[r]
-                if self._separable:
-                    h_u = s_inv @ l_u[part]
-                    self._h[r, part, u] = h_u[..., 0]
-                    self._h[r, part, v] = (k @ h_u)[..., 0] / -lam
-                else:
-                    self._s_inv[r, part] = s_inv
+                h_u = s_inv @ l_u[part]
+                self._h[r, part, u] = h_u[..., 0]
+                self._h[r, part, v] = (k @ h_u)[..., 0] / -lam
 
     def to_fibres(self, vec: np.ndarray) -> np.ndarray:
         """The fibres (n^2, 3p^2) of stacked vectors (..., ndof)."""
@@ -326,24 +316,9 @@ class _BlochFibres:
         y_v /= -self._lam[:, None, None, None]
         return np.concatenate([z, y_v], axis=2)[..., 0]
 
-    def solve(self, f_hat: np.ndarray) -> np.ndarray:
-        """A_i^-1 f^_i for every eigenbasis row i; ``f_hat`` is (rows, n^2, 3p^2).
-        Needs a factorisation built for a non-separable load."""
-        n_u = self._n_u
-        lam = self._lam[:, None, None, None]
-        f_u, f_v = f_hat[..., :n_u, None], f_hat[..., n_u:, None]
-        k_h = self._k.conj().swapaxes(1, 2)
-        y_u = self._s_inv @ (f_u + (k_h @ f_v) / lam)
-        y_v = (self._mv_inv @ f_v - self._k @ y_u) / lam
-        return np.concatenate([y_u, y_v], axis=2)[..., 0]
-
     def step(self, prev_hat: np.ndarray, loads, m: int, out: np.ndarray) -> np.ndarray:
         y = self.jump(prev_hat)
-        if self._separable:
-            alpha = self._vinv @ loads.factors(m)
-            y += alpha[:, None, None] * self._h
-        else:
-            y += self.solve(self.to_fibres(self._vinv @ loads(m)))
+        y += (self._vinv @ loads.factors(m))[:, None, None] * self._h
         trace = np.tensordot(self._w_last, y, 1)
         n = self._n
         cells = np.fft.ifft2(y.reshape(len(y), n, n, -1), axes=(1, 2))
@@ -361,10 +336,9 @@ def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, method: str, load
     """The slab factorisation for ``method`` and the meta entries naming the
     path taken: ``auto`` decouples and falls back to the direct LU only when
     the temporal eigenbasis check fails, recording why.  The decoupled path
-    steps translation-invariant blocks in fibre space and others by sparse
-    LUs, and records that spatial solver and the eigenbasis diagnostics.
-    ``loads`` lets the fibre path transform a separable source's spatial
-    load once."""
+    steps translation-invariant blocks with a separable load (``loads.spatial``)
+    in fibre space and all others by sparse LUs, and records that spatial
+    solver and the eigenbasis diagnostics."""
     if method not in SOLVERS:
         raise ValueError(f"unknown solver method {method!r}; expected one of {SOLVERS}")
     if method == "direct":
@@ -376,9 +350,9 @@ def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, method: str, load
             raise
         return _DirectFactorisation(blocks, basis), {"solver": "direct",
                                                      "solver_fallback": str(err)}
-    if np.all(blocks.s0_cells == blocks.s0_cells[0]) \
+    if loads.spatial is not None and np.all(blocks.s0_cells == blocks.s0_cells[0]) \
             and np.all(blocks.s1_cells == blocks.s1_cells[0]):
-        fact, spatial = _BlochFibres(blocks, eig, loads), "bloch"
+        fact, spatial = _BlochFibres(blocks, eig, loads.spatial), "bloch"
     else:
         fact, spatial = _SpluSteps(blocks, eig), "splu"
     return fact, {"solver": "decoupled", "spatial_solver": spatial, **eig.meta}
@@ -528,15 +502,16 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     the discrete space; this is how vector-valued or random discrete data is
     fed in.  ``x0`` defaults to rest.  ``meta["solver"]`` names the solver
     path taken; ``meta["solver_fallback"]`` says why ``auto`` fell back to it.
-    On the decoupled path ``meta["spatial_solver"]`` is ``"bloch"`` or
-    ``"splu"`` and ``meta`` carries the temporal eigenbasis residual
-    ``|V V^-1 - I|_max`` and ``cond(V)``.  Both spatial solvers step by one
-    eigenbasis row per real temporal eigenvalue or conjugate pair.  On the
-    ``splu`` path each slab is one sparse triangular solve per row.  On the
-    ``bloch`` path the state stays in Floquet-Bloch fibre space from slab to
-    slab.  Each fibre's flux unknowns are eliminated once, so each slab is a
-    p^2 x 3p^2 and a 2p^2 x p^2 batched fibre matvec per row plus one
-    ``ifft2`` for the stored coefficients (see ``_BlochFibres``).
+    On the decoupled path ``meta["spatial_solver"]`` is ``"bloch"`` (constant
+    coefficients, separable source) or ``"splu"`` and ``meta`` carries the
+    temporal eigenbasis residual ``|V V^-1 - I|_max`` and ``cond(V)``.  Both
+    spatial solvers step by one eigenbasis row per real temporal eigenvalue
+    or conjugate pair.  On the ``splu`` path each slab is one sparse
+    triangular solve per row.  On the ``bloch`` path the state stays in
+    Floquet-Bloch fibre space from slab to slab.  Each fibre's flux unknowns
+    are eliminated once, so each slab is a p^2 x 3p^2 and a 2p^2 x p^2
+    batched fibre matvec per row plus one ``ifft2`` for the stored
+    coefficients (see ``_BlochFibres``).
 
     ``blocks`` (from ``build_block_system``) shares one set of operator
     blocks between runs; a ``ValueError`` is raised before factorising when

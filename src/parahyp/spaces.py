@@ -184,7 +184,6 @@ class VectorSpace:
         self.n_comp_loc = (k + 2) * (k + 1)
         self.n_loc = 2 * self.n_comp_loc
         self.ndof = 2 * mesh.n**2 * (k + 1) ** 2
-        self.n_edge_dofs = 2 * mesh.n**2 * (k + 1)
         self.cell_dofs = self._build_cell_dofs()
 
     def _edge_dof_vertical(self, i, j, b):
@@ -249,47 +248,34 @@ def _check_coeffs(coeffs, ndof):
     return coeffs
 
 
+def _evaluate(space, coeffs, points) -> list[np.ndarray]:
+    """The FE function contracted with each of ``space.basis_tables`` at the
+    points of [0,1)^2, in reference units."""
+    coeffs = _check_coeffs(coeffs, space.ndof)
+    ci, cj, xi, eta = _locate(space.mesh, _as_points(points))
+    local = coeffs[space.cell_dofs[cj * space.mesh.n + ci]]
+    return [np.einsum("ml,ml->m", local, table) for table in space.basis_tables(xi, eta)]
+
+
 def eval_scalar(space: ScalarSpace, coeffs, points) -> np.ndarray:
     """Point values of a scalar FE function at points of [0,1)^2."""
-    coeffs = _check_coeffs(coeffs, space.ndof)
-    pts = _as_points(points)
-    ci, cj, xi, eta = _locate(space.mesh, pts)
-    vals, _, _ = space.basis_tables(xi, eta)
-    local = coeffs[space.cell_dofs[cj * space.mesh.n + ci]]
-    return np.einsum("ml,ml->m", local, vals)
+    return _evaluate(space, coeffs, points)[0]
 
 
 def eval_scalar_grad(space: ScalarSpace, coeffs, points) -> np.ndarray:
     """Gradients of a scalar FE function, shape (npts, 2); cell-interior values."""
-    coeffs = _check_coeffs(coeffs, space.ndof)
-    pts = _as_points(points)
-    ci, cj, xi, eta = _locate(space.mesh, pts)
-    _, dxi, deta = space.basis_tables(xi, eta)
-    local = coeffs[space.cell_dofs[cj * space.mesh.n + ci]]
-    gx = np.einsum("ml,ml->m", local, dxi) * space.mesh.n
-    gy = np.einsum("ml,ml->m", local, deta) * space.mesh.n
-    return np.column_stack([gx, gy])
+    _, gx, gy = _evaluate(space, coeffs, points)
+    return np.column_stack([gx, gy]) * space.mesh.n
 
 
 def eval_vector(space: VectorSpace, coeffs, points) -> np.ndarray:
     """Point values of an RT field, shape (npts, 2)."""
-    coeffs = _check_coeffs(coeffs, space.ndof)
-    pts = _as_points(points)
-    ci, cj, xi, eta = _locate(space.mesh, pts)
-    vx, vy, _ = space.basis_tables(xi, eta)
-    local = coeffs[space.cell_dofs[cj * space.mesh.n + ci]]
-    return np.column_stack([np.einsum("ml,ml->m", local, vx),
-                            np.einsum("ml,ml->m", local, vy)])
+    return np.column_stack(_evaluate(space, coeffs, points)[:2])
 
 
 def eval_div(space: VectorSpace, coeffs, points) -> np.ndarray:
     """Pointwise divergence of an RT field."""
-    coeffs = _check_coeffs(coeffs, space.ndof)
-    pts = _as_points(points)
-    ci, cj, xi, eta = _locate(space.mesh, pts)
-    _, _, div = space.basis_tables(xi, eta)
-    local = coeffs[space.cell_dofs[cj * space.mesh.n + ci]]
-    return np.einsum("ml,ml->m", local, div) * space.mesh.n
+    return _evaluate(space, coeffs, points)[2] * space.mesh.n
 
 
 def interpolate_scalar(space: ScalarSpace, fn) -> np.ndarray:

@@ -86,6 +86,13 @@ class StudyConfig:
             if abs(ratio - round(ratio)) > 1e-9 or ratio < 1 - 1e-9:
                 raise ValueError(f"reference slab length T/{m_ref} does not divide the "
                                  f"study slab length 1/{2 * N}")
+        for N in self.n_list:
+            # the test of slab.run, so that a study never fails at its first solve
+            tau = 1.0 / (2 * N)
+            slabs = round(self.T / tau)
+            if abs(slabs * tau - self.T) > 1e-9 * max(self.T, 1.0) or slabs < 1:
+                raise ValueError(f"T={self.T!r} is not an integer multiple of the study "
+                                 f"slab length 1/{2 * N} for N={N}")
 
     @property
     def reference_space_cells(self) -> int:
@@ -182,6 +189,14 @@ def _solver_path(sol: DiscreteSolution) -> str:
         + (f" (fallback: {fallback})" if fallback else "")
 
 
+def _study_solve(kind: str, N: int | None, config: StudyConfig) -> DiscreteSolution:
+    """One problem at the study resolution h = tau = 1/(2N), the averaged
+    problem at the finest study N."""
+    n = 2 * (N if kind == "rough" else max(config.n_list))
+    return run(_study_problem(kind, N, config), n=n, p=config.p, q=config.q,
+               tau=1.0 / n, solver=config.solver)
+
+
 def _reference_path(kind: str, N: int | None, config: StudyConfig) -> str:
     name = f"ref_rough_N{N}.ckpt" if kind == "rough" else "ref_hom.ckpt"
     return os.path.join(config.out_dir, name)
@@ -253,10 +268,9 @@ def run_study(config: StudyConfig, log=print) -> ErrorTable:
     study_solutions = {}
     for N in config.n_list:
         t0 = time.perf_counter()
-        sol = run(_study_problem("rough", N, config), n=2 * N, p=config.p,
-                  q=config.q, tau=1.0 / (2 * N), solver=config.solver)
+        sol = _study_solve("rough", N, config)
         study_solutions[N] = sol
-        log(f"[study N={N}] solved n={2 * N} p={config.p} slabs={sol.n_slabs} "
+        log(f"[study N={N}] solved n={sol.meta['n']} p={config.p} slabs={sol.n_slabs} "
             f"solver={_solver_path(sol)} in {time.perf_counter() - t0:.1f}s")
 
     rough_errors = {}
@@ -291,26 +305,26 @@ def run_study(config: StudyConfig, log=print) -> ErrorTable:
         fh.write(table.to_csv().encode())
     log(f"[study] wrote {csv_path}")
     log(table.format_pretty())
-    if config.snapshot_times:
-        _export_study_snapshots(config, study_solutions, log)
+    _export_study_snapshots(config, study_solutions, log)
     return table
 
 
 def _export_study_snapshots(config: StudyConfig, study_solutions, log):
-    """Rasters of u for every study solution plus the averaged problem."""
-    n_hom = 2 * max(config.n_list)
-    hom = run(_study_problem("hom", None, config), n=n_hom, p=config.p,
-              q=config.q, tau=1.0 / n_hom, solver=config.solver)
-    labelled = [(f"u_N{N}", study_solutions[N]) for N in config.n_list]
-    labelled.append(("u_hom", hom))
-    for label, sol in labelled:
-        for t in config.snapshot_times:
-            if not 0.0 <= t <= sol.T + 1e-12:
-                continue
-            base = os.path.join(config.out_dir, f"{label}_t{t}")
-            export_snapshot(sol, min(t, sol.T), config.snapshot_resolution, base)
-    log(f"[study] wrote snapshots at t = {config.snapshot_times} "
-        f"for N = {config.n_list} and the averaged problem")
+    """Rasters of u for every study solution plus the averaged problem, at
+    the snapshot times in [0, T]; the others are skipped and logged."""
+    times = tuple(t for t in config.snapshot_times if 0.0 <= t <= config.T + 1e-12)
+    skipped = tuple(t for t in config.snapshot_times if t not in times)
+    if times:
+        labelled = [(f"u_N{N}", study_solutions[N]) for N in config.n_list]
+        labelled.append(("u_hom", _study_solve("hom", None, config)))
+        for label, sol in labelled:
+            for t in times:
+                base = os.path.join(config.out_dir, f"{label}_t{t}")
+                export_snapshot(sol, min(t, sol.T), config.snapshot_resolution, base)
+        log(f"[study] wrote snapshots at t = {times} "
+            f"for N = {config.n_list} and the averaged problem")
+    if skipped:
+        log(f"[study] skipped snapshot times outside [0, T={config.T!r}]: {skipped}")
 
 
 def export_snapshot(sol: DiscreteSolution, t: float, resolution: int,
@@ -360,13 +374,10 @@ def single_solve(kind: str, N: int | None, config: StudyConfig,
     """Solve one study-resolution problem (the 'solve' CLI verb)."""
     if kind == "rough" and N is None:
         N = max(config.n_list)
-    n = 2 * N if kind == "rough" else 2 * max(config.n_list)
-    tau = 1.0 / n
     t0 = time.perf_counter()
-    sol = run(_study_problem(kind, N, config), n=n, p=config.p, q=config.q,
-              tau=tau, solver=config.solver)
+    sol = _study_solve(kind, N, config)
     sol.meta.update(problem=kind, N=N, source=_SOURCE_TAG)
-    log(f"[solve {kind}{'' if N is None else f' N={N}'}] n={n} p={config.p} "
+    log(f"[solve {kind}{'' if N is None else f' N={N}'}] n={sol.meta['n']} p={config.p} "
         f"slabs={sol.n_slabs} solver={_solver_path(sol)} "
         f"in {time.perf_counter() - t0:.1f}s")
     return sol

@@ -252,47 +252,45 @@ class TestRunBehaviour:
             for q in (1, 2):
                 self.assert_fibre_loop_matches_direct(prob, n, p, q, x0=x0)
 
-    @pytest.mark.parametrize("separable", [True, False])
-    def test_eliminated_fibre_operator_matches_dense_inverse(self, separable):
+    def test_eliminated_fibre_operator_matches_dense_inverse(self):
         # q = 2 plans one real eigenvalue and one conjugate pair
         n, p, q = 3, 2, 2
-        source = co.source_f() if separable else (lambda t, x, y: x * y + t)
-        prob = co.ProblemData(s0=co.constant(0.8), s1=co.constant(0.3), source=source, T=0.5)
+        prob = co.ProblemData(s0=co.constant(0.8), s1=co.constant(0.3),
+                              source=co.source_f(), T=0.5)
         mesh = build_mesh(n)
         blocks = build_block_system(ScalarSpace(mesh, p), VectorSpace(mesh, p), prob.s0, prob.s1)
         basis = SlabBasis(q, prob.rho, 1 / 4)
-        fibres, path = slab._make_factorisation(blocks, basis, "auto",
-                                                slab._Loads(blocks, basis, source, None))
+        loads = slab._Loads(blocks, basis, prob.source, None)
+        fibres, path = slab._make_factorisation(blocks, basis, "auto", loads)
         assert path["spatial_solver"] == "bloch"
         n_own = 3 * p * p
         m0_hat, c_hat = ((phases @ terms).reshape(n * n, n_own, n_own) for phases, terms
                          in (slab._symbol_terms(blocks, name) for name in ("m0", "coupling")))
         rng = np.random.default_rng(5)
         p_hat = rng.standard_normal((n * n, n_own)) + 1j * rng.standard_normal((n * n, n_own))
-        f_hat = rng.standard_normal((2, n * n, n_own)) + 1j * rng.standard_normal((2, n * n, n_own))
+        l_hat = fibres.to_fibres(loads.spatial)
         jumps = fibres.jump(p_hat)
-        solved = None if separable else fibres.solve(f_hat)
         assert len(fibres._lam) == 2
         for r, lam in enumerate(fibres._lam):
             a_hat = lam * m0_hat + c_hat
             dense = fibres._beta[r] * np.linalg.solve(a_hat, m0_hat @ p_hat[..., None])[..., 0]
             assert np.abs(jumps[r] - dense).max() <= 1e-12 * np.abs(dense).max()
-            if not separable:
-                dense = np.linalg.solve(a_hat, f_hat[r, ..., None])[..., 0]
-                assert np.abs(solved[r] - dense).max() <= 1e-12 * np.abs(dense).max()
+            # H_i = A_i^-1 L^, the separable load's fibre response
+            dense = np.linalg.solve(a_hat, l_hat[..., None])[..., 0]
+            assert np.abs(fibres._h[r] - dense).max() <= 1e-12 * np.abs(dense).max()
 
     @staticmethod
-    def assert_fibre_loop_matches_direct(prob, n, p, q, **kwargs):
+    def assert_fibre_loop_matches_direct(prob, n, p, q, spatial="bloch", **kwargs):
         a = run(prob, n=n, p=p, q=q, tau=1 / 4, solver="direct", **kwargs)
         b = run(prob, n=n, p=p, q=q, tau=1 / 4, **kwargs)
-        assert (b.meta["solver"], b.meta["spatial_solver"]) == ("decoupled", "bloch")
+        assert (b.meta["solver"], b.meta["spatial_solver"]) == ("decoupled", spatial)
         scale = np.abs(a.coeffs).max()
         assert scale > 0.0
         assert np.abs(a.coeffs - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_fibre_loop_with_discrete_forcing(self, n):
-        # odd and even n: the conjugate partner's fibre is an index flip
+        # constant coefficients with a discrete forcing take the sparse-LU rows
         for rho in (0.0, 3.0):
             prob = co.homogenised_problem(T=0.5, rho=rho)
             for q in range(5):
@@ -300,11 +298,12 @@ class TestRunBehaviour:
                 mesh = build_mesh(n)
                 ndof = ScalarSpace(mesh, p).ndof + VectorSpace(mesh, p).ndof
                 forcing = np.random.default_rng(10 * n + q).standard_normal((2, q + 1, ndof))
-                self.assert_fibre_loop_matches_direct(prob, n, p, q,
+                self.assert_fibre_loop_matches_direct(prob, n, p, q, "splu",
                                                       discrete_forcing=forcing)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_fibre_loop_with_non_separable_source(self, n):
+        # constant coefficients with a non-separable source take the sparse-LU rows
         def travelling(t, x, y):
             return np.sin(2 * np.pi * (x - t)) * np.cos(2 * np.pi * y) + t * x
 
@@ -312,7 +311,7 @@ class TestRunBehaviour:
             prob = co.ProblemData(s0=co.constant(0.8), s1=co.constant(0.3),
                                   source=travelling, T=0.5, rho=rho)
             for q in range(5):
-                self.assert_fibre_loop_matches_direct(prob, n, 1 + q % 3, q,
+                self.assert_fibre_loop_matches_direct(prob, n, 1 + q % 3, q, "splu",
                                                       load_quad_points=4)
 
     @pytest.mark.parametrize("problem", ["hom", "rough", "direct"])
@@ -356,9 +355,10 @@ class TestRunBehaviour:
         sol = run(prob, n=4, p=2, q=2, tau=1 / 4, discrete_forcing=forcing)
         expected = {"hom": {},
                     "rough": {"mu0": 1, "mv": 1, "mu1": 1, "b_div": 1, "b_grad": 1},
-                    "forcing": {"mu_unweighted": 1, "mv": 1}}[case]
+                    "forcing": {"mu_unweighted": 1, "mu0": 1, "mv": 1, "mu1": 1,
+                                "b_div": 1, "b_grad": 1}}[case]
         assert built == expected
-        assert sol.meta["spatial_solver"] == ("splu" if case == "rough" else "bloch")
+        assert sol.meta["spatial_solver"] == ("bloch" if case == "hom" else "splu")
 
     @pytest.mark.parametrize("case", ["n", "p", "hom", "s1"])
     def test_blocks_must_fit_the_run(self, monkeypatch, case):

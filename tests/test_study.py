@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from pathlib import Path
 
@@ -152,6 +153,16 @@ snapshot_times = 0.5 1.0
         with pytest.raises(ValueError, match=match):
             parse_config(path)
 
+    def test_final_time_must_fit_the_study_slabs(self):
+        # rejected on construction, not at the first solve after run.log is open
+        with pytest.raises(ValueError, match=r"^T=1.3 is not an integer multiple of the "
+                                             r"study slab length 1/4 for N=2$"):
+            StudyConfig(n_list=(2,), T=1.3, ref_space_cells=8, ref_time_cells=26)
+        # 3/8 fits the slabs 1/8 of N = 4, not the slabs 1/4 of N = 2
+        assert StudyConfig(n_list=(4,), T=0.375, ref_space_cells=16, ref_time_cells=6).T == 0.375
+        with pytest.raises(ValueError, match=r"slab length 1/4 for N=2$"):
+            StudyConfig(n_list=(2, 4), T=0.375, ref_space_cells=16, ref_time_cells=6)
+
     def test_reference_nesting_validated(self):
         with pytest.raises(ValueError, match="twice as fine"):
             StudyConfig(n_list=(2,), ref_space_cells=6, ref_time_cells=9)
@@ -265,6 +276,25 @@ class TestRunStudy:
         assert sorted(os.listdir(config.out_dir)) == [
             "ref_hom.ckpt", "ref_rough_N2.ckpt", "run.log", "table.csv",
             "u_N2_t0.5.csv", "u_N2_t0.5.vtk", "u_hom_t0.5.csv", "u_hom_t0.5.vtk"]
+
+    def test_snapshot_times_outside_the_window_skipped_and_logged(self, tmp_path):
+        config = mini_config(tmp_path, n_list=(2,), T=0.5, ref_space_cells=8,
+                             ref_time_cells=4, snapshot_times=(0.25, 2.0, -1.0),
+                             snapshot_resolution=4)
+        run_study(config, log=lambda *_: None)
+        snapshots = sorted(f for f in os.listdir(config.out_dir) if f.startswith("u_"))
+        assert snapshots == ["u_N2_t0.25.csv", "u_N2_t0.25.vtk",
+                             "u_hom_t0.25.csv", "u_hom_t0.25.vtk"]
+        lines = Path(config.out_dir, "run.log").read_text().splitlines()
+        assert "[study] wrote snapshots at t = (0.25,) for N = (2,) and the averaged problem" \
+            in lines
+        assert "[study] skipped snapshot times outside [0, T=0.5]: (2.0, -1.0)" in lines
+        # with no time inside the window nothing is written and nothing claims so
+        late = dataclasses.replace(config, out_dir=str(tmp_path / "late"), snapshot_times=(2.0,))
+        run_study(late, log=lambda *_: None)
+        assert not [f for f in os.listdir(late.out_dir) if f.startswith("u_")]
+        lines = Path(late.out_dir, "run.log").read_text().splitlines()
+        assert not [line for line in lines if line.startswith("[study] wrote snapshots")]
 
     def test_failed_study_leaves_its_log(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

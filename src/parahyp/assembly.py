@@ -20,7 +20,9 @@ periodicity makes B_div = -B_grad^T hold entrywise.
 ``stencil`` sums cell 0's element matrices into the cell-offset blocks of
 M0 or C, which is all the Floquet-Bloch path needs: with constant
 coefficients those blocks are the fibre symbols' Fourier coefficients, so
-that path assembles no global matrix.
+that path assembles no global matrix.  Its ``cell_matrices`` gives the
+element matrices of M0 or C per kind of cell, from which the sparse-LU
+path condenses the cell interiors without assembling C.
 """
 
 from __future__ import annotations
@@ -236,6 +238,35 @@ class BlockSystem:
         """Stacked DOFs each cell owns, shape (n^2, 3p^2) in cell order: its
         u DOFs, then its v DOFs (shifted by ndof_u).  Built once, read-only."""
         return self._owned
+
+    def cell_dofs(self) -> np.ndarray:
+        """Stacked DOFs of each cell's local basis, shape
+        (n^2, (p+1)^2 + 2p(p+1)) in cell order: the u ``cell_dofs``, then the
+        v ``cell_dofs`` shifted by ndof_u."""
+        su, sv = self.space_u, self.space_v
+        return np.concatenate([su.cell_dofs, su.ndof + sv.cell_dofs], axis=1)
+
+    def cell_matrices(self, matrix: str) -> tuple[np.ndarray, np.ndarray]:
+        """The element matrices of ``m0()`` or ``coupling()`` on the local
+        DOFs of ``cell_dofs()``, one per cell kind; nothing is assembled.
+
+        Cells with equal (s0, s1) values are of one kind, so the checkerboard
+        has two kinds and constant coefficients one.  Returns each cell's
+        kind, shape (n^2,), and the kinds' matrices, shape (kinds, n_loc,
+        n_loc); scattering ``matrices[kind[c]]`` at ``cell_dofs()[c]`` over
+        all cells c sums to the whole matrix.
+        """
+        pairs = np.stack([self.s0_cells, self.s1_cells], axis=1)
+        _, first, kind = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+        start = (0, self.space_u.n_loc)
+        n_loc = self.space_u.n_loc + self.space_v.n_loc
+        out = np.zeros((len(first), n_loc, n_loc))
+        for name, row_space, col_space in _STACKED[matrix]:
+            element, _, _, scale, _ = self._parts(name)
+            rows, cols = start[row_space], start[col_space]
+            out[:, rows:rows + element.shape[0], cols:cols + element.shape[1]] \
+                += np.multiply.outer(scale[first], element)
+        return kind.reshape(-1), out
 
     def stencil(self, matrix: str) -> tuple[np.ndarray, np.ndarray]:
         """The cell-offset blocks of ``m0()`` or ``coupling()`` (``matrix`` =

@@ -28,10 +28,11 @@ symbol, which leaves a p^2 x p^2 Schur complement per row in place of the
 in fibre space from slab to slab: the eliminated fibre operators and loads
 are built once, each slab is two small batched matvecs per row, and only
 the stored coefficients are transformed back.  For other coefficients or
-loads each row's spatial system gets a sparse LU and the slabs are solved
-on stacked coefficient vectors (``_SpluSteps``).  A direct LU of the full
-block system is the fallback when the temporal eigenbasis fails its
-conditioning check.
+loads each row first condenses out the DOFs that lie inside one cell,
+through small dense solves per kind of cell, and gets one sparse LU of the
+remaining skeleton system; the slabs are solved on stacked coefficient
+vectors (``_SpluSteps``).  A direct LU of the full block system is the
+fallback when the temporal eigenbasis fails its conditioning check.
 """
 
 from __future__ import annotations
@@ -172,34 +173,113 @@ def _recombine(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     return w_parts @ parts.transpose(0, 2, 1).reshape(2 * rows, -1)
 
 
-class _SpluSteps:
-    """Decoupled slab steps with one sparse LU of lam_r M0 + C per eigenbasis
-    row r (real for a real eigenvalue).  Slab m solves
+def _interior_slots(cell_dofs: np.ndarray) -> np.ndarray:
+    """The local slots whose DOF occurs in no other cell and at no other
+    slot, in every cell: (p-1)^2 Q_p nodes and 2p(p-1) RT_{p-1} values of
+    ``BlockSystem.cell_dofs()``, none for p = 1."""
+    count = np.bincount(cell_dofs.ravel())
+    return np.flatnonzero((count[cell_dofs] == 1).all(axis=0))
 
-        y_r = (lam_r M0 + C)^-1 (vinv_r F + beta_r M0 p)
+
+class _SpluSteps:
+    """Decoupled slab steps with one sparse LU per eigenbasis row r (real for
+    a real eigenvalue), of the skeleton system left once the cell interiors
+    are condensed out of A_r = lam_r M0 + C.  Slab m solves
+
+        y_r = A_r^-1 (vinv_r F + beta_r M0 p)
 
     for the loads F at its nodes and the previous right trace p, and its
-    nodal coefficients are Re(w @ y)."""
+    nodal coefficients are Re(w @ y).
+
+    A DOF at an interior slot I (``_interior_slots``) belongs to one cell
+    and couples only to that cell's local DOFs, so A_II is block diagonal,
+    with one block per cell that depends on lam_r and the cell's kind
+    (``BlockSystem.cell_matrices``) alone.  With W = A_II^-1 A_IB per kind,
+    the Schur complement on the remaining skeleton DOFs is scattered from
+    the per-cell blocks A_BB - A_BI W and factorised once per row.  A solve
+    is
+
+        g = A_II^-1 f_I,   x_S = S_r^-1 (f_S - P A_BI g),   x_I = g - W x_B,
+
+    where g and A_BI g come from one GEMM per kind and P sums the cells' B
+    slots onto the skeleton.  The right-hand sides are permuted, skeleton
+    first, then the interiors cell by cell with the cells sorted by kind, so
+    f_S, f_I and x_I are views, and the solutions are permuted back.  C is
+    never assembled; M0 is, for the jump flux.  For p = 1 no slot is
+    interior and S_r = A_r.
+    """
 
     def __init__(self, blocks: BlockSystem, eig: _Eigenbasis):
         self._eig = eig
-        m0 = blocks.m0().tocsc()
-        coupling = blocks.coupling().tocsc()
-        self._lus = [_factor((float(lam.real) if lam.imag == 0 else complex(lam)) * m0
-                             + coupling) for lam in eig.lam]
-        # the jump flux's CSR copy, made once the factorisations are done
-        self.m0 = m0.tocsr()
+        kind, m0_cells = blocks.cell_matrices("m0")
+        _, c_cells = blocks.cell_matrices("coupling")
+        order = np.argsort(kind, kind="stable")
+        kind, cell_dofs = kind[order], blocks.cell_dofs()[order]
+        inner = _interior_slots(cell_dofs)
+        outer = np.setdiff1d(np.arange(cell_dofs.shape[1]), inner)
+        n_cells, n_i, n_b = len(cell_dofs), len(inner), len(outer)
+        is_skeleton = np.ones(blocks.ndof, dtype=bool)
+        is_skeleton[cell_dofs[:, inner]] = False
+        skeleton = np.flatnonzero(is_skeleton)
+        n_s = self.skeleton_dofs = len(skeleton)
+        self._perm = np.concatenate([skeleton, cell_dofs[:, inner].ravel()])
+        self._order = np.argsort(self._perm)
+        index = np.empty(blocks.ndof, dtype=np.int64)
+        index[skeleton] = np.arange(n_s)
+        self._cell_skeleton = index[cell_dofs[:, outer]]
+        self._shape = (n_cells, n_i)
+        bounds = np.searchsorted(kind, np.arange(len(m0_cells) + 1))
+        self._kinds = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        # P: column c (n_i + n_b) + n_i + j of the per-cell GEMM result is cell
+        # c's (A_BI g)_j, summed onto its skeleton DOF
+        cols = (np.arange(n_cells)[:, None] * (n_i + n_b) + n_i + np.arange(n_b)).ravel()
+        self._fold = sparse.csr_matrix((np.ones(cols.size), (self._cell_skeleton.ravel(), cols)),
+                                       shape=(n_s, n_cells * (n_i + n_b)))
+        rows = np.repeat(self._cell_skeleton, n_b, axis=1).ravel()
+        cols = np.tile(self._cell_skeleton, (1, n_b)).ravel()
+        self._rows = []
+        for r, lam in enumerate(eig.lam):
+            real = lam.imag == 0
+            a = (float(lam.real) if real else complex(lam)) * m0_cells + c_cells
+            a_ii_inv = np.linalg.inv(a[:, inner[:, None], inner])
+            a_bi = a[:, outer[:, None], inner]
+            w = a_ii_inv @ a[:, inner[:, None], outer]
+            schur = a[:, outer[:, None], outer] - a_bi @ w
+            lu = _factor(sparse.csc_matrix((schur[kind].ravel(), (rows, cols)),
+                                           shape=(n_s, n_s)))
+            # right factors: f_I @ left = [g, A_BI g], x_B @ w^T = W x_B
+            left = np.concatenate([a_ii_inv, a_bi @ a_ii_inv], axis=1).transpose(0, 2, 1)
+            vinv, beta = (eig.vinv[r].real, eig.beta[r].real) if real \
+                else (eig.vinv[r], eig.beta[r])
+            self._rows.append((vinv, beta, lu, left, w.transpose(0, 2, 1)))
+        self.m0 = blocks.m0()
 
     def initial_state(self, x0: np.ndarray) -> np.ndarray:
         return x0
 
+    def _solve(self, lu, left: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """A_r^-1 f for a permuted vector f, from row r's factors."""
+        n_s, n_i = self.skeleton_dofs, self._shape[1]
+        f_i = f[n_s:].reshape(self._shape)
+        g = np.empty((len(f_i), left.shape[2]), dtype=f.dtype)
+        for k, cells in enumerate(self._kinds):
+            np.matmul(f_i[cells], left[k], out=g[cells])
+        x = np.empty_like(f)
+        x[:n_s] = lu.solve(f[:n_s] - self._fold @ g.ravel())
+        x_i = x[n_s:].reshape(self._shape)
+        x_b = np.take(x[:n_s], self._cell_skeleton)
+        for k, cells in enumerate(self._kinds):
+            np.matmul(x_b[cells], w[k], out=x_i[cells])
+        np.subtract(g[:, :n_i], x_i, out=x_i)
+        return x
+
     def step(self, prev: np.ndarray, loads, m: int, out: np.ndarray) -> np.ndarray:
-        eig = self._eig
-        rhs = eig.vinv @ loads(m) + np.outer(eig.beta, self.m0 @ prev)
-        y = np.empty(rhs.shape, dtype=complex)
-        for r, lu in enumerate(self._lus):
-            y[r] = lu.solve(rhs[r].real if eig.lam[r].imag == 0 else rhs[r])
-        out[:] = _recombine(eig.w, y)
+        load = np.take(loads(m), self._perm, axis=1)
+        jump = np.take(self.m0 @ prev, self._perm)
+        y = np.empty((len(self._rows), len(prev)), dtype=complex)
+        for r, (vinv, beta, *factors) in enumerate(self._rows):
+            y[r] = self._solve(*factors, vinv @ load + beta * jump)
+        np.take(_recombine(self._eig.w, y), self._order, axis=1, out=out)
         return out[-1]
 
 
@@ -337,8 +417,9 @@ def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, method: str, load
     path taken: ``auto`` decouples and falls back to the direct LU only when
     the temporal eigenbasis check fails, recording why.  The decoupled path
     steps translation-invariant blocks with a separable load (``loads.spatial``)
-    in fibre space and all others by sparse LUs, and records that spatial
-    solver and the eigenbasis diagnostics."""
+    in fibre space and all others by condensed sparse LUs, and records that
+    spatial solver, the sparse LUs' skeleton size and the eigenbasis
+    diagnostics."""
     if method not in SOLVERS:
         raise ValueError(f"unknown solver method {method!r}; expected one of {SOLVERS}")
     if method == "direct":
@@ -352,10 +433,11 @@ def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, method: str, load
                                                      "solver_fallback": str(err)}
     if loads.spatial is not None and np.all(blocks.s0_cells == blocks.s0_cells[0]) \
             and np.all(blocks.s1_cells == blocks.s1_cells[0]):
-        fact, spatial = _BlochFibres(blocks, eig, loads.spatial), "bloch"
-    else:
-        fact, spatial = _SpluSteps(blocks, eig), "splu"
-    return fact, {"solver": "decoupled", "spatial_solver": spatial, **eig.meta}
+        return _BlochFibres(blocks, eig, loads.spatial), {
+            "solver": "decoupled", "spatial_solver": "bloch", **eig.meta}
+    fact = _SpluSteps(blocks, eig)
+    return fact, {"solver": "decoupled", "spatial_solver": "splu",
+                  "skeleton_dofs": fact.skeleton_dofs, **eig.meta}
 
 
 def solve_slab(factorisation, state, loads, m: int, out: np.ndarray):
@@ -506,19 +588,22 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     coefficients, separable source) or ``"splu"`` and ``meta`` carries the
     temporal eigenbasis residual ``|V V^-1 - I|_max`` and ``cond(V)``.  Both
     spatial solvers step by one eigenbasis row per real temporal eigenvalue
-    or conjugate pair.  On the ``splu`` path each slab is one sparse
-    triangular solve per row.  On the ``bloch`` path the state stays in
-    Floquet-Bloch fibre space from slab to slab.  Each fibre's flux unknowns
-    are eliminated once, so each slab is a p^2 x 3p^2 and a 2p^2 x p^2
-    batched fibre matvec per row plus one ``ifft2`` for the stored
-    coefficients (see ``_BlochFibres``).
+    or conjugate pair.  On the ``splu`` path the cell-interior unknowns are
+    condensed out, ``meta["skeleton_dofs"]`` counts the unknowns left, and
+    each slab is one sparse triangular solve of that skeleton per row plus
+    small dense per-cell products (see ``_SpluSteps``).  On the ``bloch``
+    path the state stays in Floquet-Bloch fibre space from slab to slab.
+    Each fibre's flux unknowns are eliminated once, so each slab is a
+    p^2 x 3p^2 and a 2p^2 x p^2 batched fibre matvec per row plus one
+    ``ifft2`` for the stored coefficients (see ``_BlochFibres``).
 
     ``blocks`` (from ``build_block_system``) shares one set of operator
     blocks between runs; a ``ValueError`` is raised before factorising when
     its mesh size, degree or coefficient cell values differ from ``n``,
     ``p`` and the problem's.  Whole blocks are assembled on first use: the
-    ``bloch`` path assembles none, the ``splu`` and ``direct`` paths the
-    ones of M0 and C once, and ``discrete_forcing`` the unweighted mass.
+    ``bloch`` path assembles none, the ``splu`` path the ones of M0 once
+    (C only as element matrices), the ``direct`` path those of M0 and C
+    once, and ``discrete_forcing`` the unweighted mass.
     """
     T = problem.T
     n_slabs = int(round(T / tau))

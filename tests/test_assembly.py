@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from parahyp import coefficients as co
 from parahyp.assembly import (_lagrange_integrals, assemble_div_block,
@@ -210,6 +211,30 @@ class TestBlockSystemAndDump:
                         parts.reshape(-1, n_own, n_own), axis=1)
                     expected = whole[owned[0]].toarray()
                     assert abs(rows - expected).max() <= 1e-15 * abs(expected).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_cell_matrices_scatter_to_whole_matrices(self, n):
+        mesh = build_mesh(n)
+        for p in (1, 2, 3):
+            su, sv = ScalarSpace(mesh, p), VectorSpace(mesh, p)
+            cases = [(0.8, 0.3, 1)]
+            if n % 2 == 0:
+                cases.append((co.checkerboard(2), co.checkerboard_complement(2), 2))
+            for s0, s1, kinds in cases:
+                blocks = build_block_system(su, sv, s0, s1)
+                cell_dofs = blocks.cell_dofs()
+                n_loc = (p + 1) ** 2 + 2 * p * (p + 1)
+                assert cell_dofs.shape == (n * n, n_loc)
+                for name, whole in [("m0", blocks.m0()), ("coupling", blocks.coupling())]:
+                    kind, matrices = blocks.cell_matrices(name)
+                    assert matrices.shape == (kinds, n_loc, n_loc)
+                    assert kind.shape == (n * n,)
+                    rows = np.repeat(cell_dofs, n_loc, axis=1).ravel()
+                    cols = np.tile(cell_dofs, (1, n_loc)).ravel()
+                    scattered = sparse.coo_matrix((matrices[kind].ravel(), (rows, cols)),
+                                                  shape=whole.shape).toarray()
+                    expected = whole.toarray()
+                    assert abs(scattered - expected).max() <= 1e-15 * abs(expected).max()
 
     def test_blocks_assembled_on_first_use_and_cached(self):
         mesh = build_mesh(4)

@@ -221,6 +221,26 @@ class TestReferenceCheckpointing:
         assert any("loaded checkpoint" in line for line in logs)
         assert np.array_equal(again.coeffs, sol.coeffs)
 
+    def test_skeleton_size_logged_and_outside_identity(self, tmp_path):
+        config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
+                             ref_time_cells=12, checkpoint="always")
+        logs = []
+        sol = solve_reference("rough", 2, config, logs.append)
+        # p = 3: 11 of each cell's 27 owned unknowns are left on the skeleton
+        assert (sol.meta["spatial_solver"], sol.meta["skeleton_dofs"]) == ("splu", 11 * 64)
+        assert sol.coeffs.shape[2] == 27 * 64
+        assert any("] solved" in line and "solver=decoupled/splu (skeleton 704 of 1728) in"
+                   in line for line in logs)
+        # a checkpoint that records another skeleton size is the same reference
+        path = os.path.join(config.out_dir, "ref_rough_N2.ckpt")
+        old = load_solution(path)
+        old.meta = {**old.meta, "skeleton_dofs": 1}
+        save_solution(old, path)
+        logs.clear()
+        again = solve_reference("rough", 2, config, logs.append)
+        assert any("loaded checkpoint" in line for line in logs)
+        assert np.array_equal(again.coeffs, sol.coeffs)
+
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
                              ref_time_cells=12, checkpoint="always")

@@ -16,18 +16,19 @@ Block structure of the evolutionary operator on coefficient vectors (u, v):
 with B_div[i, j] = <div psi_j, phi_i> and B_grad[i, j] = <grad phi_j, psi_i>;
 periodicity makes B_div = -B_grad^T hold entrywise.
 
-``BlockSystem`` assembles each whole block on first use only.  Its
-``stencil`` sums cell 0's element matrices into the cell-offset blocks of
-M0 or C, which is all the Floquet-Bloch path needs: with constant
-coefficients those blocks are the fibre symbols' Fourier coefficients, so
-that path assembles no global matrix.  Its ``cell_matrices`` gives the
-element matrices of M0 or C per kind of cell, from which the sparse-LU
-path condenses the cell interiors without assembling C.
+``BlockSystem`` holds each stacked matrix in one form, its element matrices
+per kind of cell (``cell_matrices``): the coefficients are constant per
+cell, so the checkerboard has two kinds and constant coefficients one.  The
+sparse-LU path condenses the cell interiors and forms the jump flux from
+them, the Floquet-Bloch path reads cell 0's through ``stencil`` (with
+constant coefficients its cell-offset blocks are the fibre symbols'
+Fourier coefficients), and the whole matrices are scattered from them on
+first use.  The ``assemble_*`` functions scatter each block on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from types import MappingProxyType
 
@@ -51,16 +52,19 @@ def _coefficient_cells(space: ScalarSpace, s) -> np.ndarray:
     return vals
 
 
-def _scatter(element: np.ndarray, cell_dofs_rows, cell_dofs_cols,
-             cell_scale, shape) -> sparse.csr_matrix:
-    """Accumulate per-cell copies of an element matrix into a global CSR matrix."""
-    n_cells, n_rows = cell_dofs_rows.shape
-    n_cols = cell_dofs_cols.shape[1]
-    data = np.multiply.outer(cell_scale, element)
-    rows = np.repeat(cell_dofs_rows, n_cols, axis=1)
-    cols = np.broadcast_to(cell_dofs_cols[:, None, :], (n_cells, n_rows, n_cols))
-    mat = sparse.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-    return mat.tocsr()
+def _csr(data, rows, cols, shape) -> sparse.csr_matrix:
+    """The CSR matrix of COO triplets with duplicates summed in their given
+    order: sorted stably by (row, column), no row is left for SciPy to sort."""
+    order = np.argsort(rows * shape[1] + cols, kind="stable")
+    return sparse.coo_matrix((data[order], (rows[order], cols[order])), shape=shape).tocsr()
+
+
+def _scatter(element: np.ndarray, row_space, col_space, cell_scale=1.0) -> sparse.csr_matrix:
+    """Per-cell copies of an element matrix, scaled per cell, summed in cell order."""
+    rows, cols = row_space.cell_dofs, col_space.cell_dofs
+    data = np.multiply.outer(np.broadcast_to(cell_scale, len(rows)), element)
+    return _csr(data.ravel(), np.repeat(rows, cols.shape[1], axis=1).ravel(),
+                np.tile(cols, (1, rows.shape[1])).ravel(), (row_space.ndof, col_space.ndof))
 
 
 @cache
@@ -97,66 +101,53 @@ def _same_mesh(space_u: ScalarSpace, space_v: VectorSpace) -> None:
         raise ValueError("spaces must share one mesh")
 
 
-# Each block is described once, as the arguments of ``_scatter``: its element
-# matrix, the row and column cell_dofs, the per-cell scale and the shape.
+# The element matrix of each block on one cell of width h, for degree p.
 
-def _mass_u_parts(space: ScalarSpace, cells: np.ndarray):
-    ints = _lagrange_integrals(space.p)
-    element = space.mesh.h**2 * np.kron(ints["m1"], ints["m1"])
-    return element, space.cell_dofs, space.cell_dofs, cells, (space.ndof, space.ndof)
+def _mass_u_element(p: int, h: float) -> np.ndarray:
+    ints = _lagrange_integrals(p)
+    return h**2 * np.kron(ints["m1"], ints["m1"])
 
 
-def _mass_v_parts(space: VectorSpace):
-    ints = _lagrange_integrals(space.p)
-    comp = np.kron(ints["gnn"], ints["gee"])
-    element = space.mesh.h**2 * np.block(
-        [[comp, np.zeros_like(comp)], [np.zeros_like(comp), comp]])
-    return (element, space.cell_dofs, space.cell_dofs, np.ones(space.mesh.n_cells),
-            (space.ndof, space.ndof))
+def _mass_v_element(p: int, h: float) -> np.ndarray:
+    comp = np.kron(_lagrange_integrals(p)["gnn"], _lagrange_integrals(p)["gee"])
+    return h**2 * np.block([[comp, np.zeros_like(comp)], [np.zeros_like(comp), comp]])
 
 
-def _div_parts(space_u: ScalarSpace, space_v: VectorSpace):
-    ints = _lagrange_integrals(space_u.p)
-    h = space_u.mesh.h
+def _div_element(p: int, h: float) -> np.ndarray:
+    ints = _lagrange_integrals(p)
     de_x = h * np.einsum("aA,bB->BAab", ints["gdl"], ints["gel"])
     de_y = h * np.einsum("aA,bB->BAba", ints["gel"], ints["gdl"])
-    n_u = (space_u.p + 1) ** 2
-    element = np.concatenate([de_x.reshape(n_u, -1), de_y.reshape(n_u, -1)], axis=1)
-    return (element, space_u.cell_dofs, space_v.cell_dofs, np.ones(space_u.mesh.n_cells),
-            (space_u.ndof, space_v.ndof))
+    return np.concatenate([de_x.reshape((p + 1) ** 2, -1), de_y.reshape((p + 1) ** 2, -1)], axis=1)
 
 
-def _grad_parts(space_u: ScalarSpace, space_v: VectorSpace):
-    ints = _lagrange_integrals(space_u.p)
-    h = space_u.mesh.h
+def _grad_element(p: int, h: float) -> np.ndarray:
+    ints = _lagrange_integrals(p)
     ge_x = h * np.einsum("Aa,Bb->abBA", ints["lg"], ints["le"])
     ge_y = h * np.einsum("Aa,Bb->baBA", ints["le"], ints["lg"])
-    n_u = (space_u.p + 1) ** 2
-    element = np.concatenate([ge_x.reshape(-1, n_u), ge_y.reshape(-1, n_u)], axis=0)
-    return (element, space_v.cell_dofs, space_u.cell_dofs, np.ones(space_u.mesh.n_cells),
-            (space_v.ndof, space_u.ndof))
+    return np.concatenate([ge_x.reshape(-1, (p + 1) ** 2), ge_y.reshape(-1, (p + 1) ** 2)], axis=0)
 
 
 def assemble_weighted_mass_u(space: ScalarSpace, s) -> sparse.csr_matrix:
     """Mass matrix with entries int s(x) phi_i phi_j dx, exact for cellwise s."""
-    return _scatter(*_mass_u_parts(space, _coefficient_cells(space, s)))
+    return _scatter(_mass_u_element(space.p, space.mesh.h), space, space,
+                    _coefficient_cells(space, s))
 
 
 def assemble_mass_v(space: VectorSpace) -> sparse.csr_matrix:
     """RT mass matrix, entries int psi_i . psi_j dx."""
-    return _scatter(*_mass_v_parts(space))
+    return _scatter(_mass_v_element(space.p, space.mesh.h), space, space)
 
 
 def assemble_div_block(space_v: VectorSpace, space_u: ScalarSpace) -> sparse.csr_matrix:
     """Coupling block with entries <div psi_j, phi_i>, shape (dim_u, dim_v)."""
     _same_mesh(space_u, space_v)
-    return _scatter(*_div_parts(space_u, space_v))
+    return _scatter(_div_element(space_u.p, space_u.mesh.h), space_u, space_v)
 
 
 def assemble_grad_block(space_u: ScalarSpace, space_v: VectorSpace) -> sparse.csr_matrix:
     """Coupling block with entries <grad phi_j, psi_i>, shape (dim_v, dim_u)."""
     _same_mesh(space_u, space_v)
-    return _scatter(*_grad_parts(space_u, space_v))
+    return _scatter(_grad_element(space_u.p, space_u.mesh.h), space_v, space_u)
 
 
 def assemble_load(space: ScalarSpace, f, t: float, quad_points: int | None = None) -> np.ndarray:
@@ -182,50 +173,45 @@ def assemble_load(space: ScalarSpace, f, t: float, quad_points: int | None = Non
     return out
 
 
-# the blocks of m0() and coupling(): (name, row space, column space), 0 = u, 1 = v
-_STACKED = {"m0": (("mu0", 0, 0), ("mv", 1, 1)),
-            "coupling": (("mu1", 0, 0), ("b_div", 0, 1), ("b_grad", 1, 0))}
+# the blocks of each stacked matrix: (element matrix, per-cell coefficient or
+# None for weight 1, row space, column space), space 0 = u, 1 = v
+_STACKED = {"m0": ((_mass_u_element, "s0_cells", 0, 0), (_mass_v_element, None, 1, 1)),
+            "m_unweighted": ((_mass_u_element, None, 0, 0), (_mass_v_element, None, 1, 1)),
+            "coupling": ((_mass_u_element, "s1_cells", 0, 0), (_div_element, None, 0, 1),
+                         (_grad_element, None, 1, 0))}
 
 
 @dataclass
 class BlockSystem:
-    """The spatial operators of one problem on one mesh, assembled on demand.
+    """The spatial operators of one problem on one mesh, in one form.
 
-    Each whole block is assembled on first access and then cached under its
-    name: ``mu0`` = Mu(s0), ``mu1`` = Mu(s1), ``mu_unweighted`` = Mu(1),
-    ``mv``, ``b_div`` and ``b_grad``.  ``stencil`` assembles none of them.
+    Each stacked matrix ("m0", "m_unweighted" or "coupling") is given by
+    ``cell_matrices``, its element matrices per kind of cell.  ``stencil``
+    reads cell 0's; ``m0()``, ``m_unweighted()`` and ``coupling()`` scatter
+    them over all cells on first use and cache the result.
     """
 
     space_u: ScalarSpace
     space_v: VectorSpace
     s0_cells: np.ndarray
     s1_cells: np.ndarray
-
-    mu0 = cached_property(lambda self: self._whole("mu0"))
-    mu1 = cached_property(lambda self: self._whole("mu1"))
-    mu_unweighted = cached_property(lambda self: self._whole("mu_unweighted"))
-    mv = cached_property(lambda self: self._whole("mv"))
-    b_div = cached_property(lambda self: self._whole("b_div"))
-    b_grad = cached_property(lambda self: self._whole("b_grad"))
+    _assembled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def ndof(self) -> int:
         return self.space_u.ndof + self.space_v.ndof
 
-    def _parts(self, name: str):
-        su, sv = self.space_u, self.space_v
-        if name == "mv":
-            return _mass_v_parts(sv)
-        if name == "b_div":
-            return _div_parts(su, sv)
-        if name == "b_grad":
-            return _grad_parts(su, sv)
-        cells = {"mu0": self.s0_cells, "mu1": self.s1_cells,
-                 "mu_unweighted": np.ones(su.mesh.n_cells)}[name]
-        return _mass_u_parts(su, cells)
+    @cached_property
+    def _kinds(self) -> tuple[np.ndarray, np.ndarray]:
+        # the first cell of each kind and each cell's kind
+        _, first, kind = np.unique(np.stack([self.s0_cells, self.s1_cells], axis=1), axis=0,
+                                   return_index=True, return_inverse=True)
+        return first, kind.reshape(-1)
 
-    def _whole(self, name: str) -> sparse.csr_matrix:
-        return _scatter(*self._parts(name))
+    @property
+    def n_kinds(self) -> int:
+        """Kinds of cell (equal s0 and s1): 1 if constant, 2 for the checkerboard."""
+        return len(self._kinds[0])
 
     @cached_property
     def _owned(self) -> np.ndarray:
@@ -246,32 +232,35 @@ class BlockSystem:
         su, sv = self.space_u, self.space_v
         return np.concatenate([su.cell_dofs, su.ndof + sv.cell_dofs], axis=1)
 
-    def cell_matrices(self, matrix: str) -> tuple[np.ndarray, np.ndarray]:
-        """The element matrices of ``m0()`` or ``coupling()`` on the local
-        DOFs of ``cell_dofs()``, one per cell kind; nothing is assembled.
-
-        Cells with equal (s0, s1) values are of one kind, so the checkerboard
-        has two kinds and constant coefficients one.  Returns each cell's
-        kind, shape (n^2,), and the kinds' matrices, shape (kinds, n_loc,
-        n_loc); scattering ``matrices[kind[c]]`` at ``cell_dofs()[c]`` over
-        all cells c sums to the whole matrix.
-        """
-        pairs = np.stack([self.s0_cells, self.s1_cells], axis=1)
-        _, first, kind = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
-        start = (0, self.space_u.n_loc)
-        n_loc = self.space_u.n_loc + self.space_v.n_loc
+    def _element_form(self, matrix: str):
+        """``cell_matrices`` and the local (row, column) slots, row-major,
+        that the blocks of ``matrix`` cover: the sparsity of an element."""
+        first, kind = self._kinds
+        n_u = self.space_u.n_loc
+        n_loc = n_u + self.space_v.n_loc
         out = np.zeros((len(first), n_loc, n_loc))
-        for name, row_space, col_space in _STACKED[matrix]:
-            element, _, _, scale, _ = self._parts(name)
-            rows, cols = start[row_space], start[col_space]
-            out[:, rows:rows + element.shape[0], cols:cols + element.shape[1]] \
-                += np.multiply.outer(scale[first], element)
-        return kind.reshape(-1), out
+        covered = np.zeros((n_loc, n_loc), dtype=bool)
+        for element_of, coefficient, row_space, col_space in _STACKED[matrix]:
+            element = element_of(self.space_u.p, self.space_u.mesh.h)
+            scale = getattr(self, coefficient)[first] if coefficient else np.ones(len(first))
+            slots = np.s_[row_space * n_u:row_space * n_u + element.shape[0],
+                          col_space * n_u:col_space * n_u + element.shape[1]]
+            out[:, slots[0], slots[1]] += np.multiply.outer(scale, element)
+            covered[slots] = True
+        return kind, out, np.nonzero(covered)
+
+    def cell_matrices(self, matrix: str) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's kind, shape (n^2,), and the element matrices of
+        ``matrix`` per kind on the local DOFs of ``cell_dofs()``, shape
+        (``n_kinds``, n_loc, n_loc); nothing is assembled.  Scattering
+        ``matrices[kind[c]]`` at ``cell_dofs()[c]`` over all cells c sums to
+        the whole matrix."""
+        return self._element_form(matrix)[:2]
 
     def stencil(self, matrix: str) -> tuple[np.ndarray, np.ndarray]:
-        """The cell-offset blocks of ``m0()`` or ``coupling()`` (``matrix`` =
-        "m0" or "coupling") for constant coefficients, from cell 0's element
-        matrices; nothing is assembled or cached.
+        """The cell-offset blocks of ``matrix`` for constant coefficients, from
+        cell 0's element matrix; nothing is assembled or cached.  Raises a
+        ``ValueError`` for more than one kind of cell.
 
         Every cell adds cell 0's element entries, translated, so the DOFs
         that cell 0 owns couple to those that cell d = j n + i owns through
@@ -281,39 +270,47 @@ class BlockSystem:
         row-major blocks in the order of ``owned_dofs()``, shape
         (len(d), (3p^2)^2).
         """
+        if self.n_kinds > 1:
+            raise ValueError(f"the stencil needs constant coefficients; these blocks "
+                             f"have {self.n_kinds} kinds of cell")
         n = self.space_u.mesh.n
         owned = self.owned_dofs()
         n_own = owned.shape[1]
         slot = np.empty(self.ndof, dtype=np.int64)      # stacked DOF -> cell-major slot
         slot[owned.ravel()] = np.arange(self.ndof)
         cell, local = np.divmod(slot, n_own)
-        shift = (0, self.space_u.ndof)
-        offsets, indices, values = [], [], []
-        for name, row_space, col_space in _STACKED[matrix]:
-            element, row_dofs, col_dofs, scale, _ = self._parts(name)
-            rows = shift[row_space] + row_dofs[0][:, None]
-            cols = shift[col_space] + col_dofs[0][None, :]
-            row_cell, col_cell = cell[rows], cell[cols]
-            offsets.append(((col_cell // n - row_cell // n) % n * n
-                            + (col_cell - row_cell) % n).ravel())
-            indices.append((local[rows] * n_own + local[cols]).ravel())
-            values.append((scale[0] * element).ravel())
-        offsets, which = np.unique(np.concatenate(offsets), return_inverse=True)
+        _, matrices, slots = self._element_form(matrix)
+        rows, cols = self.cell_dofs()[0][np.array(slots)]
+        offsets, which = np.unique((cell[cols] // n - cell[rows] // n) % n * n
+                                   + (cell[cols] - cell[rows]) % n, return_inverse=True)
         blocks = np.zeros((len(offsets), n_own * n_own))
-        np.add.at(blocks, (which, np.concatenate(indices)), np.concatenate(values))
+        np.add.at(blocks, (which, local[rows] * n_own + local[cols]), matrices[0][slots])
         return offsets, blocks
+
+    def _assemble(self, matrix: str) -> sparse.csr_matrix:
+        """``matrix`` scattered over all cells on the slots its blocks cover,
+        the entries gathered per kind before they are expanded to cells."""
+        kind, matrices, (rows, cols) = self._element_form(matrix)
+        dofs = self.cell_dofs()
+        return _csr(matrices[:, rows, cols][kind].ravel(), dofs[:, rows].ravel(),
+                    dofs[:, cols].ravel(), (self.ndof, self.ndof))
+
+    def _matrix(self, matrix: str) -> sparse.csr_matrix:
+        if matrix not in self._assembled:
+            self._assembled[matrix] = self._assemble(matrix)
+        return self._assembled[matrix]
 
     def m0(self) -> sparse.csr_matrix:
         """blockdiag(Mu(s0), Mv)."""
-        return sparse.block_diag([self.mu0, self.mv], format="csr")
+        return self._matrix("m0")
 
     def m_unweighted(self) -> sparse.csr_matrix:
         """blockdiag(Mu(1), Mv): the plain L^2 Gram matrix of (u, v)."""
-        return sparse.block_diag([self.mu_unweighted, self.mv], format="csr")
+        return self._matrix("m_unweighted")
 
     def coupling(self) -> sparse.csr_matrix:
         """[[Mu(s1), B_div], [B_grad, 0]]."""
-        return sparse.bmat([[self.mu1, self.b_div], [self.b_grad, None]], format="csr")
+        return self._matrix("coupling")
 
 
 def build_block_system(space_u: ScalarSpace, space_v: VectorSpace,

@@ -269,23 +269,16 @@ def compare_to_exact(sol: DiscreteSolution, exact_u, exact_v,
                            compensated, meta={"n": mesh.n, "rho": rho, "tau": sol.tau})
 
 
-def e_sup_discrete(diff: DiscreteSolution, mu0, mv) -> float:
-    """E_sup of a discrete space-time function given through its coefficients."""
-    samples = []
-    nu = diff.ndof_u
-    for t, side, _ in _sample_times(diff):
-        c = diff.coefficients_at(t, side)
-        samples.append(c[:nu] @ (mu0 @ c[:nu]) + c[nu:] @ (mv @ c[nu:]))
-    return e_sup_from_samples(samples)
+def e_sup_discrete(diff: DiscreteSolution, m0) -> float:
+    """E_sup of a discrete space-time function given through its coefficients,
+    in the norm of the stacked weight ``m0`` (``BlockSystem.m0()``)."""
+    states = (diff.coefficients_at(t, side) for t, side, _ in _sample_times(diff))
+    return e_sup_from_samples(c @ (m0 @ c) for c in states)
 
 
-def e_q_discrete(diff: DiscreteSolution, mu_unweighted, mv,
-                 compensated: bool = True) -> float:
-    """E_Q of a discrete space-time function; equals its scheme-induced norm."""
-    nu = diff.ndof_u
-    terms = np.zeros(diff.n_slabs)
-    for m in range(diff.n_slabs):
-        for i, w in enumerate(diff.basis.weights):
-            c = diff.coeffs[m, i]
-            terms[m] += w * (c[:nu] @ (mu_unweighted @ c[:nu]) + c[nu:] @ (mv @ c[nu:]))
+def e_q_discrete(diff: DiscreteSolution, m_unweighted, compensated: bool = True) -> float:
+    """E_Q of a discrete space-time function; equals its scheme-induced norm.
+    ``m_unweighted`` is the stacked L^2 Gram matrix (``BlockSystem.m_unweighted()``)."""
+    terms = [np.einsum("ij,ji->i", c, m_unweighted @ c.T) @ diff.basis.weights
+             for c in diff.coeffs]
     return e_q_from_slab_terms(terms, diff.rho, diff.tau, compensated)

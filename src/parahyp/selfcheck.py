@@ -83,7 +83,7 @@ def check_stability(seed=0):
     mesh = build_mesh(n)
     su, sv = ScalarSpace(mesh, p), VectorSpace(mesh, p)
     blocks = build_block_system(su, sv, prob.s0, prob.s1)
-    mu, mv = blocks.mu_unweighted, blocks.mv
+    gram = blocks.m_unweighted()
     worst = 0.0
     n_slabs = int(round(prob.T / tau))
     for _ in range(3):
@@ -92,7 +92,7 @@ def check_stability(seed=0):
                   blocks=blocks)
         f_sol = sol.__class__(space_u=su, space_v=sv, basis=sol.basis,
                               coeffs=forcing, rho=prob.rho, meta=sol.meta)
-        ratio = e_q_discrete(sol, mu, mv) / e_q_discrete(f_sol, mu, mv)
+        ratio = e_q_discrete(sol, gram) / e_q_discrete(f_sol, gram)
         worst = max(worst, ratio)
     return ("solution-operator norm bound", worst <= 1.1,
             f"max E_Q(U)/E_Q(F) = {worst:.3f} (bound 1.1)")

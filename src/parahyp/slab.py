@@ -30,9 +30,10 @@ are built once, each slab is two small batched matvecs per row, and only
 the stored coefficients are transformed back.  For other coefficients or
 loads each row first condenses out the DOFs that lie inside one cell,
 through small dense solves per kind of cell, and gets one sparse LU of the
-remaining skeleton system; the slabs are solved on stacked coefficient
-vectors (``_SpluSteps``).  A direct LU of the full block system is the
-fallback when the temporal eigenbasis fails its conditioning check.
+remaining skeleton system (``_SpluSteps``).  Both paths read the operators
+as element matrices per kind of cell and assemble no global matrix.  A
+direct LU of the full block system is the fallback when the temporal
+eigenbasis fails its conditioning check.
 """
 
 from __future__ import annotations
@@ -204,9 +205,9 @@ class _SpluSteps:
     where g and A_BI g come from one GEMM per kind and P sums the cells' B
     slots onto the skeleton.  The right-hand sides are permuted, skeleton
     first, then the interiors cell by cell with the cells sorted by kind, so
-    f_S, f_I and x_I are views, and the solutions are permuted back.  C is
-    never assembled; M0 is, for the jump flux.  For p = 1 no slot is
-    interior and S_r = A_r.
+    f_S, f_I and x_I are views, and the solutions are permuted back.  M0 p
+    is formed per cell too (``jump``): no global matrix is assembled.  For
+    p = 1 no slot is interior and S_r = A_r.
     """
 
     def __init__(self, blocks: BlockSystem, eig: _Eigenbasis):
@@ -237,6 +238,10 @@ class _SpluSteps:
                                        shape=(n_s, n_cells * (n_i + n_b)))
         rows = np.repeat(self._cell_skeleton, n_b, axis=1).ravel()
         cols = np.tile(self._cell_skeleton, (1, n_b)).ravel()
+        # M0 per kind on the local slots in [interior, boundary] order, as right factor
+        local = np.concatenate([inner, outer])
+        self._jump_dofs = cell_dofs[:, local]
+        self._m0 = m0_cells[:, local[:, None], local].transpose(0, 2, 1)
         self._rows = []
         for r, lam in enumerate(eig.lam):
             real = lam.imag == 0
@@ -252,7 +257,6 @@ class _SpluSteps:
             vinv, beta = (eig.vinv[r].real, eig.beta[r].real) if real \
                 else (eig.vinv[r], eig.beta[r])
             self._rows.append((vinv, beta, lu, left, w.transpose(0, 2, 1)))
-        self.m0 = blocks.m0()
 
     def initial_state(self, x0: np.ndarray) -> np.ndarray:
         return x0
@@ -273,9 +277,18 @@ class _SpluSteps:
         np.subtract(g[:, :n_i], x_i, out=x_i)
         return x
 
+    def jump(self, prev: np.ndarray) -> np.ndarray:
+        """M0 prev, permuted, per cell: an interior row has its own cell's
+        term alone, P sums the boundary rows onto the skeleton."""
+        x = np.take(prev, self._jump_dofs)
+        y = np.empty_like(x)
+        for k, cells in enumerate(self._kinds):
+            np.matmul(x[cells], self._m0[k], out=y[cells])
+        return np.concatenate([self._fold @ y.ravel(), y[:, :self._shape[1]].ravel()])
+
     def step(self, prev: np.ndarray, loads, m: int, out: np.ndarray) -> np.ndarray:
         load = np.take(loads(m), self._perm, axis=1)
-        jump = np.take(self.m0 @ prev, self._perm)
+        jump = self.jump(prev)
         y = np.empty((len(self._rows), len(prev)), dtype=complex)
         for r, (vinv, beta, *factors) in enumerate(self._rows):
             y[r] = self._solve(*factors, vinv @ load + beta * jump)
@@ -431,8 +444,7 @@ def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, method: str, load
             raise
         return _DirectFactorisation(blocks, basis), {"solver": "direct",
                                                      "solver_fallback": str(err)}
-    if loads.spatial is not None and np.all(blocks.s0_cells == blocks.s0_cells[0]) \
-            and np.all(blocks.s1_cells == blocks.s1_cells[0]):
+    if loads.spatial is not None and blocks.n_kinds == 1:
         return _BlochFibres(blocks, eig, loads.spatial), {
             "solver": "decoupled", "spatial_solver": "bloch", **eig.meta}
     fact = _SpluSteps(blocks, eig)
@@ -445,6 +457,12 @@ def solve_slab(factorisation, state, loads, m: int, out: np.ndarray):
     (q+1, ndof), into ``out`` and returns the state the next slab couples
     to (the right trace, in the factorisation's own representation)."""
     return factorisation.step(state, loads, m, out)
+
+
+def slab_count(T: float, tau: float) -> int | None:
+    """T / tau if T is a positive integer multiple of tau (to 1e-9 relative), else None."""
+    n_slabs = int(round(T / tau))
+    return n_slabs if n_slabs >= 1 and abs(n_slabs * tau - T) <= 1e-9 * max(T, 1.0) else None
 
 
 @dataclass
@@ -600,14 +618,13 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     ``blocks`` (from ``build_block_system``) shares one set of operator
     blocks between runs; a ``ValueError`` is raised before factorising when
     its mesh size, degree or coefficient cell values differ from ``n``,
-    ``p`` and the problem's.  Whole blocks are assembled on first use: the
-    ``bloch`` path assembles none, the ``splu`` path the ones of M0 once
-    (C only as element matrices), the ``direct`` path those of M0 and C
-    once, and ``discrete_forcing`` the unweighted mass.
+    ``p`` and the problem's.  Both decoupled paths read the operators as
+    element matrices per kind of cell and assemble no global matrix; the
+    ``direct`` path assembles M0 and C once, ``discrete_forcing`` the
+    unweighted mass.
     """
     T = problem.T
-    n_slabs = int(round(T / tau))
-    if abs(n_slabs * tau - T) > 1e-9 * max(T, 1.0) or n_slabs < 1:
+    if (n_slabs := slab_count(T, tau)) is None:
         raise ValueError(f"final time {T} is not an integer multiple of tau={tau}")
     if blocks is None:
         mesh = build_mesh(n)

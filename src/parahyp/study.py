@@ -17,8 +17,8 @@ import numpy as np
 
 from . import coefficients as coeff
 from .errors import ErrorTable, compare_solutions
-from .slab import (SOLVERS, DiscreteSolution, atomic_open, load_solution, run,
-                   save_solution)
+from .slab import (DiscreteSolution, atomic_open, load_solution, run, save_solution,
+                   slab_count)
 from .spaces import eval_scalar
 
 # 'auto' and 'always' behave alike; both stay accepted for existing configs
@@ -35,7 +35,6 @@ class StudyConfig:
     q: int = 1
     rho: float = 1.0
     T: float = 1.5
-    solver: str = "auto"
     seed: int = 0
     ref_p: int = 3
     ref_q: int = 1
@@ -64,8 +63,6 @@ class StudyConfig:
         if self.checkpoint not in _CHECKPOINT_MODES:
             raise ValueError(f"checkpoint must be one of {_CHECKPOINT_MODES}, "
                              f"got {self.checkpoint!r}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         h_finest = 2 * max(self.n_list)
         ref_n = self.reference_space_cells
         if ref_n < 2 * h_finest:
@@ -88,9 +85,7 @@ class StudyConfig:
                                  f"study slab length 1/{2 * N}")
         for N in self.n_list:
             # the test of slab.run, so that a study never fails at its first solve
-            tau = 1.0 / (2 * N)
-            slabs = round(self.T / tau)
-            if abs(slabs * tau - self.T) > 1e-9 * max(self.T, 1.0) or slabs < 1:
+            if slab_count(self.T, 1.0 / (2 * N)) is None:
                 raise ValueError(f"T={self.T!r} is not an integer multiple of the study "
                                  f"slab length 1/{2 * N} for N={N}")
 
@@ -137,8 +132,7 @@ def _parse_list(parse_item):
 _SCHEMA = {
     "study": {"n_list": ("n_list", _parse_list(_parse_int)), "p": ("p", _parse_int),
               "q": ("q", _parse_int), "rho": ("rho", _parse_float),
-              "t": ("T", _parse_float), "solver": ("solver", _parse_str),
-              "seed": ("seed", _parse_int)},
+              "t": ("T", _parse_float), "seed": ("seed", _parse_int)},
     "reference": {"p": ("ref_p", _parse_int), "q": ("ref_q", _parse_int),
                   "space_cells": ("ref_space_cells", _parse_int),
                   "time_cells": ("ref_time_cells", _parse_int),
@@ -196,8 +190,7 @@ def _study_solve(kind: str, N: int | None, config: StudyConfig) -> DiscreteSolut
     """One problem at the study resolution h = tau = 1/(2N), the averaged
     problem at the finest study N."""
     n = 2 * (N if kind == "rough" else max(config.n_list))
-    return run(_study_problem(kind, N, config), n=n, p=config.p, q=config.q,
-               tau=1.0 / n, solver=config.solver)
+    return run(_study_problem(kind, N, config), n=n, p=config.p, q=config.q, tau=1.0 / n)
 
 
 def _reference_path(kind: str, N: int | None, config: StudyConfig) -> str:
@@ -235,8 +228,7 @@ def solve_reference(kind: str, N: int | None, config: StudyConfig,
         return sol
     problem = _study_problem(kind, N, config)
     t0 = time.perf_counter()
-    sol = run(problem, n=n_ref, p=config.ref_p, q=config.ref_q, tau=tau_ref,
-              solver=config.solver)
+    sol = run(problem, n=n_ref, p=config.ref_p, q=config.ref_q, tau=tau_ref)
     sol.meta.update(identity)
     log(f"[reference {kind}{'' if N is None else f' N={N}'}] solved "
         f"n={n_ref} p={config.ref_p} slabs={m_ref} solver={_solver_path(sol)} "

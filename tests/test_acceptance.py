@@ -189,8 +189,8 @@ def test_criterion_8_stability_bound():
                   blocks=blocks)
         f_traj = DiscreteSolution(space_u=su, space_v=sv, basis=sol.basis,
                                   coeffs=forcing, rho=prob.rho, meta=sol.meta)
-        ratio = (e_q_discrete(sol, blocks.mu_unweighted, blocks.mv)
-                 / e_q_discrete(f_traj, blocks.mu_unweighted, blocks.mv))
+        ratio = (e_q_discrete(sol, blocks.m_unweighted())
+                 / e_q_discrete(f_traj, blocks.m_unweighted()))
         worst = max(worst, ratio)
     report(8, worst <= 1.1,
            f"max E_Q(U)/E_Q(F) over 10 random discrete loads = {worst:.3f} "

@@ -17,6 +17,26 @@ def rng():
     return np.random.default_rng(99)
 
 
+def reference_matrices(su, sv, s0, s1):
+    """The stacked matrices stitched from the separately assembled blocks."""
+    mass_v = assemble_mass_v(sv)
+    return {"m0": sparse.block_diag([assemble_weighted_mass_u(su, s0), mass_v], format="csr"),
+            "m_unweighted": sparse.block_diag([assemble_weighted_mass_u(su, 1.0), mass_v],
+                                              format="csr"),
+            "coupling": sparse.bmat([[assemble_weighted_mass_u(su, s1),
+                                      assemble_div_block(sv, su)],
+                                     [assemble_grad_block(su, sv), None]], format="csr")}
+
+
+def assert_same_csr(a, b):
+    """Equal sparsity structure, explicit zeros included, and equal entries."""
+    a, b = a.tocsr(), b.tocsr()
+    a.sort_indices()
+    b.sort_indices()
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
 class TestWeightedMass:
     def test_single_cell_p1(self):
         space = ScalarSpace(build_mesh(1), 1)
@@ -168,11 +188,12 @@ class TestBlockSystemAndDump:
         su, sv = ScalarSpace(mesh, 2), VectorSpace(mesh, 2)
         blocks = build_block_system(su, sv, co.checkerboard(2),
                                     co.checkerboard_complement(2))
-        assert blocks.mu0.shape == (su.ndof, su.ndof)
-        assert blocks.b_div.shape == (su.ndof, sv.ndof)
-        assert blocks.b_grad.shape == (sv.ndof, su.ndof)
-        assert blocks.m0().shape == (blocks.ndof, blocks.ndof)
-        assert blocks.coupling().shape == (blocks.ndof, blocks.ndof)
+        assert blocks.ndof == su.ndof + sv.ndof
+        for name in ("m0", "m_unweighted", "coupling"):
+            assert getattr(blocks, name)().shape == (blocks.ndof, blocks.ndof)
+            kind, matrices = blocks.cell_matrices(name)
+            assert kind.shape == (16,)
+            assert matrices.shape == (2, su.n_loc + sv.n_loc, su.n_loc + sv.n_loc)
 
     def test_mu0_singular_with_vanishing_s0(self):
         mesh = build_mesh(4)
@@ -201,8 +222,8 @@ class TestBlockSystemAndDump:
                 owned = blocks.owned_dofs()
                 n_own = owned.shape[1]
                 stencils = {name: blocks.stencil(name) for name in ("m0", "coupling")}
-                # the stencil assembles no whole block
-                assert not {"mu0", "mu1", "mv", "b_div", "b_grad"} & vars(blocks).keys()
+                # the stencil assembles no whole matrix
+                assert not blocks._assembled
                 for name, whole in [("m0", blocks.m0()), ("coupling", blocks.coupling())]:
                     offsets, parts = stencils[name]
                     assert np.array_equal(offsets, np.unique(offsets))
@@ -225,7 +246,8 @@ class TestBlockSystemAndDump:
                 cell_dofs = blocks.cell_dofs()
                 n_loc = (p + 1) ** 2 + 2 * p * (p + 1)
                 assert cell_dofs.shape == (n * n, n_loc)
-                for name, whole in [("m0", blocks.m0()), ("coupling", blocks.coupling())]:
+                assert blocks.n_kinds == kinds
+                for name, whole in reference_matrices(su, sv, s0, s1).items():
                     kind, matrices = blocks.cell_matrices(name)
                     assert matrices.shape == (kinds, n_loc, n_loc)
                     assert kind.shape == (n * n,)
@@ -237,19 +259,32 @@ class TestBlockSystemAndDump:
                     assert abs(scattered - expected).max() <= 1e-15 * abs(expected).max()
 
     def test_blocks_assembled_on_first_use_and_cached(self):
+        # one scatter of the kinds' element matrices gives the blocks stitched
+        # from the assemble_* functions: the same structure, explicit zeros
+        # included, and the same entries
+        for n, p in [(n, p) for n in (1, 2, 4) for p in (1, 2, 3)]:
+            mesh = build_mesh(n)
+            su, sv = ScalarSpace(mesh, p), VectorSpace(mesh, p)
+            cases = [(0.8, 0.3)]
+            if n % 2 == 0:
+                cases.append((co.checkerboard(2), co.checkerboard_complement(2)))
+            for s0, s1 in cases:
+                blocks = build_block_system(su, sv, s0, s1)
+                for name, expected in reference_matrices(su, sv, s0, s1).items():
+                    assert name not in blocks._assembled
+                    whole = getattr(blocks, name)()
+                    assert getattr(blocks, name)() is whole
+                    assert_same_csr(whole, expected)
+
+    def test_stencil_needs_one_kind_of_cell(self):
         mesh = build_mesh(4)
         su, sv = ScalarSpace(mesh, 2), VectorSpace(mesh, 2)
-        s0, s1 = co.checkerboard(2), co.checkerboard_complement(2)
-        blocks = build_block_system(su, sv, s0, s1)
-        for name, eager in [("mu0", assemble_weighted_mass_u(su, s0)),
-                            ("mu1", assemble_weighted_mass_u(su, s1)),
-                            ("mu_unweighted", assemble_weighted_mass_u(su, 1.0)),
-                            ("mv", assemble_mass_v(sv)),
-                            ("b_div", assemble_div_block(sv, su)),
-                            ("b_grad", assemble_grad_block(su, sv))]:
-            assert name not in vars(blocks)
-            assert getattr(blocks, name) is getattr(blocks, name)
-            assert abs(getattr(blocks, name) - eager).max() == 0.0
+        blocks = build_block_system(su, sv, co.checkerboard(2), co.checkerboard_complement(2))
+        assert blocks.n_kinds == 2
+        for name in ("m0", "coupling"):
+            with pytest.raises(ValueError, match="2 kinds of cell"):
+                blocks.stencil(name)
+        assert build_block_system(su, sv, 0.5, 0.5).n_kinds == 1
 
     def test_integrals_and_owned_dofs_built_once_and_read_only(self):
         mesh = build_mesh(3)

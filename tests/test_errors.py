@@ -72,8 +72,8 @@ class TestDiscreteFunctionals:
         diff = with_coeffs(sol, np.zeros_like(sol.coeffs))
         blocks = build_block_system(sol.space_u, sol.space_v,
                                     co.checkerboard(2), co.checkerboard_complement(2))
-        assert e_sup_discrete(diff, blocks.mu0, blocks.mv) == 0.0
-        assert e_q_discrete(diff, blocks.mu_unweighted, blocks.mv) == 0.0
+        assert e_sup_discrete(diff, blocks.m0()) == 0.0
+        assert e_q_discrete(diff, blocks.m_unweighted()) == 0.0
 
     def test_e_q_matches_direct_summation_oracle(self, rng):
         sol = small_solution()
@@ -81,15 +81,14 @@ class TestDiscreteFunctionals:
         diff = with_coeffs(sol, coeffs)
         blocks = build_block_system(sol.space_u, sol.space_v,
                                     co.checkerboard(2), co.checkerboard_complement(2))
-        got = e_q_discrete(diff, blocks.mu_unweighted, blocks.mv)
+        got = e_q_discrete(diff, blocks.m_unweighted())
         # independent direct summation of the defining formula
-        nu = sol.ndof_u
         T = sol.T
         total = 0.0
         for m in range(sol.n_slabs):
             for i, w in enumerate(sol.basis.weights):
                 c = coeffs[m, i]
-                form = c[:nu] @ (blocks.mu_unweighted @ c[:nu]) + c[nu:] @ (blocks.mv @ c[nu:])
+                form = c @ (blocks.m_unweighted() @ c)
                 total += np.exp(2 * sol.rho * T) * np.exp(-2 * sol.rho * m * sol.tau) * w * form
         assert got == pytest.approx(np.sqrt(total), rel=1e-13)
 
@@ -101,10 +100,10 @@ class TestDiscreteFunctionals:
         one = with_coeffs(sol, coeffs)
         lam = -3.7
         scaled = with_coeffs(sol, lam * coeffs)
-        assert e_q_discrete(scaled, blocks.mu_unweighted, blocks.mv) == pytest.approx(
-            abs(lam) * e_q_discrete(one, blocks.mu_unweighted, blocks.mv), rel=1e-13)
-        assert e_sup_discrete(scaled, blocks.mu0, blocks.mv) == pytest.approx(
-            abs(lam) * e_sup_discrete(one, blocks.mu0, blocks.mv), rel=1e-13)
+        assert e_q_discrete(scaled, blocks.m_unweighted()) == pytest.approx(
+            abs(lam) * e_q_discrete(one, blocks.m_unweighted()), rel=1e-13)
+        assert e_sup_discrete(scaled, blocks.m0()) == pytest.approx(
+            abs(lam) * e_sup_discrete(one, blocks.m0()), rel=1e-13)
 
     def test_triangle_inequality(self, rng):
         sol = small_solution()
@@ -113,9 +112,9 @@ class TestDiscreteFunctionals:
         for _ in range(5):
             a = rng.standard_normal(sol.coeffs.shape)
             b = rng.standard_normal(sol.coeffs.shape)
-            qa = e_q_discrete(with_coeffs(sol, a), blocks.mu_unweighted, blocks.mv)
-            qb = e_q_discrete(with_coeffs(sol, b), blocks.mu_unweighted, blocks.mv)
-            qab = e_q_discrete(with_coeffs(sol, a + b), blocks.mu_unweighted, blocks.mv)
+            qa = e_q_discrete(with_coeffs(sol, a), blocks.m_unweighted())
+            qb = e_q_discrete(with_coeffs(sol, b), blocks.m_unweighted())
+            qab = e_q_discrete(with_coeffs(sol, a + b), blocks.m_unweighted())
             assert qab <= qa + qb + 1e-12
 
     def test_m0_weighting_kills_u_on_heat_cells(self, rng):
@@ -132,12 +131,12 @@ class TestDiscreteFunctionals:
         # cell (1,0) is white (s0=0); its four Q1 nodes are shared with black
         # neighbours, so instead verify via the quadratic form directly:
         u = rng.standard_normal(su.ndof)
-        form_s0 = u @ (blocks.mu0 @ u)
-        form_id = u @ (blocks.mu_unweighted @ u)
+        form_s0 = u @ (blocks.m0()[:su.ndof, :su.ndof] @ u)
+        form_id = u @ (blocks.m_unweighted()[:su.ndof, :su.ndof] @ u)
         assert form_s0 < form_id  # the weighting removes the white-cell mass
         zero_u = np.zeros(su.ndof)
         coeffs[:, :, : su.ndof] = zero_u
-        assert e_sup_discrete(with_coeffs(sol, coeffs), blocks.mu0, blocks.mv) == 0.0
+        assert e_sup_discrete(with_coeffs(sol, coeffs), blocks.m0()) == 0.0
 
 
 class TestCellGridEvaluator:

@@ -327,6 +327,26 @@ class TestRunBehaviour:
             assert steps.skeleton_dofs == n * n * (3 * p * p - (p - 1) ** 2 - 2 * p * (p - 1))
             assert steps.skeleton_dofs == blocks.ndof - interior.size
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_cell_jump_flux_matches_assembled_m0(self, n):
+        # M0 p formed per cell, in the permuted layout, against the assembled M0
+        rng = np.random.default_rng(n)
+        mesh = build_mesh(n)
+        eig = slab._temporal_eigenbasis(SlabBasis(2, 1.0, 1 / 4))
+        for p in (1, 2, 3):
+            su, sv = ScalarSpace(mesh, p), VectorSpace(mesh, p)
+            cases = [(0.8, 0.3)]
+            if n % 2 == 0:
+                cases.append((co.checkerboard(2), co.checkerboard_complement(2)))
+            for s0, s1 in cases:
+                blocks = build_block_system(su, sv, s0, s1)
+                steps = slab._SpluSteps(blocks, eig)
+                assert not blocks._assembled
+                prev = rng.standard_normal(blocks.ndof)
+                expected = np.take(blocks.m0() @ prev, steps._perm)
+                got = steps.jump(prev)
+                assert abs(got - expected).max() <= 1e-15 * abs(expected).max()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_fibre_loop_with_discrete_forcing(self, n):
         # constant coefficients with a discrete forcing take the sparse-LU rows
@@ -372,23 +392,23 @@ class TestRunBehaviour:
             assert sol.meta["spatial_solver"] == "bloch"
             assert calls == {"m0": 0, "coupling": 0}
         elif problem == "rough":
-            # the condensed sparse-LU rows read C from the element matrices,
-            # M0 is assembled for the jump flux
+            # the condensed sparse-LU rows read C and the jump flux's M0 from
+            # the element matrices
             assert sol.meta["spatial_solver"] == "splu"
-            assert calls == {"m0": 1, "coupling": 0}
+            assert calls == {"m0": 0, "coupling": 0}
         else:
             assert calls == {"m0": 1, "coupling": 1}
 
-    @pytest.mark.parametrize("case", ["hom", "rough", "forcing"])
+    @pytest.mark.parametrize("case", ["hom", "rough", "forcing", "direct"])
     def test_whole_blocks_assembled_once_and_only_when_used(self, monkeypatch, case):
         built = {}
-        whole = BlockSystem._whole
+        assemble = BlockSystem._assemble
 
         def counted(self, name):
             built[name] = built.get(name, 0) + 1
-            return whole(self, name)
+            return assemble(self, name)
 
-        monkeypatch.setattr(BlockSystem, "_whole", counted)
+        monkeypatch.setattr(BlockSystem, "_assemble", counted)
         prob = co.rough_problem(2, T=0.75) if case == "rough" \
             else co.homogenised_problem(T=0.75)
         mesh = build_mesh(4)
@@ -396,12 +416,12 @@ class TestRunBehaviour:
         if case == "forcing":
             ndof = ScalarSpace(mesh, 2).ndof + VectorSpace(mesh, 2).ndof
             forcing = np.random.default_rng(4).standard_normal((3, 3, ndof))
-        sol = run(prob, n=4, p=2, q=2, tau=1 / 4, discrete_forcing=forcing)
-        expected = {"hom": {},
-                    "rough": {"mu0": 1, "mv": 1},
-                    "forcing": {"mu_unweighted": 1, "mu0": 1, "mv": 1}}[case]
+        sol = run(prob, n=4, p=2, q=2, tau=1 / 4, discrete_forcing=forcing,
+                  solver="direct" if case == "direct" else "auto")
+        expected = {"hom": {}, "rough": {}, "forcing": {"m_unweighted": 1},
+                    "direct": {"m0": 1, "coupling": 1}}[case]
         assert built == expected
-        assert sol.meta["spatial_solver"] == ("bloch" if case == "hom" else "splu")
+        assert sol.meta.get("spatial_solver") == {"hom": "bloch", "direct": None}.get(case, "splu")
 
     @pytest.mark.parametrize("case", ["n", "p", "hom", "s1"])
     def test_blocks_must_fit_the_run(self, monkeypatch, case):

@@ -162,7 +162,7 @@ def assemble_load(space: ScalarSpace, f, t: float, quad_points: int | None = Non
     rule = gauss_legendre_1d(quad_points or (space.p + 1))
     xi, eta = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
     w2 = np.outer(rule.weights, rule.weights).ravel()
-    basis, _, _ = space.basis_tables(xi.ravel(), eta.ravel())   # (Q^2, n_loc)
+    basis, = space.basis_values(xi.ravel(), eta.ravel())        # (Q^2, n_loc)
     px, py = cell_quadrature_points(space.mesh, rule.nodes)     # cells in dof order
     fvals = np.asarray(f(t, px, py), dtype=float)
     if fvals.shape != px.shape:

@@ -159,8 +159,8 @@ class _CellGridEvaluator:
         shape = (r, r, len(points_1d), len(points_1d))
         px = np.broadcast_to(xi[None, :, :, None], shape).ravel()
         py = np.broadcast_to(xi[:, None, None, :], shape).ravel()
-        vals, _, _ = sol.space_u.basis_tables(px, py)
-        vx, vy, _ = sol.space_v.basis_tables(px, py)
+        vals, = sol.space_u.basis_values(px, py)
+        vx, vy = sol.space_v.basis_values(px, py)
         # (r, n_loc, r G^2) and (r, n_loc, r G^2 2): one table per row offset oj
         self.tab_u = np.ascontiguousarray(vals.reshape(r, -1, vals.shape[1]).swapaxes(1, 2))
         self.tab_v = np.ascontiguousarray(

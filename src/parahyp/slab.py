@@ -300,13 +300,18 @@ def _symbol_terms(blocks: BlockSystem, matrix: str) -> tuple[np.ndarray, np.ndar
     """The fibre symbols of ``m0()`` or ``coupling()`` for constant
     coefficients as a product: row k of ``phases @ offset_blocks`` is the
     row-major 3p^2 x 3p^2 symbol of fibre k = ky n + kx, at theta =
-    2 pi (kx, ky) / n, in the order of ``blocks.owned_dofs()``."""
+    2 pi (kx, ky) / n, in the order of ``blocks.owned_dofs()``.  The
+    phases of a self-conjugate fibre (theta_x, theta_y in {0, pi}) are
+    exactly +-1, so its symbol is real."""
     n = blocks.space_u.mesh.n
     theta = 2.0 * np.pi * np.arange(n) / n
     # cell d = j n + i sits at (i, j)
     offsets, offset_blocks = blocks.stencil(matrix)
     phases = np.exp(1j * (theta[:, None, None] * (offsets // n)
                           + theta[None, :, None] * (offsets % n)))
+    zero_or_pi = 2 * np.arange(n) % n == 0
+    real = np.ix_(zero_or_pi, zero_or_pi)
+    phases[real] = phases[real].real
     return phases.reshape(n * n, -1), offset_blocks
 
 
@@ -316,10 +321,9 @@ class _BlochFibres:
     Both spaces own 3p^2 DOFs per cell and wrap modulo n, so with constant
     coefficients M0 and C are block-circulant in cell-major order: cell
     offset d couples through one 3p^2 x 3p^2 block.  The 2-D DFT over the
-    cell grid (``fft2`` of the cell-major gather) splits them into n^2 dense
-    fibre symbols, read from cell 0's element matrices (``_symbol_terms``),
-    so this path builds no global matrix.  A fibre holds p^2 u-unknowns,
-    then 2p^2 flux unknowns v:
+    cell grid splits them into n^2 dense fibre symbols, read from cell 0's
+    element matrices (``_symbol_terms``), so this path builds no global
+    matrix.  A fibre holds p^2 u-unknowns, then 2p^2 flux unknowns v:
 
         M0^ = [[M_u, 0], [0, M_v]],   C^ = [[C_uu, C_uv], [C_vu, 0]],
 
@@ -341,7 +345,18 @@ class _BlochFibres:
 
     The factorisation stores X_i and K (5p^4 numbers per fibre for one
     eigenvalue, against 9p^4 for a dense G_i) and H_i = A_i^-1 L^ for the
-    separable source's spatial load L, transformed once.  Slab m is then
+    separable source's spatial load L, transformed once.  The operators and
+    L are real, so every symbol at -theta is the conjugate of the one at
+    theta.  The symbols and K are formed on the half zone f <= flip(f) only,
+    with K(-theta) = conj K(theta), and, writing Y(mu) = S(mu)^-1
+    [M_u, -C_uv / mu] and H(mu) for the operators with mu in place of lam_i,
+
+        X_i(-theta) = beta_i conj Y(conj lam_i)(theta),
+        H_i(-theta) = conj H(conj lam_i)(theta):
+
+    two inversions of S per kept fibre and row, one for a real lam_i or a
+    self-conjugate fibre.  X and K stay stored for every fibre, as the
+    step's batched matmuls read them per fibre.  Slab m is then
 
         y^_i = alpha_i H_i + G_i p^,   alpha_i = V^-1[i] f(t_nodes of m),
 
@@ -349,8 +364,9 @@ class _BlochFibres:
     right trace in fibre space: the time-basis change commutes with the
     FFT.  The next p^ is formed in fibre space too, since a conjugate
     partner's fibre at theta is conj(y^(-theta)), an index flip.  Only the
-    stored coefficients need an ``ifft2`` and a scatter; there is no
-    per-slab ``fft2`` and no sparse matvec.
+    stored coefficients go back to cells, by two in-place 1-D inverse FFTs
+    over the cell axes of the step's own y^ plus a scatter; no transform
+    runs forward per slab and no sparse matvec.
     """
 
     # fibres per batch while building the operators, bounding the temporaries
@@ -376,27 +392,42 @@ class _BlochFibres:
         self._h = np.empty((rows, n_fib, n_own), dtype=complex)
         l_u = self.to_fibres(spatial_load)[:, :n_u, None]
         u, v = slice(None, n_u), slice(n_u, None)
-        for start in range(0, n_fib, self._CHUNK):
-            part = slice(start, start + self._CHUNK)
-            m0_hat = (m0_phase[part] @ m0_d).reshape(-1, n_own, n_own)
-            c_hat = (c_phase[part] @ c_d).reshape(-1, n_own, n_own)
+        half = np.flatnonzero(np.arange(n_fib) <= self._flip)
+        for start in range(0, len(half), self._CHUNK):
+            f = half[start:start + self._CHUNK]
+            pair = self._flip[f] != f
+            g = self._flip[f[pair]]
+            m0_hat = (m0_phase[f] @ m0_d).reshape(-1, n_own, n_own)
+            c_hat = (c_phase[f] @ c_d).reshape(-1, n_own, n_own)
             m_u, m_v, c_uv = m0_hat[:, u, u], m0_hat[:, v, v], c_hat[:, u, v]
-            self._k[part] = k = np.linalg.solve(m_v, c_hat[:, v, u])
+            k = np.linalg.solve(m_v, c_hat[:, v, u])
+            self._k[f], self._k[g] = k, k[pair].conj()
             c_uv_k = c_uv @ k
+
+            def operators(lam, sub):
+                """Y(lam) and H(lam) on the chunk's fibres sub."""
+                s_inv = np.linalg.inv(lam * m_u[sub] + c_hat[sub, u, u] - c_uv_k[sub] / lam)
+                h_u = s_inv @ l_u[f[sub]]
+                return (s_inv @ np.concatenate([m_u[sub], -c_uv[sub] / lam], axis=2),
+                        np.concatenate([h_u, k[sub] @ h_u / -lam], axis=1)[..., 0])
+
             for r, lam in enumerate(self._lam):
-                s_inv = np.linalg.inv(lam * m_u + c_hat[:, u, u] - c_uv_k / lam)
-                jump = np.concatenate([m_u, -c_uv / lam], axis=2)
-                np.matmul(s_inv, jump, out=self._x[r, part])
-                self._x[r, part] *= self._beta[r]
-                h_u = s_inv @ l_u[part]
-                self._h[r, part, u] = h_u[..., 0]
-                self._h[r, part, v] = (k @ h_u)[..., 0] / -lam
+                x, self._h[r, f] = operators(lam, slice(None))
+                self._x[r, f] = self._beta[r] * x
+                if lam.imag:
+                    x, h = operators(lam.conjugate(), pair)
+                else:
+                    x, h = x[pair], self._h[r, f[pair]]
+                self._x[r, g] = self._beta[r] * x.conj()
+                self._h[r, g] = h.conj()
 
     def to_fibres(self, vec: np.ndarray) -> np.ndarray:
         """The fibres (n^2, 3p^2) of stacked vectors (..., ndof)."""
         n = self._n
-        cells = vec[..., self._perm].reshape(*vec.shape[:-1], n, n, -1)
-        return np.fft.fft2(cells, axes=(-3, -2)).reshape(*vec.shape[:-1], n * n, -1)
+        cells = vec[..., self._perm].astype(complex).reshape(*vec.shape[:-1], n, n, -1)
+        np.fft.fft(cells, axis=-3, out=cells)
+        np.fft.fft(cells, axis=-2, out=cells)
+        return cells.reshape(*vec.shape[:-1], n * n, -1)
 
     def initial_state(self, x0: np.ndarray) -> np.ndarray:
         return self.to_fibres(x0)
@@ -413,8 +444,10 @@ class _BlochFibres:
         y = self.jump(prev_hat)
         y += (self._vinv @ loads.factors(m))[:, None, None] * self._h
         trace = np.tensordot(self._w_last, y, 1)
-        n = self._n
-        cells = np.fft.ifft2(y.reshape(len(y), n, n, -1), axes=(1, 2))
+        # y is this step's own array: back to cells in place, one cell axis at a time
+        cells = y.reshape(len(y), self._n, self._n, -1)
+        np.fft.ifft(cells, axis=1, out=cells)
+        np.fft.ifft(cells, axis=2, out=cells)
         np.take(_recombine(self._w, cells), self._order, axis=1, out=out)
         partner = np.take(trace, self._flip, axis=0)
         np.conjugate(partner, out=partner)
@@ -612,8 +645,10 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     small dense per-cell products (see ``_SpluSteps``).  On the ``bloch``
     path the state stays in Floquet-Bloch fibre space from slab to slab.
     Each fibre's flux unknowns are eliminated once, so each slab is a
-    p^2 x 3p^2 and a 2p^2 x p^2 batched fibre matvec per row plus one
-    ``ifft2`` for the stored coefficients (see ``_BlochFibres``).
+    p^2 x 3p^2 and a 2p^2 x p^2 batched fibre matvec per row plus two
+    in-place 1-D inverse FFTs for the stored coefficients; the fibre
+    operators are built on half the Brillouin zone and conjugated onto the
+    other half (see ``_BlochFibres``).
 
     ``blocks`` (from ``build_block_system``) shares one set of operator
     blocks between runs; a ``ValueError`` is raised before factorising when

@@ -93,6 +93,11 @@ class Lagrange1D:
         return out
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per point, the products a_i b_j of two 1-D tables at local index i * b's width + j."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -148,19 +153,18 @@ class ScalarSpace:
         g = np.arange(n * p)
         return (g // p + self.nodes_1d[g % p]) / n, (g // p + self.nodes_1d[g % p]) / n
 
-    def basis_tables(self, xi, eta):
-        """Values and (reference) gradients of all local basis functions.
+    def basis_values(self, xi, eta) -> tuple[np.ndarray]:
+        """Values of all local basis functions as a 1-tuple of shape
+        (npts, (p+1)^2), with local index b*(p+1) + a for the tensor
+        function L_a(xi) L_b(eta)."""
+        return (_outer(self.lagrange.values(eta), self.lagrange.values(xi)),)
 
-        Returns (vals, dxi, deta), each of shape (npts, (p+1)^2), with local
-        index b*(p+1) + a for the tensor function L_a(xi) L_b(eta).
-        """
+    def basis_derivatives(self, xi, eta) -> tuple[np.ndarray, np.ndarray]:
+        """Reference gradients (dxi, deta) of the local basis, each shaped
+        and indexed as ``basis_values``."""
         lx, ly = self.lagrange.values(xi), self.lagrange.values(eta)
-        dx, dy = self.lagrange.derivatives(xi), self.lagrange.derivatives(eta)
-        m = lx.shape[0]
-        vals = (ly[:, :, None] * lx[:, None, :]).reshape(m, -1)
-        dxi = (ly[:, :, None] * dx[:, None, :]).reshape(m, -1)
-        deta = (dy[:, :, None] * lx[:, None, :]).reshape(m, -1)
-        return vals, dxi, deta
+        return (_outer(ly, self.lagrange.derivatives(xi)),
+                _outer(self.lagrange.derivatives(eta), lx))
 
 
 class VectorSpace:
@@ -215,30 +219,19 @@ class VectorSpace:
         per_comp = np.arange((self.k + 1) ** 2)
         return self.cell_dofs[:, np.concatenate([per_comp, self.n_comp_loc + per_comp])]
 
-    def basis_tables(self, xi, eta):
-        """Component values and reference divergence of the local basis.
+    def basis_values(self, xi, eta) -> tuple[np.ndarray, np.ndarray]:
+        """Component values (vx, vy) of the local basis, shapes (npts, n_loc)."""
+        xblock = _outer(self.lag_normal.values(xi), self.lag_tangent.values(eta))
+        yblock = _outer(self.lag_normal.values(eta), self.lag_tangent.values(xi))
+        zero = np.zeros_like(xblock)
+        return np.hstack([xblock, zero]), np.hstack([zero, yblock])
 
-        Returns (vx, vy, div_ref) with shapes (npts, n_loc); div_ref must be
-        multiplied by n (= 1/h) for the physical divergence.
-        """
-        k = self.k
-        gx, gx_d = self.lag_normal.values(xi), self.lag_normal.derivatives(xi)
-        ex = self.lag_tangent.values(xi)
-        gy, gy_d = self.lag_normal.values(eta), self.lag_normal.derivatives(eta)
-        ey = self.lag_tangent.values(eta)
-        m = gx.shape[0]
-        vx = np.zeros((m, self.n_loc))
-        vy = np.zeros((m, self.n_loc))
-        div = np.zeros((m, self.n_loc))
-        xblock = (gx[:, :, None] * ey[:, None, :]).reshape(m, -1)
-        xdiv = (gx_d[:, :, None] * ey[:, None, :]).reshape(m, -1)
-        vx[:, : self.n_comp_loc] = xblock
-        div[:, : self.n_comp_loc] = xdiv
-        yblock = (gy[:, :, None] * ex[:, None, :]).reshape(m, -1)
-        ydiv = (gy_d[:, :, None] * ex[:, None, :]).reshape(m, -1)
-        vy[:, self.n_comp_loc:] = yblock
-        div[:, self.n_comp_loc:] = ydiv
-        return vx, vy, div
+    def basis_derivatives(self, xi, eta) -> tuple[np.ndarray]:
+        """The reference divergence of the local basis as a 1-tuple of shape
+        (npts, n_loc); multiply by n (= 1/h) for the physical divergence."""
+        xdiv = _outer(self.lag_normal.derivatives(xi), self.lag_tangent.values(eta))
+        ydiv = _outer(self.lag_normal.derivatives(eta), self.lag_tangent.values(xi))
+        return (np.hstack([xdiv, ydiv]),)
 
 
 def _check_coeffs(coeffs, ndof):
@@ -248,13 +241,15 @@ def _check_coeffs(coeffs, ndof):
     return coeffs
 
 
-def _evaluate(space, coeffs, points) -> list[np.ndarray]:
-    """The FE function contracted with each of ``space.basis_tables`` at the
-    points of [0,1)^2, in reference units."""
+def _evaluate(space, coeffs, points, derivatives: bool = False) -> list[np.ndarray]:
+    """The FE function contracted with each table of ``space.basis_values``,
+    or of ``space.basis_derivatives`` if ``derivatives``, at the points of
+    [0,1)^2, in reference units."""
     coeffs = _check_coeffs(coeffs, space.ndof)
     ci, cj, xi, eta = _locate(space.mesh, _as_points(points))
     local = coeffs[space.cell_dofs[cj * space.mesh.n + ci]]
-    return [np.einsum("ml,ml->m", local, table) for table in space.basis_tables(xi, eta)]
+    tables = (space.basis_derivatives if derivatives else space.basis_values)(xi, eta)
+    return [np.einsum("ml,ml->m", local, table) for table in tables]
 
 
 def eval_scalar(space: ScalarSpace, coeffs, points) -> np.ndarray:
@@ -264,18 +259,17 @@ def eval_scalar(space: ScalarSpace, coeffs, points) -> np.ndarray:
 
 def eval_scalar_grad(space: ScalarSpace, coeffs, points) -> np.ndarray:
     """Gradients of a scalar FE function, shape (npts, 2); cell-interior values."""
-    _, gx, gy = _evaluate(space, coeffs, points)
-    return np.column_stack([gx, gy]) * space.mesh.n
+    return np.column_stack(_evaluate(space, coeffs, points, derivatives=True)) * space.mesh.n
 
 
 def eval_vector(space: VectorSpace, coeffs, points) -> np.ndarray:
     """Point values of an RT field, shape (npts, 2)."""
-    return np.column_stack(_evaluate(space, coeffs, points)[:2])
+    return np.column_stack(_evaluate(space, coeffs, points))
 
 
 def eval_div(space: VectorSpace, coeffs, points) -> np.ndarray:
     """Pointwise divergence of an RT field."""
-    return _evaluate(space, coeffs, points)[2] * space.mesh.n
+    return _evaluate(space, coeffs, points, derivatives=True)[0] * space.mesh.n
 
 
 def interpolate_scalar(space: ScalarSpace, fn) -> np.ndarray:
@@ -348,7 +342,7 @@ def project_vector(space: VectorSpace, fn) -> np.ndarray:
     xi2, eta2 = np.meshgrid(qx, qx, indexing="ij")
     w2 = np.outer(qw, qw).ravel()
     xi2, eta2 = xi2.ravel(), eta2.ravel()
-    vx, vy, _ = space.basis_tables(xi2, eta2)
+    vx, vy = space.basis_values(xi2, eta2)
     leg_xi = _shifted_legendre_values(k, xi2)
     leg_eta = _shifted_legendre_values(k, eta2)
     tests = []

@@ -252,9 +252,8 @@ class TestRunBehaviour:
             for q in (1, 2):
                 self.assert_fibre_loop_matches_direct(prob, n, p, q, x0=x0)
 
-    def test_eliminated_fibre_operator_matches_dense_inverse(self):
-        # q = 2 plans one real eigenvalue and one conjugate pair
-        n, p, q = 3, 2, 2
+    @staticmethod
+    def bloch_fibres(n, p, q):
         prob = co.ProblemData(s0=co.constant(0.8), s1=co.constant(0.3),
                               source=co.source_f(), T=0.5)
         mesh = build_mesh(n)
@@ -263,6 +262,28 @@ class TestRunBehaviour:
         loads = slab._Loads(blocks, basis, prob.source, None)
         fibres, path = slab._make_factorisation(blocks, basis, "auto", loads)
         assert path["spatial_solver"] == "bloch"
+        return blocks, loads, fibres
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_half_zone_covers_every_fibre_once(self, n):
+        _, _, fibres = self.bloch_fibres(n, 1, 1)
+        flip = fibres._flip
+        fibre = np.arange(n * n)
+        assert np.array_equal(flip[flip], fibre)
+        half = fibre[fibre <= flip]
+        partners = flip[half][flip[half] != half]
+        assert np.array_equal(np.sort(np.concatenate([half, partners])), fibre)
+        # theta = -theta: theta_x, theta_y in {0, pi}
+        assert np.count_nonzero(flip == fibre) == (4 if n % 2 == 0 else 1)
+        assert np.array_equal(fibres._k[flip], fibres._k.conj())
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_eliminated_fibre_operator_matches_dense_inverse(self, n, q):
+        # q = 1 plans one conjugate pair, q = 2 one real eigenvalue and one pair;
+        # even n has four self-conjugate fibres, odd n one
+        p = 2
+        blocks, loads, fibres = self.bloch_fibres(n, p, q)
         n_own = 3 * p * p
         m0_hat, c_hat = ((phases @ terms).reshape(n * n, n_own, n_own) for phases, terms
                          in (slab._symbol_terms(blocks, name) for name in ("m0", "coupling")))
@@ -270,7 +291,7 @@ class TestRunBehaviour:
         p_hat = rng.standard_normal((n * n, n_own)) + 1j * rng.standard_normal((n * n, n_own))
         l_hat = fibres.to_fibres(loads.spatial)
         jumps = fibres.jump(p_hat)
-        assert len(fibres._lam) == 2
+        assert len(fibres._lam) == q
         for r, lam in enumerate(fibres._lam):
             a_hat = lam * m0_hat + c_hat
             dense = fibres._beta[r] * np.linalg.solve(a_hat, m0_hat @ p_hat[..., None])[..., 0]

@@ -141,21 +141,16 @@ def _box_indicator(x, y):
     return inside.astype(float)
 
 
-def source_f(t=None, point=None) -> SeparableSource | float:
+def source_f() -> SeparableSource:
     """The study source: 1 on the time-space cube (0,1) x [1/4,3/4]^2, else 0.
 
-    Called without arguments it returns the SeparableSource object; with
-    (t, point) it evaluates pointwise.  The time window is sampled as
-    (0, 1]: the value at the cutoff instant itself is free within the a.e.
-    class of the source, and taking the left-limit value there keeps the
-    nodal-in-time interpolation of the source exact on the cutoff slab.
+    The time window is sampled as (0, 1]: the value at the cutoff instant
+    itself is free within the a.e. class of the source, and taking the
+    left-limit value there keeps the nodal-in-time interpolation of the
+    source exact on the cutoff slab.
     """
-    src = SeparableSource(time_factor=lambda t: 1.0 if 0.0 < t <= 1.0 else 0.0,
-                          spatial=_box_indicator)
-    if t is None:
-        return src
-    x, y = point
-    return float(src(t, x, y))
+    return SeparableSource(time_factor=lambda t: 1.0 if 0.0 < t <= 1.0 else 0.0,
+                           spatial=_box_indicator)
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,7 @@ def _cell_integrals(du: np.ndarray, dv: np.ndarray, w2: np.ndarray):
 
 
 def _sampled_report(sol: DiscreteSolution, cell_integrals, s0_cells: np.ndarray,
-                    rho: float, compensated: bool, meta: dict) -> ErrorReport:
+                    compensated: bool, meta: dict) -> ErrorReport:
     """E_sup and E_Q from per-cell u and v squared integrals at every sample time.
 
     ``cell_integrals(t, side)`` returns the two per-cell arrays; E_sup weights
@@ -198,18 +198,18 @@ def _sampled_report(sol: DiscreteSolution, cell_integrals, s0_cells: np.ndarray,
             m, i = kind
             slab_terms[m] += sol.basis.weights[i] * float(u_sq.sum() + v_sq.sum())
     return ErrorReport(e_sup=e_sup_from_samples(sup_samples),
-                       e_q=e_q_from_slab_terms(slab_terms, rho, sol.tau, compensated),
+                       e_q=e_q_from_slab_terms(slab_terms, sol.rho, sol.tau, compensated),
                        meta=meta)
 
 
 def compare_solutions(coarse: DiscreteSolution, reference: DiscreteSolution,
-                      s0_weight: CoefficientField, rho: float | None = None,
-                      compensated: bool = True) -> ErrorReport:
+                      s0_weight: CoefficientField, compensated: bool = True) -> ErrorReport:
     """E_sup and E_Q of (reference - coarse) on the coarse discretisation.
 
     The reference must be nested: its mesh refines the coarse mesh and its
     slab length divides the coarse slab length.  ``s0_weight`` supplies the
-    s0 used in the M0-weighted E_sup form.
+    s0 used in the M0-weighted E_sup form; E_Q is weighted by the coarse
+    run's rho.
     """
     n_c = coarse.space_u.mesh.n
     n_r = reference.space_u.mesh.n
@@ -221,7 +221,6 @@ def compare_solutions(coarse: DiscreteSolution, reference: DiscreteSolution,
                          f"coarse slab length {coarse.tau}")
     if abs(coarse.T - reference.T) > 1e-9 * max(coarse.T, 1.0):
         raise ValueError("solutions cover different time windows")
-    rho = coarse.rho if rho is None else rho
 
     g = max(coarse.space_u.p, reference.space_u.p) + 1
     rule = gauss_legendre_1d(g)
@@ -235,26 +234,22 @@ def compare_solutions(coarse: DiscreteSolution, reference: DiscreteSolution,
         return _cell_integrals(ur - uc, vr - vc, w2)
 
     return _sampled_report(
-        coarse, cell_integrals, s0_weight.cell_values(reference.space_u.mesh),
-        rho, compensated,
-        meta={"n_coarse": n_c, "n_reference": n_r, "rho": rho,
+        coarse, cell_integrals, s0_weight.cell_values(reference.space_u.mesh), compensated,
+        meta={"n_coarse": n_c, "n_reference": n_r, "rho": coarse.rho,
               "tau_coarse": coarse.tau, "tau_reference": reference.tau,
               "p_coarse": coarse.space_u.p, "p_reference": reference.space_u.p})
 
 
 def compare_to_exact(sol: DiscreteSolution, exact_u, exact_v,
-                     s0_weight: CoefficientField, rho: float | None = None,
-                     quad_points: int | None = None,
-                     compensated: bool = True) -> ErrorReport:
+                     s0_weight: CoefficientField, compensated: bool = True) -> ErrorReport:
     """E_sup/E_Q of (exact - discrete) for a known smooth space-time solution.
 
     ``exact_u(t, x, y)`` and ``exact_v(t, x, y) -> (vx, vy)`` are evaluated
-    on a per-cell Gauss grid fine enough that the quadrature error is far
-    below the discretisation error being measured.
+    on a per-cell (p+3)-point Gauss grid, fine enough that the quadrature
+    error is far below the discretisation error being measured.
     """
-    rho = sol.rho if rho is None else rho
     mesh = sol.space_u.mesh
-    rule = gauss_legendre_1d(quad_points or (sol.space_u.p + 3))
+    rule = gauss_legendre_1d(sol.space_u.p + 3)
     w2 = np.outer(rule.weights, rule.weights).ravel() / mesh.n**2
     ev = _CellGridEvaluator(sol, mesh.n, rule.nodes)
     X, Y = cell_quadrature_points(mesh, rule.nodes)
@@ -265,8 +260,8 @@ def compare_to_exact(sol: DiscreteSolution, exact_u, exact_v,
         exact[..., 0], exact[..., 1] = exact_v(t, X, Y)
         return _cell_integrals(exact_u(t, X, Y) - uh, exact - vh, w2)
 
-    return _sampled_report(sol, cell_integrals, s0_weight.cell_values(mesh), rho,
-                           compensated, meta={"n": mesh.n, "rho": rho, "tau": sol.tau})
+    return _sampled_report(sol, cell_integrals, s0_weight.cell_values(mesh), compensated,
+                           meta={"n": mesh.n, "rho": sol.rho, "tau": sol.tau})
 
 
 def e_sup_discrete(diff: DiscreteSolution, m0) -> float:

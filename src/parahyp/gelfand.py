@@ -25,40 +25,32 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class BlockGridFunction:
+class _BlockGrid:
+    """N x N blocks of m x m samples, indexed [k1, k2, s1, s2]."""
+
+    N: int
+    m: int
+    values: np.ndarray
+
+    def __post_init__(self):
+        expected = (self.N, self.N, self.m, self.m)
+        if self.values.shape != expected:
+            raise ValueError(f"values shape {self.values.shape}, expected {expected}")
+
+    def norm(self) -> float:
+        """Root of the grid sum of |values|^2 times the cell area 1/m^2: the
+        discrete L^2((0,N)^2) norm of block grid data, and the root of the
+        summed discrete L^2((0,1)^2) norms of all fibres of fibre data."""
+        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) / self.m**2))
+
+
+class BlockGridFunction(_BlockGrid):
     """Samples of a (0,N)^2-periodic function, indexed [kx, ky, sx, sy]:
     block index k, intra-block sample s at y = s/m."""
 
-    N: int
-    m: int
-    values: np.ndarray
 
-    def __post_init__(self):
-        expected = (self.N, self.N, self.m, self.m)
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape}, expected {expected}")
-
-    def norm(self) -> float:
-        """Discrete L^2((0,N)^2) norm (grid sum times cell area 1/m^2)."""
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) / self.m**2))
-
-
-@dataclass(frozen=True)
-class FibreDecomposition:
+class FibreDecomposition(_BlockGrid):
     """Fibre data indexed [kx', ky', sx, sy] with frequency theta = 2 pi k'/N."""
-
-    N: int
-    m: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.N, self.N, self.m, self.m)
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape}, expected {expected}")
-
-    def norm(self) -> float:
-        """Root of the summed discrete L^2((0,1)^2) norms of all fibres."""
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) / self.m**2))
 
 
 def forward(f: BlockGridFunction) -> FibreDecomposition:

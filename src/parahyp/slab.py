@@ -31,9 +31,11 @@ the stored coefficients are transformed back.  For other coefficients or
 loads each row first condenses out the DOFs that lie inside one cell,
 through small dense solves per kind of cell, and gets one sparse LU of the
 remaining skeleton system (``_SpluSteps``).  Both paths read the operators
-as element matrices per kind of cell and assemble no global matrix.  A
-direct LU of the full block system is the fallback when the temporal
-eigenbasis fails its conditioning check.
+as element matrices per kind of cell and assemble no global matrix.  The
+path follows from the inputs alone: one direct LU of the full block system
+(``build_slab_system``) is taken only when the temporal eigenbasis fails its
+conditioning check, which happens only for long slabs under a strong
+weight (q >= 3 with rho tau >= 10).
 """
 
 from __future__ import annotations
@@ -75,14 +77,10 @@ class SlabBasis:
         return self.lagrange.values(np.array([float(s)]))[0]
 
 
-def _slab_matrix(basis: SlabBasis, m0, coupling) -> sparse.csr_matrix:
-    return (sparse.kron(sparse.csr_matrix(basis.K), m0)
-            + sparse.kron(sparse.diags(basis.weights), coupling)).tocsr()
-
-
 def build_slab_system(blocks: BlockSystem, basis: SlabBasis) -> sparse.csr_matrix:
     """The full slab matrix kron(K, M0) + kron(diag(w), M1 + A)."""
-    return _slab_matrix(basis, blocks.m0(), blocks.coupling())
+    return (sparse.kron(sparse.csr_matrix(basis.K), blocks.m0())
+            + sparse.kron(sparse.diags(basis.weights), blocks.coupling())).tocsr()
 
 
 # the slab matrices have symmetric sparsity structure (masses plus the
@@ -101,14 +99,15 @@ def _factor(matrix):
 
 
 class _DirectFactorisation:
-    """One LU of the full (q+1)-fold slab matrix.  Each slab solves for the
-    weighted load plus the jump flux l(0) M0 U_prev; the state handed from
-    slab to slab is the right trace itself."""
+    """One LU of the full (q+1)-fold slab matrix, the fallback when the
+    temporal eigenbasis fails its check.  Each slab solves for the weighted
+    load plus the jump flux l(0) M0 U_prev; the state handed from slab to
+    slab is the right trace itself."""
 
     def __init__(self, blocks: BlockSystem, basis: SlabBasis):
         self._basis = basis
         self.m0 = blocks.m0()
-        self._lu = _factor(_slab_matrix(basis, self.m0, blocks.coupling()).tocsc())
+        self._lu = _factor(build_slab_system(blocks, basis).tocsc())
 
     def initial_state(self, x0: np.ndarray) -> np.ndarray:
         return x0
@@ -157,8 +156,9 @@ def _temporal_eigenbasis(basis: SlabBasis) -> _Eigenbasis:
     # second row taken as the conjugate of its first
     resid = np.abs((w @ vinv).real - np.eye(len(lam))).max()
     if not np.isfinite(resid) or resid > 1e-8:
-        raise _EigenbasisError("temporal eigenbasis too ill-conditioned "
-                               f"(residual {resid:.2e}); use the direct solver")
+        raise _EigenbasisError("temporal eigenbasis too ill-conditioned (residual "
+                               f"{resid:.2e}); the slab is solved by one direct LU, "
+                               "shorter slabs or a lower q keep the decoupled path")
     return _Eigenbasis(lam=lam[keep], vinv=vinv,
                        beta=vinv @ (basis.left_values / basis.weights), w=w,
                        meta={"eigenbasis_residual": float(resid),
@@ -455,26 +455,17 @@ class _BlochFibres:
         return partner
 
 
-SOLVERS = ("auto", "direct", "decoupled")
-
-
-def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, method: str, loads):
-    """The slab factorisation for ``method`` and the meta entries naming the
-    path taken: ``auto`` decouples and falls back to the direct LU only when
-    the temporal eigenbasis check fails, recording why.  The decoupled path
-    steps translation-invariant blocks with a separable load (``loads.spatial``)
-    in fibre space and all others by condensed sparse LUs, and records that
-    spatial solver, the sparse LUs' skeleton size and the eigenbasis
-    diagnostics."""
-    if method not in SOLVERS:
-        raise ValueError(f"unknown solver method {method!r}; expected one of {SOLVERS}")
-    if method == "direct":
-        return _DirectFactorisation(blocks, basis), {"solver": "direct"}
+def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, loads):
+    """The slab factorisation and the meta entries naming the path taken.
+    The slab decouples through the temporal eigenbasis and falls back to the
+    direct LU only when the eigenbasis fails its conditioning check, recording
+    why.  The decoupled path steps translation-invariant blocks with a
+    separable load (``loads.spatial``) in fibre space and all others by
+    condensed sparse LUs, and records that spatial solver, the sparse LUs'
+    skeleton size and the eigenbasis diagnostics."""
     try:
         eig = _temporal_eigenbasis(basis)
     except _EigenbasisError as err:
-        if method == "decoupled":
-            raise
         return _DirectFactorisation(blocks, basis), {"solver": "direct",
                                                      "solver_fallback": str(err)}
     if loads.spatial is not None and blocks.n_kinds == 1:
@@ -624,8 +615,7 @@ def _check_blocks(blocks: BlockSystem, n: int, p: int, problem: ProblemData):
 
 
 def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
-        x0: FieldPair | None = None, *, solver: str = "auto",
-        load_quad_points: int | None = None,
+        x0: FieldPair | None = None, *, load_quad_points: int | None = None,
         discrete_forcing: np.ndarray | None = None,
         blocks: BlockSystem | None = None) -> DiscreteSolution:
     """Solve the evolutionary problem on [0, T] with M = T/tau uniform slabs.
@@ -633,9 +623,12 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     ``discrete_forcing`` (shape (M, q+1, ndof_u + ndof_v)) replaces the
     problem source by a right-hand side given through its coefficients in
     the discrete space; this is how vector-valued or random discrete data is
-    fed in.  ``x0`` defaults to rest.  ``meta["solver"]`` names the solver
-    path taken; ``meta["solver_fallback"]`` says why ``auto`` fell back to it.
-    On the decoupled path ``meta["spatial_solver"]`` is ``"bloch"`` (constant
+    fed in.  ``x0`` defaults to rest.  The solver path follows from the
+    inputs alone, and ``meta["solver"]`` names it: ``"decoupled"``, or
+    ``"direct"`` when the temporal eigenbasis fails its conditioning check
+    (only for q >= 3 with rho tau >= 10) and the slab is solved by one
+    direct LU; ``meta["solver_fallback"]`` then says why.  On the decoupled
+    path ``meta["spatial_solver"]`` is ``"bloch"`` (constant
     coefficients, separable source) or ``"splu"`` and ``meta`` carries the
     temporal eigenbasis residual ``|V V^-1 - I|_max`` and ``cond(V)``.  Both
     spatial solvers step by one eigenbasis row per real temporal eigenvalue
@@ -655,7 +648,7 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     its mesh size, degree or coefficient cell values differ from ``n``,
     ``p`` and the problem's.  Both decoupled paths read the operators as
     element matrices per kind of cell and assemble no global matrix; the
-    ``direct`` path assembles M0 and C once, ``discrete_forcing`` the
+    direct fallback assembles M0 and C once, ``discrete_forcing`` the
     unweighted mass.
     """
     T = problem.T
@@ -677,7 +670,7 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     if initial.shape != (ndof,):
         raise ValueError(f"initial state has {initial.shape[0]} coefficients, expected {ndof}")
     loads = _Loads(blocks, basis, problem.source, load_quad_points, discrete_forcing)
-    fact, path = _make_factorisation(blocks, basis, solver, loads)
+    fact, path = _make_factorisation(blocks, basis, loads)
     state = fact.initial_state(initial)
     coeffs = np.empty((n_slabs, q + 1, ndof))
     for m in range(n_slabs):

@@ -56,9 +56,10 @@ class TestHomogenisedAverage:
 
 class TestSourceF:
     def test_pointwise_examples(self):
-        assert co.source_f(0.5, (0.5, 0.5)) == 1.0
-        assert co.source_f(1.2, (0.5, 0.5)) == 0.0
-        assert co.source_f(0.5, (0.1, 0.5)) == 0.0
+        src = co.source_f()
+        assert src(0.5, 0.5, 0.5) == 1.0
+        assert src(1.2, 0.5, 0.5) == 0.0
+        assert src(0.5, 0.1, 0.5) == 0.0
 
     def test_spatial_support_is_quarter_box(self):
         src = co.source_f()
@@ -67,11 +68,12 @@ class TestSourceF:
         assert src(0.5, 0.75, 0.75) == 1.0
 
     def test_time_window_sampling(self):
-        assert co.source_f(0.0, (0.5, 0.5)) == 0.0
+        src = co.source_f()
+        assert src(0.0, 0.5, 0.5) == 0.0
         # the cutoff instant carries the left-limit value (exact nodal
         # interpolation on the cutoff slab); beyond it the source is off
-        assert co.source_f(1.0, (0.5, 0.5)) == 1.0
-        assert co.source_f(np.nextafter(1.0, 2.0), (0.5, 0.5)) == 0.0
+        assert src(1.0, 0.5, 0.5) == 1.0
+        assert src(np.nextafter(1.0, 2.0), 0.5, 0.5) == 0.0
 
     def test_cellwise_constant_when_mesh_resolves_quarters(self):
         mesh = build_mesh(8)

@@ -25,6 +25,19 @@ def ode_problem(T, s0=0.5, s1=0.5, rho=1.0):
                           source=constant_source(), T=T, rho=rho)
 
 
+def run_direct(*args, **kwargs):
+    """``run`` on the direct LU, the oracle of the decoupled paths, reached
+    through the library's own fallback by failing the eigenbasis check."""
+    def failing_eigenbasis(basis):
+        raise slab._EigenbasisError("temporal eigenbasis too ill-conditioned")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(slab, "_temporal_eigenbasis", failing_eigenbasis)
+        sol = run(*args, **kwargs)
+    assert sol.meta["solver"] == "direct"
+    return sol
+
+
 def scalar_dg_oracle(q, rho, tau, n_slabs, s0, s1, f_const, u0):
     """Independent dense dG solve of s0 u' + s1 u = f via monomial time basis
     and exact weighted moments (no Lagrange/Radau machinery shared with the
@@ -97,6 +110,20 @@ class TestTemporalEigenbasis:
         sol = run(prob, n=2, p=1, q=5, tau=1.0)
         assert sol.meta["solver"] == "direct"
         assert "ill-conditioned" in sol.meta["solver_fallback"]
+        # the fallback's coefficients against a dense solve of the slab matrix
+        # (cond(V) ~ 1e9 here, but the direct LU never uses V)
+        mesh = build_mesh(2)
+        blocks = build_block_system(ScalarSpace(mesh, 1), VectorSpace(mesh, 1), prob.s0, prob.s1)
+        basis = sol.basis
+        system = build_slab_system(blocks, basis).toarray()
+        loads = slab._Loads(blocks, basis, prob.source, None)
+        prev = np.zeros(blocks.ndof)
+        for m in range(sol.n_slabs):
+            rhs = basis.weights[:, None] * loads(m) + np.outer(basis.left_values,
+                                                               blocks.m0() @ prev)
+            dense = np.linalg.solve(system, rhs.ravel()).reshape(rhs.shape)
+            assert np.abs(sol.coeffs[m] - dense).max() <= 1e-9 * np.abs(dense).max()
+            prev = dense[-1]
 
 
 class TestSlabSystem:
@@ -195,9 +222,9 @@ class TestRunBehaviour:
     def test_direct_and_decoupled_agree(self):
         prob = co.rough_problem(2, T=0.75)
         for q in range(5):
-            a = run(prob, n=4, p=2, q=q, tau=1 / 4, solver="direct")
-            b = run(prob, n=4, p=2, q=q, tau=1 / 4, solver="decoupled")
-            assert (a.meta["solver"], b.meta["solver"]) == ("direct", "decoupled")
+            a = run_direct(prob, n=4, p=2, q=q, tau=1 / 4)
+            b = run(prob, n=4, p=2, q=q, tau=1 / 4)
+            assert b.meta["solver"] == "decoupled"
             scale = np.abs(a.coeffs).max()
             assert np.abs(a.coeffs - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
 
@@ -206,20 +233,13 @@ class TestRunBehaviour:
         assert sol.meta["solver"] == "decoupled"
         assert "solver_fallback" not in sol.meta
 
-    def test_auto_falls_back_to_direct_when_eigenbasis_fails(self, monkeypatch):
+    def test_auto_falls_back_to_direct_when_eigenbasis_fails(self):
         prob = co.rough_problem(2, T=0.5)
-        direct = run(prob, n=2, p=1, q=2, tau=1 / 4, solver="direct")
-
-        def failing_eigenbasis(basis):
-            raise slab._EigenbasisError("temporal eigenbasis too ill-conditioned")
-
-        monkeypatch.setattr(slab, "_temporal_eigenbasis", failing_eigenbasis)
-        sol = run(prob, n=2, p=1, q=2, tau=1 / 4)
-        assert sol.meta["solver"] == "direct"
+        sol = run_direct(prob, n=2, p=1, q=2, tau=1 / 4)
         assert sol.meta["solver_fallback"] == "temporal eigenbasis too ill-conditioned"
-        assert np.array_equal(sol.coeffs, direct.coeffs)
-        with pytest.raises(RuntimeError, match="ill-conditioned"):
-            run(prob, n=2, p=1, q=2, tau=1 / 4, solver="decoupled")
+        decoupled = run(prob, n=2, p=1, q=2, tau=1 / 4)
+        scale = np.abs(decoupled.coeffs).max()
+        assert np.abs(sol.coeffs - decoupled.coeffs).max() <= 1e-11 * max(scale, 1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_bloch_fibres_agree_with_direct(self, n):
@@ -231,7 +251,7 @@ class TestRunBehaviour:
             # a random start excites every fibre, not only the constant mode
             x0 = FieldPair.split(np.random.default_rng(n * p).standard_normal(ndof), ndof_u)
             for q in range(5):
-                a = run(prob, n=n, p=p, q=q, tau=1 / 4, x0=x0, solver="direct")
+                a = run_direct(prob, n=n, p=p, q=q, tau=1 / 4, x0=x0)
                 b = run(prob, n=n, p=p, q=q, tau=1 / 4, x0=x0)
                 assert (b.meta["solver"], b.meta["spatial_solver"]) == ("decoupled", "bloch")
                 scale = np.abs(a.coeffs).max()
@@ -260,7 +280,7 @@ class TestRunBehaviour:
         blocks = build_block_system(ScalarSpace(mesh, p), VectorSpace(mesh, p), prob.s0, prob.s1)
         basis = SlabBasis(q, prob.rho, 1 / 4)
         loads = slab._Loads(blocks, basis, prob.source, None)
-        fibres, path = slab._make_factorisation(blocks, basis, "auto", loads)
+        fibres, path = slab._make_factorisation(blocks, basis, loads)
         assert path["spatial_solver"] == "bloch"
         return blocks, loads, fibres
 
@@ -302,7 +322,7 @@ class TestRunBehaviour:
 
     @staticmethod
     def assert_fibre_loop_matches_direct(prob, n, p, q, spatial="bloch", **kwargs):
-        a = run(prob, n=n, p=p, q=q, tau=1 / 4, solver="direct", **kwargs)
+        a = run_direct(prob, n=n, p=p, q=q, tau=1 / 4, **kwargs)
         b = run(prob, n=n, p=p, q=q, tau=1 / 4, **kwargs)
         assert (b.meta["solver"], b.meta["spatial_solver"]) == ("decoupled", spatial)
         scale = np.abs(a.coeffs).max()
@@ -407,8 +427,7 @@ class TestRunBehaviour:
             monkeypatch.setattr(BlockSystem, name, counted)
         prob = co.rough_problem(2, T=0.75) if problem == "rough" \
             else co.homogenised_problem(T=0.75)
-        sol = run(prob, n=4, p=2, q=2, tau=1 / 4,
-                  solver="direct" if problem == "direct" else "auto")
+        sol = (run_direct if problem == "direct" else run)(prob, n=4, p=2, q=2, tau=1 / 4)
         if problem == "hom":
             assert sol.meta["spatial_solver"] == "bloch"
             assert calls == {"m0": 0, "coupling": 0}
@@ -418,7 +437,10 @@ class TestRunBehaviour:
             assert sol.meta["spatial_solver"] == "splu"
             assert calls == {"m0": 0, "coupling": 0}
         else:
-            assert calls == {"m0": 1, "coupling": 1}
+            # the direct fallback reads M0 for the slab matrix and again for its
+            # jump flux; BlockSystem caches it, so it is built once (checked by
+            # test_whole_blocks_assembled_once_and_only_when_used)
+            assert calls == {"m0": 2, "coupling": 1}
 
     @pytest.mark.parametrize("case", ["hom", "rough", "forcing", "direct"])
     def test_whole_blocks_assembled_once_and_only_when_used(self, monkeypatch, case):
@@ -437,8 +459,8 @@ class TestRunBehaviour:
         if case == "forcing":
             ndof = ScalarSpace(mesh, 2).ndof + VectorSpace(mesh, 2).ndof
             forcing = np.random.default_rng(4).standard_normal((3, 3, ndof))
-        sol = run(prob, n=4, p=2, q=2, tau=1 / 4, discrete_forcing=forcing,
-                  solver="direct" if case == "direct" else "auto")
+        sol = (run_direct if case == "direct" else run)(prob, n=4, p=2, q=2, tau=1 / 4,
+                                                         discrete_forcing=forcing)
         expected = {"hom": {}, "rough": {}, "forcing": {"m_unweighted": 1},
                     "direct": {"m0": 1, "coupling": 1}}[case]
         assert built == expected

@@ -15,17 +15,14 @@ from .study import (StudyConfig, export_snapshot, parse_config, run_study,
 
 def _load_config(args) -> StudyConfig:
     config = parse_config(args.config) if args.config else StudyConfig()
-    if getattr(args, "out", None):
+    if args.out:
         config = replace(config, out_dir=args.out)
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
     return config
 
 
 def _add_common(sub):
     sub.add_argument("--config", help="INI configuration file")
     sub.add_argument("--out", help="output directory (overrides [output] dir)")
-    sub.add_argument("--seed", type=int, help="seed for randomised checks")
 
 
 def main(argv=None) -> int:
@@ -56,13 +53,13 @@ def main(argv=None) -> int:
     sub.add_argument("--tag", default="snapshot", help="output file basename")
 
     sub = subs.add_parser("check", help="run the built-in property checks")
-    _add_common(sub)
+    sub.add_argument("--seed", type=int, default=0, help="seed for randomised checks")
 
     args = parser.parse_args(argv)
+    if args.verb == "check":
+        return 0 if run_self_checks(seed=args.seed) else 1
 
     config = _load_config(args)
-    if args.verb == "check":
-        return 0 if run_self_checks(seed=config.seed) else 1
 
     # N names the checkerboard; the averaged problem has none
     N = args.N if getattr(args, "problem", None) == "rough" else None

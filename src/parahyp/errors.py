@@ -6,9 +6,10 @@ Two functionals measure a space-time deviation a(t):
   <M0 a(t), a(t)> = int s0 |a_u|^2 + |a_v|^2, sampled at every slab's
   weighted Radau nodes and left traces.
 * ``E_Q``: the exponentially weighted discrete space-time norm
-  e^{2 rho T} sum_m e^{-2 rho t_{m-1}} Q_m(a, a) with the slab quadrature
-  Q_m; for members of the discrete space this is exactly the norm induced
-  by the scheme.
+  (sum_m e^{-2 rho t_{m-1}} Q_m(a, a))^{1/2} with the slab quadrature Q_m;
+  for members of the discrete space this is exactly the norm induced by
+  the scheme.  The written definition's e^{2 rho T} prefactor would scale
+  every value by e^{rho T} and leave every convergence order unchanged.
 
 Cross-resolution comparisons evaluate both solutions pointwise on a tensor
 Gauss grid per cell of the finer (nested) mesh, so the spatial quadrature
@@ -49,30 +50,18 @@ def e_sup_from_samples(samples) -> float:
     return float(np.sqrt(samples.max()))
 
 
-def e_q_from_slab_terms(slab_terms, rho: float, tau: float,
-                        compensated: bool = True) -> float:
-    """Assemble E_Q from the per-slab quadrature values Q_m(a, a).
-
-    ``compensated`` includes the e^{2 rho T} prefactor of the written
-    definition.  The tabulated study values are reproduced by the plain
-    exponentially weighted sum (compensated=False), which is the discrete
-    L^2_rho(0, T) norm itself; the prefactor rescales every entry by
-    e^{rho T} and cancels from all convergence orders.
-    """
+def e_q_from_slab_terms(slab_terms, rho: float, tau: float) -> float:
+    """Assemble E_Q, the discrete L^2_rho(0, T) norm, from the per-slab
+    quadrature values Q_m(a, a)."""
     slab_terms = np.asarray(list(slab_terms), dtype=float)
-    n_slabs = slab_terms.size
-    t_left = np.arange(n_slabs) * tau
-    total = np.sum(np.exp(-2.0 * rho * t_left) * slab_terms)
-    if compensated:
-        total *= np.exp(2.0 * rho * n_slabs * tau)
-    return float(np.sqrt(total))
+    t_left = np.arange(slab_terms.size) * tau
+    return float(np.sqrt(np.sum(np.exp(-2.0 * rho * t_left) * slab_terms)))
 
 
 @dataclass
 class ErrorReport:
     e_sup: float
     e_q: float
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -182,8 +171,8 @@ def _cell_integrals(du: np.ndarray, dv: np.ndarray, w2: np.ndarray):
     return (du**2) @ w2, (dv**2).reshape(len(dv), -1) @ np.repeat(w2, 2)
 
 
-def _sampled_report(sol: DiscreteSolution, cell_integrals, s0_cells: np.ndarray,
-                    compensated: bool, meta: dict) -> ErrorReport:
+def _sampled_report(sol: DiscreteSolution, cell_integrals,
+                    s0_cells: np.ndarray) -> ErrorReport:
     """E_sup and E_Q from per-cell u and v squared integrals at every sample time.
 
     ``cell_integrals(t, side)`` returns the two per-cell arrays; E_sup weights
@@ -198,12 +187,11 @@ def _sampled_report(sol: DiscreteSolution, cell_integrals, s0_cells: np.ndarray,
             m, i = kind
             slab_terms[m] += sol.basis.weights[i] * float(u_sq.sum() + v_sq.sum())
     return ErrorReport(e_sup=e_sup_from_samples(sup_samples),
-                       e_q=e_q_from_slab_terms(slab_terms, sol.rho, sol.tau, compensated),
-                       meta=meta)
+                       e_q=e_q_from_slab_terms(slab_terms, sol.rho, sol.tau))
 
 
 def compare_solutions(coarse: DiscreteSolution, reference: DiscreteSolution,
-                      s0_weight: CoefficientField, compensated: bool = True) -> ErrorReport:
+                      s0_weight: CoefficientField) -> ErrorReport:
     """E_sup and E_Q of (reference - coarse) on the coarse discretisation.
 
     The reference must be nested: its mesh refines the coarse mesh and its
@@ -233,15 +221,12 @@ def compare_solutions(coarse: DiscreteSolution, reference: DiscreteSolution,
         ur, vr = ev_r.values_at(t, side)
         return _cell_integrals(ur - uc, vr - vc, w2)
 
-    return _sampled_report(
-        coarse, cell_integrals, s0_weight.cell_values(reference.space_u.mesh), compensated,
-        meta={"n_coarse": n_c, "n_reference": n_r, "rho": coarse.rho,
-              "tau_coarse": coarse.tau, "tau_reference": reference.tau,
-              "p_coarse": coarse.space_u.p, "p_reference": reference.space_u.p})
+    return _sampled_report(coarse, cell_integrals,
+                           s0_weight.cell_values(reference.space_u.mesh))
 
 
 def compare_to_exact(sol: DiscreteSolution, exact_u, exact_v,
-                     s0_weight: CoefficientField, compensated: bool = True) -> ErrorReport:
+                     s0_weight: CoefficientField) -> ErrorReport:
     """E_sup/E_Q of (exact - discrete) for a known smooth space-time solution.
 
     ``exact_u(t, x, y)`` and ``exact_v(t, x, y) -> (vx, vy)`` are evaluated
@@ -260,8 +245,7 @@ def compare_to_exact(sol: DiscreteSolution, exact_u, exact_v,
         exact[..., 0], exact[..., 1] = exact_v(t, X, Y)
         return _cell_integrals(exact_u(t, X, Y) - uh, exact - vh, w2)
 
-    return _sampled_report(sol, cell_integrals, s0_weight.cell_values(mesh), compensated,
-                           meta={"n": mesh.n, "rho": sol.rho, "tau": sol.tau})
+    return _sampled_report(sol, cell_integrals, s0_weight.cell_values(mesh))
 
 
 def e_sup_discrete(diff: DiscreteSolution, m0) -> float:
@@ -271,9 +255,9 @@ def e_sup_discrete(diff: DiscreteSolution, m0) -> float:
     return e_sup_from_samples(c @ (m0 @ c) for c in states)
 
 
-def e_q_discrete(diff: DiscreteSolution, m_unweighted, compensated: bool = True) -> float:
+def e_q_discrete(diff: DiscreteSolution, m_unweighted) -> float:
     """E_Q of a discrete space-time function; equals its scheme-induced norm.
     ``m_unweighted`` is the stacked L^2 Gram matrix (``BlockSystem.m_unweighted()``)."""
     terms = [np.einsum("ij,ji->i", c, m_unweighted @ c.T) @ diff.basis.weights
              for c in diff.coeffs]
-    return e_q_from_slab_terms(terms, diff.rho, diff.tau, compensated)
+    return e_q_from_slab_terms(terms, diff.rho, diff.tau)

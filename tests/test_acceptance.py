@@ -208,6 +208,25 @@ def test_criterion_9_study_determinism(tmp_path):
            f"two study runs, CSV bytes equal ({len(results[0])} bytes)")
 
 
+def test_paper_scale_table_golden(desk_scale_table):
+    # supporting check: criteria 6 and 7 test windows only, so pin every
+    # value of the default study's table (N = 2, 4, 8, 16)
+    golden = {
+        "e_sup_rough": [0.04355689916075, 0.02171072842, 0.009537188621033,
+                        0.004078111268203],
+        "e_q_rough": [0.02023745473936, 0.01126928170679, 0.005275959732463,
+                      0.002204935329665],
+        "e_sup_hom": [0.06209441643388, 0.04776287456158, 0.02422049820825,
+                      0.01184626222742],
+        "e_q_hom": [0.0277018685738, 0.02015856810964, 0.008661443646514,
+                    0.004103797668149],
+    }
+    table = desk_scale_table
+    assert [row["N"] for row in table.rows] == [2, 4, 8, 16]
+    for col, values in golden.items():
+        assert [row[col] for row in table.rows] == pytest.approx(values, rel=1e-9), col
+
+
 def test_e_sup_sampling_stability_at_study_scale():
     # supporting check for the sup-functional: doubling the time samples
     # moves E_sup of the N=4 comparison by < 1% at an 8x nested reference

@@ -59,12 +59,6 @@ class TestBasicFunctionals:
         assert e_q_from_slab_terms(terms, 0.0, tau) == pytest.approx(
             c0 * np.sqrt(M * tau), rel=1e-14)
 
-    def test_compensation_factor(self):
-        terms = np.array([0.3, 0.2])
-        plain = e_q_from_slab_terms(terms, 1.0, 0.5, compensated=False)
-        scaled = e_q_from_slab_terms(terms, 1.0, 0.5, compensated=True)
-        assert scaled == pytest.approx(np.exp(1.0) * plain, rel=1e-14)
-
 
 class TestDiscreteFunctionals:
     def test_zero_difference(self):
@@ -83,13 +77,12 @@ class TestDiscreteFunctionals:
                                     co.checkerboard(2), co.checkerboard_complement(2))
         got = e_q_discrete(diff, blocks.m_unweighted())
         # independent direct summation of the defining formula
-        T = sol.T
         total = 0.0
         for m in range(sol.n_slabs):
             for i, w in enumerate(sol.basis.weights):
                 c = coeffs[m, i]
                 form = c @ (blocks.m_unweighted() @ c)
-                total += np.exp(2 * sol.rho * T) * np.exp(-2 * sol.rho * m * sol.tau) * w * form
+                total += np.exp(-2 * sol.rho * m * sol.tau) * w * form
         assert got == pytest.approx(np.sqrt(total), rel=1e-13)
 
     def test_scaling(self, rng):

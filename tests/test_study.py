@@ -9,7 +9,7 @@ from parahyp import coefficients as co
 from parahyp.cli import main as cli_main
 from parahyp.slab import load_solution, run, save_solution
 from parahyp.spaces import eval_scalar
-from parahyp.study import (StudyConfig, export_snapshot, parse_config,
+from parahyp.study import (_SCHEMA, StudyConfig, export_snapshot, parse_config,
                            run_study, solve_reference)
 
 
@@ -99,6 +99,10 @@ snapshot_times = 0.5 1.0
         co.rough_problem(2, rho=config.rho).warn_if_weak_weight(messages.append)
         assert messages and "rho" in messages[0]
 
+    def test_schema_names_every_field_once(self):
+        named = [name for keys in _SCHEMA.values() for name, _ in keys.values()]
+        assert sorted(named) == sorted(f.name for f in dataclasses.fields(StudyConfig))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_config(tmp_path / "absent.ini")
@@ -106,9 +110,10 @@ snapshot_times = 0.5 1.0
     def test_invalid_choices_rejected_once(self, tmp_path):
         # parse_config leaves value checks to StudyConfig
         path = tmp_path / "bad.ini"
-        path.write_text("[reference]\ncheckpoint = sometimes\n")
-        with pytest.raises(ValueError, match="checkpoint must be one of .*'sometimes'"):
-            parse_config(path)
+        for mode in ("sometimes", "always"):
+            path.write_text(f"[reference]\ncheckpoint = {mode}\n")
+            with pytest.raises(ValueError, match=f"checkpoint must be one of .*'{mode}'"):
+                parse_config(path)
         for key, line in [("threads", "threads = 2"), ("solver", "solver = fast")]:
             path.write_text(f"[study]\n{line}\n")
             with pytest.raises(ValueError, match=f"unknown key '{key}'"):
@@ -167,7 +172,7 @@ snapshot_times = 0.5 1.0
 class TestReferenceCheckpointing:
     def test_cache_round_trip_and_reuse(self, tmp_path):
         config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
-                             ref_time_cells=12, checkpoint="always")
+                             ref_time_cells=12, checkpoint="auto")
         logs = []
         sol1 = solve_reference("hom", None, config, logs.append)
         assert any("solved" in line for line in logs)
@@ -181,7 +186,7 @@ class TestReferenceCheckpointing:
 
     def test_solver_path_logged_and_outside_identity(self, tmp_path):
         config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
-                             ref_time_cells=12, checkpoint="always")
+                             ref_time_cells=12, checkpoint="auto")
         logs = []
         sol = solve_reference("hom", None, config, logs.append)
         assert sol.meta["solver"] == "decoupled"
@@ -198,7 +203,7 @@ class TestReferenceCheckpointing:
 
     def test_eigenbasis_diagnostics_outside_identity(self, tmp_path):
         config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
-                             ref_time_cells=12, checkpoint="always")
+                             ref_time_cells=12, checkpoint="auto")
         logs = []
         sol = solve_reference("hom", None, config, logs.append)
         assert any("solver=decoupled/bloch" in line for line in logs)
@@ -217,7 +222,7 @@ class TestReferenceCheckpointing:
 
     def test_skeleton_size_logged_and_outside_identity(self, tmp_path):
         config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
-                             ref_time_cells=12, checkpoint="always")
+                             ref_time_cells=12, checkpoint="auto")
         logs = []
         sol = solve_reference("rough", 2, config, logs.append)
         # p = 3: 11 of each cell's 27 owned unknowns are left on the skeleton
@@ -237,10 +242,10 @@ class TestReferenceCheckpointing:
 
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
-                             ref_time_cells=12, checkpoint="always")
+                             ref_time_cells=12, checkpoint="auto")
         solve_reference("hom", None, config, lambda *_: None)
         other = mini_config(tmp_path, n_list=(2,), ref_space_cells=16,
-                            ref_time_cells=24, checkpoint="always")
+                            ref_time_cells=24, checkpoint="auto")
         with pytest.raises(ValueError, match="does not match"):
             solve_reference("hom", None, other, lambda *_: None)
 
@@ -250,7 +255,7 @@ class TestReferenceCheckpointing:
         ("T", dict(T=0.75, ref_time_cells=6)),
     ])
     def test_other_problem_data_rejected(self, tmp_path, key, changed):
-        base = dict(n_list=(2,), ref_space_cells=8, ref_time_cells=12, checkpoint="always")
+        base = dict(n_list=(2,), ref_space_cells=8, ref_time_cells=12, checkpoint="auto")
         solve_reference("hom", None, mini_config(tmp_path, **base), lambda *_: None)
         other = mini_config(tmp_path, **{**base, **changed})
         with pytest.raises(ValueError, match=f"does not match the requested reference: "
@@ -259,7 +264,7 @@ class TestReferenceCheckpointing:
 
     def test_renamed_rough_checkpoint_rejected_as_hom(self, tmp_path):
         config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
-                             ref_time_cells=12, checkpoint="always")
+                             ref_time_cells=12, checkpoint="auto")
         solve_reference("rough", 2, config, lambda *_: None)
         os.replace(os.path.join(config.out_dir, "ref_rough_N2.ckpt"),
                    os.path.join(config.out_dir, "ref_hom.ckpt"))
@@ -284,7 +289,7 @@ class TestRunStudy:
 
     def test_outputs_written_whole_without_temporaries(self, tmp_path):
         config = mini_config(tmp_path, n_list=(2,), ref_space_cells=8,
-                             ref_time_cells=12, checkpoint="always",
+                             ref_time_cells=12, checkpoint="auto",
                              snapshot_times=(0.5,), snapshot_resolution=8)
         run_study(config, log=lambda *_: None)
         assert sorted(os.listdir(config.out_dir)) == [
@@ -348,6 +353,18 @@ class TestSnapshots:
         assert "SPACING 0.125 0.125 1\n" in text
         assert "POINT_DATA 64" in text
 
+    def test_time_just_after_zero_writes_the_initial_raster(self, tmp_path):
+        # coefficients_at snaps t = 1e-12 onto t = 0, where only x0 is defined
+        sol = run(co.rough_problem(2, T=0.5), n=4, p=2, q=1, tau=0.25)
+        sol.initial_state = np.random.default_rng(0).standard_normal(sol.coeffs.shape[2])
+        rasters = []
+        for t in (0.0, 1e-12):
+            vtk, csv = export_snapshot(sol, t, 8, str(tmp_path / f"snap_{t}"))
+            rasters.append((Path(csv).read_text(),
+                            Path(vtk).read_text().split("LOOKUP_TABLE default\n")[1]))
+        assert rasters[0] == rasters[1]
+        assert any(float(v) != 0.0 for v in rasters[0][1].split())
+
     def test_vtk_and_csv_hold_the_same_raster(self, tmp_path):
         sol = run(co.rough_problem(2, T=0.25), n=8, p=2, q=1, tau=1 / 16)
         vtk, csv = export_snapshot(sol, 0.125, 16, str(tmp_path / "rough"))
@@ -403,16 +420,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 5
 
-    def test_check_reads_seed_from_config(self, tmp_path, monkeypatch):
+    def test_seed_is_a_check_flag_not_a_config_key(self, tmp_path, monkeypatch):
         seeds = []
         monkeypatch.setattr("parahyp.cli.run_self_checks",
                             lambda seed: seeds.append(seed) or True)
+        assert cli_main(["check", "--seed", "3"]) == 0
+        assert cli_main(["check"]) == 0
+        assert seeds == [3, 0]
         config = tmp_path / "cfg.ini"
         config.write_text("[study]\nseed = 7\n")
-        assert cli_main(["check", "--config", str(config)]) == 0
-        assert cli_main(["check", "--config", str(config), "--seed", "3"]) == 0
-        assert cli_main(["check"]) == 0
-        assert seeds == [7, 3, 0]
+        with pytest.raises(ValueError, match="unknown key 'seed'"):
+            parse_config(config)
+        for argv in (["check", "--config", str(config)], ["study", "--seed", "3"]):
+            with pytest.raises(SystemExit):
+                cli_main(argv)
+        assert seeds == [3, 0]
 
     def test_solve_reference_snapshot_pipeline(self, tmp_path, capsys):
         config = tmp_path / "cfg.ini"
@@ -422,7 +444,7 @@ n_list = 2
 [reference]
 space_cells = 8
 time_cells = 12
-checkpoint = always
+checkpoint = auto
 [output]
 dir = {out}
 """.format(out=tmp_path / "out"))

@@ -29,8 +29,12 @@ in fibre space from slab to slab: the eliminated fibre operators and loads
 are built once, each slab is two small batched matvecs per row, and only
 the stored coefficients are transformed back.  For other coefficients or
 loads each row first condenses out the DOFs that lie inside one cell,
-through small dense solves per kind of cell, and gets one sparse LU of the
-remaining skeleton system (``_SpluSteps``).  Both paths read the operators
+through small dense solves per kind of cell.  The checkerboard's point
+group, the reflections (x, y) -> (y, x) and (x, y) -> (1-x, 1-y), commutes
+with the operators, so its four characters split the remaining skeleton
+system into four quarter-size blocks, and a row factorises by sparse LU
+only the blocks that its right-hand sides reach: one for the study's
+symmetric data (``_SpluSteps``).  Both paths read the operators
 as element matrices per kind of cell and assemble no global matrix.  The
 path follows from the inputs alone: one direct LU of the full block system
 (``build_slab_system``) is taken only when the temporal eigenbasis fails its
@@ -182,10 +186,90 @@ def _interior_slots(cell_dofs: np.ndarray) -> np.ndarray:
     return np.flatnonzero((count[cell_dofs] == 1).all(axis=0))
 
 
+_POINT_GROUP = ("s: (x, y) -> (y, x)", "r: (x, y) -> (1-x, 1-y)")
+
+
+def _point_group(blocks: BlockSystem) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The generators s and r of the checkerboard's point group G = {e, s, r,
+    sr} (``_POINT_GROUP``) as signed permutations T_g of the stacked DOFs,
+    each a pair (source, sign) with (T_g x)[d] = sign[d] x[source[d]]: the
+    coefficients of (u o g, J_g v o g).  Both are involutions and commute,
+    and M0 and C commute with them because the cell coefficients are
+    invariant under both cell maps, which is checked exactly: a
+    ``ValueError`` names the map that is not a symmetry.
+
+    The action is combinatorial.  Cell (i, j) = j n + i maps to (j, i) under
+    s and to (n-1-i, n-1-j) under r, and T_g maps ``cell_dofs()[c, l]`` to
+    sigma_g(l) ``cell_dofs()[g(c), pi_g(l)]``.  On the local slots, s
+    transposes the Q_p node grid (slot b (p+1) + a) and swaps the RT x and y
+    blocks, whose slots at equal offsets hold mirrored points; r reverses the
+    Q_p slots and each RT block and negates the RT values."""
+    n, p = blocks.space_u.mesh.n, blocks.space_u.p
+    n_u, n_c = (p + 1) ** 2, p * (p + 1)
+    cells, u, v = np.arange(n * n), np.arange(n_u), np.arange(2 * n_c)
+    # (cell map, slot map, slot signs) of s and of r
+    s = (cells.reshape(n, n).T.ravel(),
+         np.concatenate([u.reshape(p + 1, p + 1).T.ravel(), n_u + np.roll(v, n_c)]), 1.0)
+    r = (cells[::-1], np.concatenate([u[::-1], n_u + v.reshape(2, n_c)[:, ::-1].ravel()]),
+         np.concatenate([np.ones(n_u), -np.ones(2 * n_c)]))
+    dofs = blocks.cell_dofs()
+    group = []
+    for name, (cell_map, slot_map, slot_sign) in zip(_POINT_GROUP, (s, r)):
+        for coefficient in ("s0_cells", "s1_cells"):
+            values = getattr(blocks, coefficient)
+            if not np.array_equal(values[cell_map], values):
+                raise ValueError(f"the {coefficient[:2]} cell values are not invariant under "
+                                 f"{name}; the sparse-LU rows need the checkerboard's symmetry")
+        source = np.empty(blocks.ndof, dtype=np.int64)
+        sign = np.empty(blocks.ndof)
+        source[dofs] = dofs[cell_map][:, slot_map]
+        sign[dofs] = slot_sign
+        group.append((source, sign))
+    return group
+
+
+# the characters (chi(s), chi(r)) of G, the trivial one first
+_CHARACTERS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _symmetry_bases(group, skeleton: np.ndarray) -> list[sparse.csr_matrix]:
+    """R_chi^T for each character chi in ``_CHARACTERS``: the orthonormal
+    orbit sums sum_g chi(g) T_g e_d on the skeleton DOFs, one row per orbit
+    whose sum is not zero, the orbits in the order of their least DOF.
+    Together the rows form an orthogonal matrix.  Every skeleton DOF lies in
+    one orbit, so each column of an R_chi^T holds at most one entry."""
+    n_s = len(skeleton)
+    index = np.empty(len(group[0][0]), dtype=np.int64)
+    index[skeleton] = np.arange(n_s)
+    (src_s, sign_s), (src_r, sign_r) = ((index[source[skeleton]], sign[skeleton])
+                                        for source, sign in group)
+    # the images of each DOF under e, s, r and sr = s r
+    src = np.stack([np.arange(n_s), src_s, src_r, src_r[src_s]])
+    sign = np.stack([np.ones(n_s), sign_s, sign_r, sign_s * sign_r[src_s]])
+    reps = np.flatnonzero(src.min(axis=0) == np.arange(n_s))
+    # the orbit sums, one row per character and orbit, duplicates summed:
+    # exact in small integers, so a sum that cancels leaves an empty row
+    chi = np.array([[1.0, c_s, c_r, c_s * c_r] for c_s, c_r in _CHARACTERS])
+    shape = (len(chi), 4, len(reps))
+    rows = np.arange(len(chi))[:, None, None] * len(reps) + np.arange(len(reps))
+    sums = sparse.csr_matrix(((chi[:, :, None] * sign[:, reps]).ravel(),
+                              (np.broadcast_to(rows, shape).ravel(),
+                               np.broadcast_to(src[:, reps], shape).ravel())),
+                             shape=(shape[0] * shape[2], n_s))
+    sums.eliminate_zeros()
+    count = np.diff(sums.indptr)
+    by_row = np.repeat(np.arange(len(count)), count)
+    sums.data /= np.sqrt(np.bincount(by_row, sums.data ** 2, len(count)))[by_row]
+    bounds = np.concatenate([[0], np.cumsum((count > 0).reshape(len(chi), -1).sum(axis=1))])
+    sums = sums[np.flatnonzero(count)]
+    return [sums[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 class _SpluSteps:
-    """Decoupled slab steps with one sparse LU per eigenbasis row r (real for
-    a real eigenvalue), of the skeleton system left once the cell interiors
-    are condensed out of A_r = lam_r M0 + C.  Slab m solves
+    """Decoupled slab steps with sparse LUs per eigenbasis row r (real for a
+    real eigenvalue), of the skeleton system left once the cell interiors
+    are condensed out of A_r = lam_r M0 + C, split by the checkerboard's
+    point group.  Slab m solves
 
         y_r = A_r^-1 (vinv_r F + beta_r M0 p)
 
@@ -196,9 +280,8 @@ class _SpluSteps:
     and couples only to that cell's local DOFs, so A_II is block diagonal,
     with one block per cell that depends on lam_r and the cell's kind
     (``BlockSystem.cell_matrices``) alone.  With W = A_II^-1 A_IB per kind,
-    the Schur complement on the remaining skeleton DOFs is scattered from
-    the per-cell blocks A_BB - A_BI W and factorised once per row.  A solve
-    is
+    the Schur complement S_r on the remaining skeleton DOFs is the sum of
+    the per-cell blocks A_BB - A_BI W.  A solve is
 
         g = A_II^-1 f_I,   x_S = S_r^-1 (f_S - P A_BI g),   x_I = g - W x_B,
 
@@ -206,12 +289,33 @@ class _SpluSteps:
     slots onto the skeleton.  The right-hand sides are permuted, skeleton
     first, then the interiors cell by cell with the cells sorted by kind, so
     f_S, f_I and x_I are views, and the solutions are permuted back.  M0 p
-    is formed per cell too (``jump``): no global matrix is assembled.  For
-    p = 1 no slot is interior and S_r = A_r.
+    is formed per cell too (``jump``), on the nonzero blocks of the element
+    only: the u block of each kind with s0 != 0 and the two RT component
+    blocks.  No global matrix is assembled.  For p = 1 no slot is interior
+    and S_r = A_r.
+
+    The operators commute with the point group G = {e, s, r, sr} of
+    ``_point_group`` (checked on the cell coefficients), whose four
+    characters chi split the skeleton into orthogonal subspaces with bases
+    R_chi (``_symmetry_bases``).  So S_r^-1 = sum_chi R_chi B_chi^-1 R_chi^T
+    with the quarter-size blocks B_chi = R_chi^T S_r R_chi, scattered from
+    the per-cell blocks like S_r and never formed whole.  A block is
+    factorised the first time a right-hand side of its row has a component
+    R_chi^T f above 1e-12 of |f| in it; a smaller component of a block not
+    yet factorised is dropped.  Data invariant under G (the study's
+    checkerboards, constants, box source and zero start) reach the trivial
+    character alone, and since M0 commutes with G the jump keeps the state
+    there, so such runs factorise one block per row.  ``meta["symmetry_blocks"]``
+    counts the characters with a factorised block.
     """
+
+    # a component of the skeleton right-hand side below this fraction of its
+    # norm does not call for its character's block
+    _ACTIVE = 1e-12
 
     def __init__(self, blocks: BlockSystem, eig: _Eigenbasis):
         self._eig = eig
+        group = _point_group(blocks)
         kind, m0_cells = blocks.cell_matrices("m0")
         _, c_cells = blocks.cell_matrices("coupling")
         order = np.argsort(kind, kind="stable")
@@ -228,20 +332,32 @@ class _SpluSteps:
         index = np.empty(blocks.ndof, dtype=np.int64)
         index[skeleton] = np.arange(n_s)
         self._cell_skeleton = index[cell_dofs[:, outer]]
-        self._shape = (n_cells, n_i)
+        self._kind, self._shape, self._inner = kind, (n_cells, n_i), inner
         bounds = np.searchsorted(kind, np.arange(len(m0_cells) + 1))
         self._kinds = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        # P: column c (n_i + n_b) + n_i + j of the per-cell GEMM result is cell
-        # c's (A_BI g)_j, summed onto its skeleton DOF
-        cols = (np.arange(n_cells)[:, None] * (n_i + n_b) + n_i + np.arange(n_b)).ravel()
-        self._fold = sparse.csr_matrix((np.ones(cols.size), (self._cell_skeleton.ravel(), cols)),
-                                       shape=(n_s, n_cells * (n_i + n_b)))
-        rows = np.repeat(self._cell_skeleton, n_b, axis=1).ravel()
-        cols = np.tile(self._cell_skeleton, (1, n_b)).ravel()
-        # M0 per kind on the local slots in [interior, boundary] order, as right factor
-        local = np.concatenate([inner, outer])
-        self._jump_dofs = cell_dofs[:, local]
-        self._m0 = m0_cells[:, local[:, None], local].transpose(0, 2, 1)
+
+        def fold(width, columns):
+            """P for per-cell results of ``width`` columns, cell c's boundary
+            slot j at column c width + columns[j]."""
+            cols = (np.arange(n_cells)[:, None] * width + columns).ravel()
+            return sparse.csr_matrix((np.ones(cols.size), (self._cell_skeleton.ravel(), cols)),
+                                     shape=(n_s, n_cells * width))
+
+        self._fold = fold(n_i + n_b, n_i + np.arange(n_b))
+        self._jump_fold = fold(n_i + n_b, outer)
+        self._jump_dofs = cell_dofs
+        # M0's nonzero diagonal blocks as (cells, local slots, right factor):
+        # Mu(s0) per kind where s0 != 0, and the RT x and y blocks of Mv,
+        # which carries no coefficient
+        n_u, n_c = blocks.space_u.n_loc, blocks.space_v.n_loc // 2
+        u, v_x, v_y = slice(0, n_u), slice(n_u, n_u + n_c), slice(n_u + n_c, n_u + 2 * n_c)
+        self._m0_blocks = [(cells, u, m0_cells[k, u, u].T) for k, cells in enumerate(self._kinds)
+                           if m0_cells[k, u, u].any()]
+        self._m0_blocks += [(slice(None), v, m0_cells[0, v, v].T) for v in (v_x, v_y)]
+        self._bases = _symmetry_bases(group, skeleton)
+        self._factored = set()
+        self.meta = {"solver": "decoupled", "spatial_solver": "splu", "skeleton_dofs": n_s,
+                     "symmetry_blocks": 0, **eig.meta}
         self._rows = []
         for r, lam in enumerate(eig.lam):
             real = lam.imag == 0
@@ -250,18 +366,49 @@ class _SpluSteps:
             a_bi = a[:, outer[:, None], inner]
             w = a_ii_inv @ a[:, inner[:, None], outer]
             schur = a[:, outer[:, None], outer] - a_bi @ w
-            lu = _factor(sparse.csc_matrix((schur[kind].ravel(), (rows, cols)),
-                                           shape=(n_s, n_s)))
             # right factors: f_I @ left = [g, A_BI g], x_B @ w^T = W x_B
             left = np.concatenate([a_ii_inv, a_bi @ a_ii_inv], axis=1).transpose(0, 2, 1)
             vinv, beta = (eig.vinv[r].real, eig.beta[r].real) if real \
                 else (eig.vinv[r], eig.beta[r])
-            self._rows.append((vinv, beta, lu, left, w.transpose(0, 2, 1)))
+            self._rows.append((vinv, beta, left, w.transpose(0, 2, 1), schur, {}))
 
     def initial_state(self, x0: np.ndarray) -> np.ndarray:
         return x0
 
-    def _solve(self, lu, left: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    def _block(self, schur: np.ndarray, chi: int):
+        """The LU of B_chi = R_chi^T S R_chi, scattered from the per-cell
+        Schur blocks: R_chi holds one entry, or none, per skeleton DOF.  A DOF
+        without one scatters zeros onto row and column 0, which are dropped
+        with the exact zeros of S."""
+        basis = self._bases[chi].tocoo()
+        col, val = np.zeros(self.skeleton_dofs, dtype=np.int32), np.zeros(self.skeleton_dofs)
+        col[basis.col], val[basis.col] = basis.row, basis.data
+        c, v = col[self._cell_skeleton], val[self._cell_skeleton]
+        n_b = c.shape[1]
+        block = sparse.csc_matrix(((schur[self._kind] * (v[:, :, None] * v[:, None, :])).ravel(),
+                                   (np.repeat(c, n_b, axis=1).ravel(), np.tile(c, (1, n_b)).ravel())),
+                                  shape=(basis.shape[0],) * 2)
+        block.eliminate_zeros()
+        lu = _factor(block)
+        self._factored.add(chi)
+        self.meta["symmetry_blocks"] = len(self._factored)
+        return lu
+
+    def _skeleton_solve(self, schur: np.ndarray, lus: dict, f: np.ndarray) -> np.ndarray:
+        """S^-1 f on the characters f reaches, factorising their blocks on first use."""
+        x = np.zeros_like(f)
+        norm = np.linalg.norm(f)
+        for chi, basis in enumerate(self._bases):
+            part = basis @ f
+            if chi not in lus:
+                if np.linalg.norm(part) <= self._ACTIVE * norm:
+                    continue
+                lus[chi] = self._block(schur, chi)
+            x += basis.T @ lus[chi].solve(part)
+        return x
+
+    def _solve(self, left: np.ndarray, w: np.ndarray, schur: np.ndarray, lus: dict,
+               f: np.ndarray) -> np.ndarray:
         """A_r^-1 f for a permuted vector f, from row r's factors."""
         n_s, n_i = self.skeleton_dofs, self._shape[1]
         f_i = f[n_s:].reshape(self._shape)
@@ -269,7 +416,7 @@ class _SpluSteps:
         for k, cells in enumerate(self._kinds):
             np.matmul(f_i[cells], left[k], out=g[cells])
         x = np.empty_like(f)
-        x[:n_s] = lu.solve(f[:n_s] - self._fold @ g.ravel())
+        x[:n_s] = self._skeleton_solve(schur, lus, f[:n_s] - self._fold @ g.ravel())
         x_i = x[n_s:].reshape(self._shape)
         x_b = np.take(x[:n_s], self._cell_skeleton)
         for k, cells in enumerate(self._kinds):
@@ -278,13 +425,14 @@ class _SpluSteps:
         return x
 
     def jump(self, prev: np.ndarray) -> np.ndarray:
-        """M0 prev, permuted, per cell: an interior row has its own cell's
-        term alone, P sums the boundary rows onto the skeleton."""
+        """M0 prev, permuted, per cell on the element's nonzero blocks: an
+        interior row has its own cell's term alone, P sums the boundary rows
+        onto the skeleton."""
         x = np.take(prev, self._jump_dofs)
-        y = np.empty_like(x)
-        for k, cells in enumerate(self._kinds):
-            np.matmul(x[cells], self._m0[k], out=y[cells])
-        return np.concatenate([self._fold @ y.ravel(), y[:, :self._shape[1]].ravel()])
+        y = np.zeros_like(x)
+        for cells, slots, m0 in self._m0_blocks:
+            np.matmul(x[cells, slots], m0, out=y[cells, slots])
+        return np.concatenate([self._jump_fold @ y.ravel(), y[:, self._inner].ravel()])
 
     def step(self, prev: np.ndarray, loads, m: int, out: np.ndarray) -> np.ndarray:
         load = np.take(loads(m), self._perm, axis=1)
@@ -462,7 +610,9 @@ def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, loads):
     why.  The decoupled path steps translation-invariant blocks with a
     separable load (``loads.spatial``) in fibre space and all others by
     condensed sparse LUs, and records that spatial solver, the sparse LUs'
-    skeleton size and the eigenbasis diagnostics."""
+    skeleton size and the eigenbasis diagnostics.  The sparse-LU rows
+    factorise their symmetry blocks as the slabs reach them and count them
+    into the returned entries, which are read once the run is done."""
     try:
         eig = _temporal_eigenbasis(basis)
     except _EigenbasisError as err:
@@ -472,8 +622,7 @@ def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, loads):
         return _BlochFibres(blocks, eig, loads.spatial), {
             "solver": "decoupled", "spatial_solver": "bloch", **eig.meta}
     fact = _SpluSteps(blocks, eig)
-    return fact, {"solver": "decoupled", "spatial_solver": "splu",
-                  "skeleton_dofs": fact.skeleton_dofs, **eig.meta}
+    return fact, fact.meta
 
 
 def solve_slab(factorisation, state, loads, m: int, out: np.ndarray):
@@ -633,9 +782,14 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     temporal eigenbasis residual ``|V V^-1 - I|_max`` and ``cond(V)``.  Both
     spatial solvers step by one eigenbasis row per real temporal eigenvalue
     or conjugate pair.  On the ``splu`` path the cell-interior unknowns are
-    condensed out, ``meta["skeleton_dofs"]`` counts the unknowns left, and
-    each slab is one sparse triangular solve of that skeleton per row plus
-    small dense per-cell products (see ``_SpluSteps``).  On the ``bloch``
+    condensed out, ``meta["skeleton_dofs"]`` counts the unknowns left, the
+    skeleton splits into four blocks by the characters of the
+    checkerboard's point group, ``meta["symmetry_blocks"]`` counts those
+    that the data reached and that were factorised (1 for data invariant
+    under the group, such as every study problem), and each slab is one
+    sparse triangular solve per factorised block and row plus small dense
+    per-cell products (see ``_SpluSteps``).  Its cell coefficients must be
+    invariant under the group, or a ``ValueError`` is raised.  On the ``bloch``
     path the state stays in Floquet-Bloch fibre space from slab to slab.
     Each fibre's flux unknowns are eliminated once, so each slab is a
     p^2 x 3p^2 and a 2p^2 x p^2 batched fibre matvec per row plus two

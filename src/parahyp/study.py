@@ -177,13 +177,14 @@ def _study_problem(kind: str, N: int | None, config: StudyConfig) -> coeff.Probl
 
 
 def _solver_path(sol: DiscreteSolution) -> str:
-    """``decoupled/bloch``, ``decoupled/splu (skeleton S of N)``, ``direct`` or
-    ``direct (fallback: why)``."""
+    """``decoupled/bloch``, ``decoupled/splu (skeleton S of N, B of 4
+    symmetry blocks)``, ``direct`` or ``direct (fallback: why)``."""
     fallback = sol.meta.get("solver_fallback")
     spatial = sol.meta.get("spatial_solver")
     skeleton = sol.meta.get("skeleton_dofs")
     return sol.meta["solver"] + (f"/{spatial}" if spatial else "") \
-        + (f" (skeleton {skeleton} of {sol.coeffs.shape[2]})" if skeleton else "") \
+        + (f" (skeleton {skeleton} of {sol.coeffs.shape[2]}, "
+           f"{sol.meta['symmetry_blocks']} of 4 symmetry blocks)" if skeleton else "") \
         + (f" (fallback: {fallback})" if fallback else "")
 
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from parahyp import coefficients as co
 from parahyp import slab
@@ -328,6 +329,7 @@ class TestRunBehaviour:
         scale = np.abs(a.coeffs).max()
         assert scale > 0.0
         assert np.abs(a.coeffs - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
+        return b
 
     @pytest.mark.parametrize("N, n", [(2, 2), (2, 4), (2, 8), (4, 4), (4, 8)])
     def test_condensed_rows_agree_with_direct(self, N, n):
@@ -336,10 +338,19 @@ class TestRunBehaviour:
         for p in (1, 2, 3):
             ndof_u = ScalarSpace(mesh, p).ndof
             ndof = ndof_u + VectorSpace(mesh, p).ndof
-            # a random start excites every mode, the cell interiors included
-            x0 = FieldPair.split(np.random.default_rng(n * p).standard_normal(ndof), ndof_u)
+            # a random start excites every mode, the cell interiors included,
+            # and every character of the point group
+            rng = np.random.default_rng(n * p)
+            x0 = FieldPair.split(rng.standard_normal(ndof), ndof_u)
             for q in range(5):
-                self.assert_fibre_loop_matches_direct(prob, n, p, q, "splu", x0=x0)
+                sol = self.assert_fibre_loop_matches_direct(prob, n, p, q, "splu", x0=x0)
+                assert sol.meta["symmetry_blocks"] == 4
+            # the study's data are invariant under the group: the trivial
+            # character's block alone; a random forcing reaches all four
+            forcing = rng.standard_normal((2, 2, ndof))
+            for kwargs, blocks in (({}, 1), ({"discrete_forcing": forcing}, 4)):
+                sol = self.assert_fibre_loop_matches_direct(prob, n, p, 1, "splu", **kwargs)
+                assert sol.meta["symmetry_blocks"] == blocks
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_interior_split(self, n):
@@ -515,6 +526,62 @@ class TestRunBehaviour:
     def test_rejects_non_integer_slab_count(self):
         with pytest.raises(ValueError):
             run(ode_problem(T=0.5), n=2, p=1, q=1, tau=0.3)
+
+
+class TestPointGroup:
+    @staticmethod
+    def cases(n, p):
+        mesh = build_mesh(n)
+        su, sv = ScalarSpace(mesh, p), VectorSpace(mesh, p)
+        cases = [build_block_system(su, sv, 0.8, 0.3)]
+        if n % 2 == 0:
+            cases.append(build_block_system(su, sv, co.checkerboard(2),
+                                            co.checkerboard_complement(2)))
+        return cases
+
+    @staticmethod
+    def matrix(source, sign):
+        return sparse.csr_matrix((sign, (np.arange(len(source)), source)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_signed_permutations_commute_with_the_operators(self, n):
+        for p in (1, 2, 3):
+            for blocks in self.cases(n, p):
+                interior = np.zeros(blocks.ndof, dtype=bool)
+                interior[blocks.cell_dofs()[:, slab._interior_slots(blocks.cell_dofs())]] = True
+                # s is exact and r holds to the rounding of the reversed 1-D
+                # nodes; at n <= 2 the periodic wrap sums an entry's element
+                # terms, some of which cancel, in another order
+                tols = (0.0, 1e-15) if n > 2 else (1e-14, 1e-14)
+                for (source, sign), tol in zip(slab._point_group(blocks), tols):
+                    assert np.array_equal(np.sort(source), np.arange(blocks.ndof))
+                    assert np.all(np.abs(sign) == 1.0)
+                    t = self.matrix(source, sign)
+                    for op in (blocks.m0(), blocks.coupling()):
+                        diff = abs(t @ op - op @ t).max()
+                        assert diff <= tol * abs(op).max()
+                    # interior slots onto interior slots: T_g restricts to the skeleton
+                    assert np.array_equal(interior[source], interior)
+
+    def test_rough_solution_is_invariant(self):
+        sol = run(co.rough_problem(2, T=0.5), n=8, p=3, q=1, tau=1 / 8)
+        blocks = build_block_system(sol.space_u, sol.space_v, co.checkerboard(2),
+                                    co.checkerboard_complement(2))
+        x = sol.coeffs.reshape(-1, blocks.ndof)
+        for source, sign in slab._point_group(blocks):
+            assert abs(sign * x[:, source] - x).max() <= 1e-13 * abs(x).max()
+
+    @pytest.mark.parametrize("cells, name", [([1.0, 2.0, 3.0, 1.0], "s"),
+                                             ([1.0, 2.0, 2.0, 3.0], "r")])
+    def test_non_invariant_coefficients_rejected(self, cells, name):
+        # n = 2: s swaps cells 1 and 2, r swaps 0 with 3 and 1 with 2
+        mesh = build_mesh(2)
+        su, sv = ScalarSpace(mesh, 2), VectorSpace(mesh, 2)
+        eig = slab._temporal_eigenbasis(SlabBasis(1, 1.0, 1 / 4))
+        for s0, s1 in ((np.array(cells), 0.5), (0.5, np.array(cells))):
+            blocks = build_block_system(su, sv, s0, s1)
+            with pytest.raises(ValueError, match=f"not invariant under {name}:"):
+                slab._SpluSteps(blocks, eig)
 
 
 class TestTraces:

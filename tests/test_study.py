@@ -225,14 +225,17 @@ class TestReferenceCheckpointing:
                              ref_time_cells=12, checkpoint="auto")
         logs = []
         sol = solve_reference("rough", 2, config, logs.append)
-        # p = 3: 11 of each cell's 27 owned unknowns are left on the skeleton
-        assert (sol.meta["spatial_solver"], sol.meta["skeleton_dofs"]) == ("splu", 11 * 64)
+        # p = 3: 11 of each cell's 27 owned unknowns are left on the skeleton,
+        # and the study's symmetric data reach one of its four symmetry blocks
+        assert (sol.meta["spatial_solver"], sol.meta["skeleton_dofs"],
+                sol.meta["symmetry_blocks"]) == ("splu", 11 * 64, 1)
         assert sol.coeffs.shape[2] == 27 * 64
-        assert any("] solved" in line and "solver=decoupled/splu (skeleton 704 of 1728) in"
-                   in line for line in logs)
-        # a checkpoint that records another skeleton size is the same reference
+        assert any("] solved" in line and "solver=decoupled/splu (skeleton 704 of 1728, "
+                   "1 of 4 symmetry blocks) in" in line for line in logs)
         path = os.path.join(config.out_dir, "ref_rough_N2.ckpt")
         old = load_solution(path)
+        assert old.meta["symmetry_blocks"] == 1
+        # a checkpoint that records another skeleton size is the same reference
         old.meta = {**old.meta, "skeleton_dofs": 1}
         save_solution(old, path)
         logs.clear()

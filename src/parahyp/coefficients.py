@@ -163,7 +163,7 @@ class ProblemData:
     T: float
     rho: float = 1.0
     rho0: float = 1.0
-    c: float = field(default=0.0)
+    c: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         _, c = admissibility_constants(self.s0, self.s1, self.rho0)

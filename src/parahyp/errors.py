@@ -115,11 +115,8 @@ def _sample_times(sol: DiscreteSolution):
     """(time, side, kind) samples: left trace plus Radau nodes per slab."""
     samples = []
     for m in range(sol.n_slabs):
-        t_left = m * sol.tau
-        samples.append((t_left, "+", "trace"))
-        for i, s in enumerate(sol.basis.nodes):
-            t = (m + 1) * sol.tau if i == len(sol.basis.nodes) - 1 else t_left + s
-            samples.append((t, "-", (m, i)))
+        samples.append((m * sol.tau, "+", "trace"))
+        samples += [(t, "-", (m, i)) for i, t in enumerate(sol.basis.node_times(m).tolist())]
     return samples
 
 

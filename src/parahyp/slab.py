@@ -80,6 +80,12 @@ class SlabBasis:
     def values_at(self, s: float) -> np.ndarray:
         return self.lagrange.values(np.array([float(s)]))[0]
 
+    def node_times(self, m: int) -> np.ndarray:
+        """The times m tau + s_j of slab m's nodes, the last exactly (m + 1) tau."""
+        times = m * self.tau + self.nodes
+        times[-1] = (m + 1) * self.tau
+        return times
+
 
 def build_slab_system(blocks: BlockSystem, basis: SlabBasis) -> sparse.csr_matrix:
     """The full slab matrix kron(K, M0) + kron(diag(w), M1 + A)."""
@@ -106,9 +112,11 @@ class _DirectFactorisation:
     """One LU of the full (q+1)-fold slab matrix, the fallback when the
     temporal eigenbasis fails its check.  Each slab solves for the weighted
     load plus the jump flux l(0) M0 U_prev; the state handed from slab to
-    slab is the right trace itself."""
+    slab is the right trace itself.  ``meta`` names the path and why the
+    eigenbasis was not used."""
 
-    def __init__(self, blocks: BlockSystem, basis: SlabBasis):
+    def __init__(self, blocks: BlockSystem, basis: SlabBasis, fallback: str):
+        self.meta = {"solver": "direct", "solver_fallback": fallback}
         self._basis = basis
         self.m0 = blocks.m0()
         self._lu = _factor(build_slab_system(blocks, basis).tocsc())
@@ -493,18 +501,11 @@ class _BlochFibres:
 
     The factorisation stores X_i and K (5p^4 numbers per fibre for one
     eigenvalue, against 9p^4 for a dense G_i) and H_i = A_i^-1 L^ for the
-    separable source's spatial load L, transformed once.  The operators and
-    L are real, so every symbol at -theta is the conjugate of the one at
-    theta.  The symbols and K are formed on the half zone f <= flip(f) only,
-    with K(-theta) = conj K(theta), and, writing Y(mu) = S(mu)^-1
-    [M_u, -C_uv / mu] and H(mu) for the operators with mu in place of lam_i,
-
-        X_i(-theta) = beta_i conj Y(conj lam_i)(theta),
-        H_i(-theta) = conj H(conj lam_i)(theta):
-
-    two inversions of S per kept fibre and row, one for a real lam_i or a
-    self-conjugate fibre.  X and K stay stored for every fibre, as the
-    step's batched matmuls read them per fibre.  Slab m is then
+    separable source's spatial load L, transformed once.  The operators are
+    real, so every symbol at -theta is the conjugate of the one at theta:
+    the symbols, K and C_uv K are formed on the half zone f <= flip(f) only
+    and conjugated onto the partner fibres.  X_i and H_i are then formed on
+    every fibre alike, one inversion of S per fibre and row.  Slab m is then
 
         y^_i = alpha_i H_i + G_i p^,   alpha_i = V^-1[i] f(t_nodes of m),
 
@@ -517,10 +518,12 @@ class _BlochFibres:
     runs forward per slab and no sparse matvec.
     """
 
-    # fibres per batch while building the operators, bounding the temporaries
+    # half-zone fibres per batch while building the operators, bounding the
+    # temporaries: a batch forms them on up to twice as many fibres
     _CHUNK = 128
 
     def __init__(self, blocks: BlockSystem, eig: _Eigenbasis, spatial_load: np.ndarray):
+        self.meta = {"solver": "decoupled", "spatial_solver": "bloch", **eig.meta}
         n = blocks.space_u.mesh.n
         perm = blocks.owned_dofs()
         n_own = perm.shape[1]
@@ -544,30 +547,20 @@ class _BlochFibres:
         for start in range(0, len(half), self._CHUNK):
             f = half[start:start + self._CHUNK]
             pair = self._flip[f] != f
-            g = self._flip[f[pair]]
+            fibres = np.concatenate([f, self._flip[f[pair]]])
             m0_hat = (m0_phase[f] @ m0_d).reshape(-1, n_own, n_own)
             c_hat = (c_phase[f] @ c_d).reshape(-1, n_own, n_own)
-            m_u, m_v, c_uv = m0_hat[:, u, u], m0_hat[:, v, v], c_hat[:, u, v]
-            k = np.linalg.solve(m_v, c_hat[:, v, u])
-            self._k[f], self._k[g] = k, k[pair].conj()
-            c_uv_k = c_uv @ k
-
-            def operators(lam, sub):
-                """Y(lam) and H(lam) on the chunk's fibres sub."""
-                s_inv = np.linalg.inv(lam * m_u[sub] + c_hat[sub, u, u] - c_uv_k[sub] / lam)
-                h_u = s_inv @ l_u[f[sub]]
-                return (s_inv @ np.concatenate([m_u[sub], -c_uv[sub] / lam], axis=2),
-                        np.concatenate([h_u, k[sub] @ h_u / -lam], axis=1)[..., 0])
-
+            k = np.linalg.solve(m0_hat[:, v, v], c_hat[:, v, u])
+            # values at f, then their conjugates at the partner fibres
+            m_u, c_uu, c_uv, k, c_uv_k = (np.concatenate([a, a[pair].conj()]) for a in (
+                m0_hat[:, u, u], c_hat[:, u, u], c_hat[:, u, v], k, c_hat[:, u, v] @ k))
+            self._k[fibres] = k
             for r, lam in enumerate(self._lam):
-                x, self._h[r, f] = operators(lam, slice(None))
-                self._x[r, f] = self._beta[r] * x
-                if lam.imag:
-                    x, h = operators(lam.conjugate(), pair)
-                else:
-                    x, h = x[pair], self._h[r, f[pair]]
-                self._x[r, g] = self._beta[r] * x.conj()
-                self._h[r, g] = h.conj()
+                s_inv = np.linalg.inv(lam * m_u + c_uu - c_uv_k / lam)
+                x = s_inv @ np.concatenate([m_u, -c_uv / lam], axis=2)
+                self._x[r, fibres] = self._beta[r] * x
+                h_u = s_inv @ l_u[fibres]
+                self._h[r, fibres] = np.concatenate([h_u, k @ h_u / -lam], axis=1)[..., 0]
 
     def to_fibres(self, vec: np.ndarray) -> np.ndarray:
         """The fibres (n^2, 3p^2) of stacked vectors (..., ndof)."""
@@ -604,25 +597,21 @@ class _BlochFibres:
 
 
 def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, loads):
-    """The slab factorisation and the meta entries naming the path taken.
-    The slab decouples through the temporal eigenbasis and falls back to the
-    direct LU only when the eigenbasis fails its conditioning check, recording
-    why.  The decoupled path steps translation-invariant blocks with a
-    separable load (``loads.spatial``) in fibre space and all others by
-    condensed sparse LUs, and records that spatial solver, the sparse LUs'
-    skeleton size and the eigenbasis diagnostics.  The sparse-LU rows
-    factorise their symmetry blocks as the slabs reach them and count them
-    into the returned entries, which are read once the run is done."""
+    """The slab factorisation.  The slab decouples through the temporal
+    eigenbasis and falls back to the direct LU only when the eigenbasis fails
+    its conditioning check.  The decoupled path steps translation-invariant
+    blocks with a separable load (``loads.spatial``) in fibre space and all
+    others by condensed sparse LUs.  Each factorisation keeps its own
+    ``meta``: the path taken, the fallback's reason or the eigenbasis
+    diagnostics, and for the sparse LUs the skeleton size and the symmetry
+    blocks factorised so far, which the slabs add to as they reach them."""
     try:
         eig = _temporal_eigenbasis(basis)
     except _EigenbasisError as err:
-        return _DirectFactorisation(blocks, basis), {"solver": "direct",
-                                                     "solver_fallback": str(err)}
+        return _DirectFactorisation(blocks, basis, str(err))
     if loads.spatial is not None and blocks.n_kinds == 1:
-        return _BlochFibres(blocks, eig, loads.spatial), {
-            "solver": "decoupled", "spatial_solver": "bloch", **eig.meta}
-    fact = _SpluSteps(blocks, eig)
-    return fact, fact.meta
+        return _BlochFibres(blocks, eig, loads.spatial)
+    return _SpluSteps(blocks, eig)
 
 
 def solve_slab(factorisation, state, loads, m: int, out: np.ndarray):
@@ -730,14 +719,8 @@ class _Loads:
             self.spatial[:blocks.space_u.ndof] = assemble_load(
                 blocks.space_u, lambda t, x, y: source.spatial(x, y), 0.0, quad_points)
 
-    def _node_times(self, m: int) -> np.ndarray:
-        tau = self._basis.tau
-        times = m * tau + self._basis.nodes
-        times[-1] = (m + 1) * tau
-        return times
-
     def factors(self, m: int) -> np.ndarray:
-        return np.array([self._source.time_factor(float(t)) for t in self._node_times(m)])
+        return np.array([self._source.time_factor(float(t)) for t in self._basis.node_times(m)])
 
     def __call__(self, m: int) -> np.ndarray:
         if self._forcing is not None:
@@ -747,7 +730,7 @@ class _Loads:
         if self.spatial is not None:
             loads[:, :ndof_u] = np.outer(self.factors(m), self.spatial[:ndof_u])
             return loads
-        for idx, t in enumerate(self._node_times(m)):
+        for idx, t in enumerate(self._basis.node_times(m)):
             loads[idx, :ndof_u] = assemble_load(self._blocks.space_u, self._source,
                                                 float(t), self._quad_points)
         return loads
@@ -773,7 +756,9 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     problem source by a right-hand side given through its coefficients in
     the discrete space; this is how vector-valued or random discrete data is
     fed in.  ``x0`` defaults to rest.  The solver path follows from the
-    inputs alone, and ``meta["solver"]`` names it: ``"decoupled"``, or
+    inputs alone.  The solution's ``meta`` holds the run's parameters and
+    the factorisation's own ``meta``, read once the last slab is done, and
+    ``meta["solver"]`` names the path: ``"decoupled"``, or
     ``"direct"`` when the temporal eigenbasis fails its conditioning check
     (only for q >= 3 with rho tau >= 10) and the slab is solved by one
     direct LU; ``meta["solver_fallback"]`` then says why.  On the decoupled
@@ -794,8 +779,9 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     Each fibre's flux unknowns are eliminated once, so each slab is a
     p^2 x 3p^2 and a 2p^2 x p^2 batched fibre matvec per row plus two
     in-place 1-D inverse FFTs for the stored coefficients; the fibre
-    operators are built on half the Brillouin zone and conjugated onto the
-    other half (see ``_BlochFibres``).
+    symbols are built on half the Brillouin zone and conjugated onto the
+    other half, and the eliminated operators are formed on every fibre (see
+    ``_BlochFibres``).
 
     ``blocks`` (from ``build_block_system``) shares one set of operator
     blocks between runs; a ``ValueError`` is raised before factorising when
@@ -824,7 +810,7 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     if initial.shape != (ndof,):
         raise ValueError(f"initial state has {initial.shape[0]} coefficients, expected {ndof}")
     loads = _Loads(blocks, basis, problem.source, load_quad_points, discrete_forcing)
-    fact, path = _make_factorisation(blocks, basis, loads)
+    fact = _make_factorisation(blocks, basis, loads)
     state = fact.initial_state(initial)
     coeffs = np.empty((n_slabs, q + 1, ndof))
     for m in range(n_slabs):
@@ -832,7 +818,7 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     return DiscreteSolution(space_u=blocks.space_u, space_v=blocks.space_v,
                             basis=basis, coeffs=coeffs, rho=problem.rho,
                             meta={"n": n, "p": p, "q": q, "tau": tau,
-                                  "T": T, "rho": problem.rho, **path},
+                                  "T": T, "rho": problem.rho, **fact.meta},
                             initial_state=initial)
 
 

@@ -106,6 +106,12 @@ class TestAdmissibility:
         assert prob.c == 1.0
         assert prob.rho0 == 1.0
 
+    def test_problem_data_constant_is_not_an_argument(self):
+        # c follows from the coefficients; a given value would be ignored
+        with pytest.raises(TypeError):
+            co.ProblemData(s0=co.constant(0.5), s1=co.constant(0.5),
+                           source=co.source_f(), T=1.0, c=5.0)
+
     def test_weak_weight_warning(self):
         messages = []
         prob = co.rough_problem(2, rho=1.0)

@@ -281,8 +281,8 @@ class TestRunBehaviour:
         blocks = build_block_system(ScalarSpace(mesh, p), VectorSpace(mesh, p), prob.s0, prob.s1)
         basis = SlabBasis(q, prob.rho, 1 / 4)
         loads = slab._Loads(blocks, basis, prob.source, None)
-        fibres, path = slab._make_factorisation(blocks, basis, loads)
-        assert path["spatial_solver"] == "bloch"
+        fibres = slab._make_factorisation(blocks, basis, loads)
+        assert fibres.meta["spatial_solver"] == "bloch"
         return blocks, loads, fibres
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -299,27 +299,30 @@ class TestRunBehaviour:
         assert np.array_equal(fibres._k[flip], fibres._k.conj())
 
     @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.parametrize("q", [1, 2])
-    def test_eliminated_fibre_operator_matches_dense_inverse(self, n, q):
-        # q = 1 plans one conjugate pair, q = 2 one real eigenvalue and one pair;
-        # even n has four self-conjugate fibres, odd n one
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_eliminated_fibre_operator_matches_dense_inverse(self, monkeypatch, n, q):
+        # q = 0 plans one real eigenvalue, q = 1 one conjugate pair, q = 2 one
+        # of each; even n has four self-conjugate fibres, odd n one; a chunk
+        # of two half-zone fibres splits the build into several batches
         p = 2
-        blocks, loads, fibres = self.bloch_fibres(n, p, q)
-        n_own = 3 * p * p
-        m0_hat, c_hat = ((phases @ terms).reshape(n * n, n_own, n_own) for phases, terms
-                         in (slab._symbol_terms(blocks, name) for name in ("m0", "coupling")))
-        rng = np.random.default_rng(5)
-        p_hat = rng.standard_normal((n * n, n_own)) + 1j * rng.standard_normal((n * n, n_own))
-        l_hat = fibres.to_fibres(loads.spatial)
-        jumps = fibres.jump(p_hat)
-        assert len(fibres._lam) == q
-        for r, lam in enumerate(fibres._lam):
-            a_hat = lam * m0_hat + c_hat
-            dense = fibres._beta[r] * np.linalg.solve(a_hat, m0_hat @ p_hat[..., None])[..., 0]
-            assert np.abs(jumps[r] - dense).max() <= 1e-12 * np.abs(dense).max()
-            # H_i = A_i^-1 L^, the separable load's fibre response
-            dense = np.linalg.solve(a_hat, l_hat[..., None])[..., 0]
-            assert np.abs(fibres._h[r] - dense).max() <= 1e-12 * np.abs(dense).max()
+        for chunk in (slab._BlochFibres._CHUNK, 2):
+            monkeypatch.setattr(slab._BlochFibres, "_CHUNK", chunk)
+            blocks, loads, fibres = self.bloch_fibres(n, p, q)
+            n_own = 3 * p * p
+            m0_hat, c_hat = ((phases @ terms).reshape(n * n, n_own, n_own) for phases, terms
+                             in (slab._symbol_terms(blocks, name) for name in ("m0", "coupling")))
+            rng = np.random.default_rng(5)
+            p_hat = rng.standard_normal((n * n, n_own)) + 1j * rng.standard_normal((n * n, n_own))
+            l_hat = fibres.to_fibres(loads.spatial)
+            jumps = fibres.jump(p_hat)
+            assert len(fibres._lam) == max(q, 1)
+            for r, lam in enumerate(fibres._lam):
+                a_hat = lam * m0_hat + c_hat
+                dense = fibres._beta[r] * np.linalg.solve(a_hat, m0_hat @ p_hat[..., None])[..., 0]
+                assert np.abs(jumps[r] - dense).max() <= 1e-12 * np.abs(dense).max()
+                # H_i = A_i^-1 L^, the separable load's fibre response
+                dense = np.linalg.solve(a_hat, l_hat[..., None])[..., 0]
+                assert np.abs(fibres._h[r] - dense).max() <= 1e-12 * np.abs(dense).max()
 
     @staticmethod
     def assert_fibre_loop_matches_direct(prob, n, p, q, spatial="bloch", **kwargs):

@@ -87,7 +87,8 @@ def main(argv=None) -> int:
 
     if args.verb == "snapshot":
         sol = load_solution(args.checkpoint)
-        resolution = args.resolution or config.snapshot_resolution
+        resolution = args.resolution if args.resolution is not None \
+            else config.snapshot_resolution
         os.makedirs(config.out_dir, exist_ok=True)
         base = os.path.join(config.out_dir, f"{args.tag}_t{args.time}")
         vtk, csv = export_snapshot(sol, args.time, resolution, base)

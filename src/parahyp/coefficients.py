@@ -9,6 +9,7 @@ box-supported source that switches off at t = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -168,10 +169,11 @@ class ProblemData:
     def __post_init__(self):
         _, c = admissibility_constants(self.s0, self.s1, self.rho0)
         object.__setattr__(self, "c", c)
-        if self.T <= 0:
-            raise ValueError(f"final time must be positive, got T={self.T}")
-        if self.rho < 0:
-            raise ValueError(f"rho must be nonnegative, got rho={self.rho}")
+        # NaN fails every comparison, so it is rejected too
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"final time must be finite and positive, got T={self.T}")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be finite and nonnegative, got rho={self.rho}")
 
     def warn_if_weak_weight(self, log=None):
         """Theorem-level hypotheses ask for rho > rho0; warn, do not forbid."""

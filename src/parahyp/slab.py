@@ -67,7 +67,6 @@ class SlabBasis:
     def __init__(self, q: int, rho: float, tau: float):
         rule = weighted_gauss_radau(q, rho, tau)
         self.q = q
-        self.rho = rho
         self.tau = tau
         self.nodes = rule.nodes                    # in (0, tau], last = tau
         self.weights = rule.weights
@@ -631,9 +630,9 @@ def slab_count(T: float, tau: float) -> int | None:
 class DiscreteSolution:
     """Per-slab nodal trajectories of one space-time solve.
 
-    ``initial_state`` is the datum x0 the first slab was coupled to; the
-    trajectory itself lives on (0, T] (its value at 0+ is the first left
-    trace, which differs from x0 by the first jump).
+    ``initial_state`` is the datum x0 the first slab was coupled to, zero
+    when not given; the trajectory itself lives on (0, T] (its value at 0+
+    is the first left trace, which differs from x0 by the first jump).
     """
 
     space_u: ScalarSpace
@@ -643,6 +642,10 @@ class DiscreteSolution:
     rho: float
     meta: dict = field(default_factory=dict)
     initial_state: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.initial_state is None:
+            self.initial_state = np.zeros(self.coeffs.shape[2])
 
     @property
     def n_slabs(self) -> int:
@@ -681,7 +684,7 @@ class DiscreteSolution:
         at slab boundaries ('-' from below, '+' from above)."""
         if side not in ("-", "+"):
             raise ValueError(f"side must be '-' or '+', got {side!r}")
-        if t < -1e-12 or t > self.T + 1e-12:
+        if not -1e-12 <= t <= self.T + 1e-12:
             raise ValueError(f"time {t} outside [0, {self.T}]")
         r = t / self.tau
         nearest = int(round(r))
@@ -854,8 +857,6 @@ def save_solution(sol: DiscreteSolution, path) -> None:
     that the data start at a multiple of 64 bytes, then little-endian
     float64 data: the initial state followed by ``coeffs`` in C order.
     """
-    x0 = sol.initial_state if sol.initial_state is not None \
-        else np.zeros(sol.coeffs.shape[2])
     header = json.dumps({"format": _FORMAT_VERSION, "slabs": sol.n_slabs,
                          "ndof_u": sol.space_u.ndof, "ndof_v": sol.space_v.ndof,
                          "meta": sol.meta}).encode()
@@ -863,7 +864,7 @@ def save_solution(sol: DiscreteSolution, path) -> None:
     header += b" " * (-used % _ALIGN) + b"\n"
     with atomic_open(path) as fh:
         fh.write(_MAGIC + header)
-        np.asarray(x0, dtype=_FLOAT).tofile(fh)
+        np.asarray(sol.initial_state, dtype=_FLOAT).tofile(fh)
         np.asarray(sol.coeffs, dtype=_FLOAT).tofile(fh)
 
 

@@ -9,6 +9,7 @@ and tabulate E_sup / E_Q errors with experimental orders of convergence.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import time
 from dataclasses import InitVar, dataclass
@@ -56,7 +57,11 @@ class StudyConfig:
             raise ValueError("n_list must be strictly increasing")
         if self.p < 1 or self.q < 0:
             raise ValueError(f"invalid degrees p={self.p}, q={self.q}")
-        for key, rule, ok in (("T", "> 0", self.T > 0), ("ref_p", ">= 1", self.ref_p >= 1),
+        # NaN fails every comparison; an infinite T would overflow the
+        # reference time cells below
+        for key, rule, ok in (("T", "finite and > 0", 0 < self.T < math.inf),
+                              ("rho", "finite and >= 0", 0 <= self.rho < math.inf),
+                              ("ref_p", ">= 1", self.ref_p >= 1),
                               ("ref_q", ">= 0", self.ref_q >= 0),
                               ("snapshot_resolution", ">= 1", self.snapshot_resolution >= 1)):
             if not ok:
@@ -188,11 +193,17 @@ def _solver_path(sol: DiscreteSolution) -> str:
         + (f" (fallback: {fallback})" if fallback else "")
 
 
-def _study_solve(kind: str, N: int | None, config: StudyConfig) -> DiscreteSolution:
-    """One problem at the study resolution h = tau = 1/(2N), the averaged
-    problem at the finest study N."""
-    n = 2 * (N if kind == "rough" else max(config.n_list))
-    return run(_study_problem(kind, N, config), n=n, p=config.p, q=config.q, tau=1.0 / n)
+def _solve(kind: str, N: int | None, config: StudyConfig, label: str, log, *,
+           n: int, p: int, q: int, tau: float) -> DiscreteSolution:
+    """Run one problem, stamp its identity (problem, N, source) after the
+    run's own ``meta`` and log the solve under ``label``."""
+    problem = _study_problem(kind, N, config)
+    t0 = time.perf_counter()
+    sol = run(problem, n=n, p=p, q=q, tau=tau)
+    sol.meta.update(problem=kind, N=N, source=_SOURCE_TAG)
+    log(f"[{label}] solved n={n} p={p} slabs={sol.n_slabs} solver={_solver_path(sol)} "
+        f"in {time.perf_counter() - t0:.1f}s")
+    return sol
 
 
 def _reference_path(kind: str, N: int | None, config: StudyConfig) -> str:
@@ -211,6 +222,7 @@ def solve_reference(kind: str, N: int | None, config: StudyConfig,
     requested one is refused.
     """
     path = _reference_path(kind, N, config)
+    name = kind if N is None else f"{kind} N={N}"
     n_ref = config.reference_space_cells
     m_ref = config.reference_time_cells
     tau_ref = config.T / m_ref
@@ -225,16 +237,11 @@ def solve_reference(kind: str, N: int | None, config: StudyConfig,
         if differ:
             raise ValueError(f"checkpoint {path} does not match the requested "
                              f"reference: {', '.join(differ)}")
-        log(f"[reference {kind}{'' if N is None else f' N={N}'}] loaded checkpoint "
-            f"{path} in {time.perf_counter() - t0:.1f}s")
+        log(f"[reference {name}] loaded checkpoint {path} "
+            f"in {time.perf_counter() - t0:.1f}s")
         return sol
-    problem = _study_problem(kind, N, config)
-    t0 = time.perf_counter()
-    sol = run(problem, n=n_ref, p=config.ref_p, q=config.ref_q, tau=tau_ref)
-    sol.meta.update(identity)
-    log(f"[reference {kind}{'' if N is None else f' N={N}'}] solved "
-        f"n={n_ref} p={config.ref_p} slabs={m_ref} solver={_solver_path(sol)} "
-        f"in {time.perf_counter() - t0:.1f}s")
+    sol = _solve(kind, N, config, f"reference {name}", log,
+                 n=n_ref, p=config.ref_p, q=config.ref_q, tau=tau_ref)
     if config.checkpoint != "never":
         os.makedirs(config.out_dir, exist_ok=True)
         t0 = time.perf_counter()
@@ -245,6 +252,11 @@ def solve_reference(kind: str, N: int | None, config: StudyConfig,
 
 def run_study(config: StudyConfig, log=print) -> ErrorTable:
     """Full table run: study solves, references, error columns, CSV output.
+
+    After the study rows, each reference in turn is solved or loaded,
+    compared with the rows it serves (a rough one with its own N, the
+    homogenised one with every row; E_sup weighted by the reference
+    problem's s0) and dropped, so one reference is held at a time.
 
     Progress lines (with per-row timings) go to ``log`` and are also appended
     to ``run.log`` in the output directory as they happen, so a run that
@@ -262,36 +274,27 @@ def run_study(config: StudyConfig, log=print) -> ErrorTable:
 
     _study_problem("rough", config.n_list[0], config).warn_if_weak_weight(log)
 
-    study_solutions = {}
-    for N in config.n_list:
-        t0 = time.perf_counter()
-        sol = _study_solve("rough", N, config)
-        study_solutions[N] = sol
-        log(f"[study N={N}] solved n={sol.meta['n']} p={config.p} slabs={sol.n_slabs} "
-            f"solver={_solver_path(sol)} in {time.perf_counter() - t0:.1f}s")
+    study_solutions = {N: _solve("rough", N, config, f"study N={N}", log,
+                                 n=2 * N, p=config.p, q=config.q, tau=1.0 / (2 * N))
+                       for N in config.n_list}
 
-    rough_errors = {}
-    for N in config.n_list:
-        ref = solve_reference("rough", N, config, log)
-        t0 = time.perf_counter()
-        rough_errors[N] = compare_solutions(study_solutions[N], ref,
-                                            s0_weight=coeff.checkerboard(N))
-        log(f"[errors N={N}] rough comparison in {time.perf_counter() - t0:.1f}s")
+    # (kind, N) of each reference -> the study rows it is compared with
+    references = [("rough", N, (N,)) for N in config.n_list] + [("hom", None, config.n_list)]
+    errors = {}
+    for kind, ref_N, rows in references:
+        ref = solve_reference(kind, ref_N, config, log)
+        s0 = _study_problem(kind, ref_N, config).s0
+        for N in rows:
+            t0 = time.perf_counter()
+            errors[kind, N] = compare_solutions(study_solutions[N], ref, s0_weight=s0)
+            log(f"[errors N={N}] {'homogenised' if kind == 'hom' else kind} comparison "
+                f"in {time.perf_counter() - t0:.1f}s")
         del ref
-
-    hom_ref = solve_reference("hom", None, config, log)
-    hom_s0 = coeff.constant(coeff.homogenised_average(coeff.checkerboard(config.n_list[0])))
-    hom_errors = {}
-    for N in config.n_list:
-        t0 = time.perf_counter()
-        hom_errors[N] = compare_solutions(study_solutions[N], hom_ref, s0_weight=hom_s0)
-        log(f"[errors N={N}] homogenised comparison in {time.perf_counter() - t0:.1f}s")
-    del hom_ref
 
     table = ErrorTable()
     for N in config.n_list:
-        table.add_row(N, rough_errors[N].e_sup, rough_errors[N].e_q,
-                      hom_errors[N].e_sup, hom_errors[N].e_q)
+        table.add_row(N, errors["rough", N].e_sup, errors["rough", N].e_q,
+                      errors["hom", N].e_sup, errors["hom", N].e_q)
     csv_path = os.path.join(config.out_dir, "table.csv")
     with atomic_open(csv_path) as fh:
         fh.write(table.to_csv().encode())
@@ -308,7 +311,9 @@ def _export_study_snapshots(config: StudyConfig, study_solutions, log):
     skipped = tuple(t for t in config.snapshot_times if t not in times)
     if times:
         labelled = [(f"u_N{N}", study_solutions[N]) for N in config.n_list]
-        labelled.append(("u_hom", _study_solve("hom", None, config)))
+        n = 2 * max(config.n_list)
+        labelled.append(("u_hom", _solve("hom", None, config, "study hom", log,
+                                         n=n, p=config.p, q=config.q, tau=1.0 / n)))
         for label, sol in labelled:
             for t in times:
                 base = os.path.join(config.out_dir, f"{label}_t{t}")
@@ -328,6 +333,8 @@ def export_snapshot(sol: DiscreteSolution, t: float, resolution: int,
     """
     if not 0.0 <= t <= sol.T + 1e-12:
         raise ValueError(f"snapshot time {t} outside [0, {sol.T}]")
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution!r}")
     # sample at cell centres of the raster
     pts_1d = (np.arange(resolution) + 0.5) / resolution
     xx, yy = np.meshgrid(pts_1d, pts_1d, indexing="ij")
@@ -335,8 +342,7 @@ def export_snapshot(sol: DiscreteSolution, t: float, resolution: int,
     if t / sol.tau < 1e-9:
         # at the initial instant the state is the datum x0 itself; the
         # tolerance is the one with which coefficients_at snaps t onto t = 0
-        coeffs = sol.initial_state if sol.initial_state is not None \
-            else np.zeros(sol.coeffs.shape[2])
+        coeffs = sol.initial_state
     else:
         coeffs = sol.coefficients_at(t, "-")
     values = eval_scalar(sol.space_u, coeffs[: sol.ndof_u], pts).reshape(resolution,
@@ -367,10 +373,7 @@ def single_solve(kind: str, N: int | None, config: StudyConfig,
     """Solve one study-resolution problem (the 'solve' CLI verb)."""
     if kind == "rough" and N is None:
         N = max(config.n_list)
-    t0 = time.perf_counter()
-    sol = _study_solve(kind, N, config)
-    sol.meta.update(problem=kind, N=N, source=_SOURCE_TAG)
-    log(f"[solve {kind}{'' if N is None else f' N={N}'}] n={sol.meta['n']} p={config.p} "
-        f"slabs={sol.n_slabs} solver={_solver_path(sol)} "
-        f"in {time.perf_counter() - t0:.1f}s")
-    return sol
+    # the averaged problem at the finest study N
+    n = 2 * (N if kind == "rough" else max(config.n_list))
+    return _solve(kind, N, config, f"solve {kind}{'' if N is None else f' N={N}'}", log,
+                  n=n, p=config.p, q=config.q, tau=1.0 / n)

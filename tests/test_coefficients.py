@@ -112,6 +112,14 @@ class TestAdmissibility:
             co.ProblemData(s0=co.constant(0.5), s1=co.constant(0.5),
                            source=co.source_f(), T=1.0, c=5.0)
 
+    @pytest.mark.parametrize("key, value", [("T", np.inf), ("T", np.nan), ("T", 0.0),
+                                            ("rho", np.inf), ("rho", np.nan), ("rho", -1.0)])
+    def test_problem_data_rejects_bad_time_or_weight(self, key, value):
+        # a NaN rho would otherwise fail deep inside the temporal eigen-solve
+        data = dict(s0=co.constant(0.5), s1=co.constant(0.5), source=co.source_f(), T=1.0)
+        with pytest.raises(ValueError, match=f"must be finite .* got {key}={value}$"):
+            co.ProblemData(**{**data, key: value})
+
     def test_weak_weight_warning(self):
         messages = []
         prob = co.rough_problem(2, rho=1.0)

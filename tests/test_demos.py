@@ -1,7 +1,8 @@
 """Each demo runs to completion as a script.
 
 Demo 03 writes its snapshots into ``demos/output/``, which git ignores.
-Demo 05 (a full convergence study, about 36 s) is left out: ``run_study``
+Demo 05 (a full convergence study, about 12 s on one core of a 2-core
+Intel Xeon host with one BLAS thread) is left out: ``run_study``
 is covered by the acceptance suite.
 """
 

@@ -640,6 +640,11 @@ class TestTraces:
         with pytest.raises(ValueError):
             solution.coefficients_at(solution.T, "+")
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, solution, t):
+        with pytest.raises(ValueError, match="outside"):
+            solution.coefficients_at(t)
+
 
 class TestCheckpoint:
     @pytest.fixture
@@ -661,6 +666,13 @@ class TestCheckpoint:
         assert back.space_u.ndof == sol.space_u.ndof
         assert not back.coeffs.flags.writeable
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_initial_state_defaults_to_zero(self, tmp_path, solution):
+        # solutions built from coefficients alone carry no datum
+        sol = dataclasses.replace(solution, initial_state=None)
+        assert np.array_equal(sol.initial_state, np.zeros(sol.coeffs.shape[2]))
+        save_solution(sol, tmp_path / "zero.ckpt")
+        assert not load_solution(tmp_path / "zero.ckpt").initial_state.any()
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"

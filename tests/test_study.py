@@ -7,6 +7,7 @@ import pytest
 
 from parahyp import coefficients as co
 from parahyp.cli import main as cli_main
+from parahyp.errors import compare_solutions
 from parahyp.slab import load_solution, run, save_solution
 from parahyp.spaces import eval_scalar
 from parahyp.study import (_SCHEMA, StudyConfig, export_snapshot, parse_config,
@@ -119,7 +120,9 @@ snapshot_times = 0.5 1.0
             with pytest.raises(ValueError, match=f"unknown key '{key}'"):
                 parse_config(path)
 
-    @pytest.mark.parametrize("key, value", [("T", 0.0), ("T", -1.5), ("ref_p", 0),
+    @pytest.mark.parametrize("key, value", [("T", 0.0), ("T", -1.5), ("T", np.inf),
+                                            ("T", np.nan), ("rho", -1.0), ("rho", np.inf),
+                                            ("rho", np.nan), ("ref_p", 0),
                                             ("ref_q", -1), ("snapshot_resolution", 0)])
     def test_out_of_range_value_rejected(self, key, value):
         # rejected on construction, before a study opens its run.log
@@ -150,6 +153,13 @@ snapshot_times = 0.5 1.0
         path = tmp_path / "zero.ini"
         path.write_text(f"[study]\nn_list = 2\n[reference]\n{key} = 0\n")
         with pytest.raises(ValueError, match=match):
+            parse_config(path)
+
+    @pytest.mark.parametrize("line, key", [("rho = nan", "rho"), ("t = inf", "T")])
+    def test_non_finite_value_rejected_from_config(self, tmp_path, line, key):
+        path = tmp_path / "nonfinite.ini"
+        path.write_text(f"[study]\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
             parse_config(path)
 
     def test_final_time_must_fit_the_study_slabs(self):
@@ -330,6 +340,34 @@ class TestRunStudy:
         assert any(line.startswith("[study N=2] solved") for line in lines)
         assert any(line.startswith("[reference rough N=2] solved") for line in lines)
 
+    def test_each_reference_meets_the_rows_it_serves(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recorder(coarse, reference, s0_weight):
+            calls.append((reference.meta["problem"], reference.meta["N"],
+                          coarse.space_u.mesh.n, s0_weight))
+            return compare_solutions(coarse, reference, s0_weight=s0_weight)
+
+        monkeypatch.setattr("parahyp.study.compare_solutions", recorder)
+        config = mini_config(tmp_path, ref_space_cells=16, ref_time_cells=24,
+                             snapshot_times=(0.5,), snapshot_resolution=4)
+        table = run_study(config, log=lambda *_: None)
+        # E_sup is weighted by the s0 of the reference's own problem
+        assert calls == [("rough", 2, 4, co.checkerboard(2)),
+                         ("rough", 4, 8, co.checkerboard(4)),
+                         ("hom", None, 4, co.constant(0.5)),
+                         ("hom", None, 8, co.constant(0.5))]
+        # the benchmark's golden study table, to about 1e-14
+        expected = [[2, 0.039909266918084566, 0.019643131920692572,
+                     0.060865637478312244, 0.027228377649973698],
+                    [4, 0.01272960284917609, 0.006397508397760359,
+                     0.04591528455163123, 0.0190009020151726]]
+        for row, want in zip(table.rows, expected, strict=True):
+            got = [row["N"], *(row[c] for c in table.columns)]
+            assert got == pytest.approx(want, rel=1e-9)
+        lines = Path(config.out_dir, "run.log").read_text().splitlines()
+        assert any(line.startswith("[study hom] solved n=8 p=2 slabs=12") for line in lines)
+
     def test_determinism_byte_identical_csv(self, tmp_path):
         config_a = mini_config(tmp_path, out_dir=str(tmp_path / "a"))
         config_b = mini_config(tmp_path, out_dir=str(tmp_path / "b"))
@@ -415,6 +453,19 @@ class TestSnapshots:
         sol = run(co.rough_problem(2, T=0.5), n=4, p=2, q=1, tau=0.25)
         with pytest.raises(ValueError):
             export_snapshot(sol, 0.6, 4, str(tmp_path / "late"))
+
+    def test_resolution_must_be_positive(self, tmp_path):
+        sol = run(co.rough_problem(2, T=0.5), n=4, p=2, q=1, tau=0.25)
+        for resolution in (0, -4):
+            with pytest.raises(ValueError, match=f"resolution must be >= 1, got {resolution}"):
+                export_snapshot(sol, 0.25, resolution, str(tmp_path / "snap"))
+        # 0 on the command line is a resolution, not a request for the configured one
+        chk = tmp_path / "sol.ckpt"
+        save_solution(sol, chk)
+        with pytest.raises(ValueError, match="resolution must be >= 1, got 0"):
+            cli_main(["snapshot", "--out", str(tmp_path), "--checkpoint", str(chk),
+                      "--time", "0.25", "--resolution", "0"])
+        assert sorted(os.listdir(tmp_path)) == ["sol.ckpt"]
 
 
 class TestCli:

@@ -34,7 +34,7 @@ print(" h = tau |     E_sup |      E_Q  | eoc(E_Q)")
 prev = None
 for level in (8, 16, 32, 64):
     h = 1.0 / level
-    sol = run(problem, n=level, p=2, q=1, tau=h, load_quad_points=4)
+    sol = run(problem, n=level, p=2, q=1, tau=h)
     rep = compare_to_exact(sol, exact_u, exact_v, s0_weight=constant(0.5))
     rate = "" if prev is None else f"{np.log2(prev / rep.e_q):9.2f}"
     print(f"   1/{level:<4} | {rep.e_sup:9.3e} | {rep.e_q:9.3e} |{rate}")

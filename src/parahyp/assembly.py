@@ -153,10 +153,12 @@ def assemble_grad_block(space_u: ScalarSpace, space_v: VectorSpace) -> sparse.cs
 def assemble_load(space: ScalarSpace, f, t: float, quad_points: int | None = None) -> np.ndarray:
     """Load vector with entries <f(t, .), phi_i>.
 
-    ``f`` is called as f(t, x, y) with coordinate arrays.  The default
-    quadrature (p+1 points per direction) is exact for loads that are
-    polynomial per cell, which covers the box source whenever the mesh
-    resolves the box; pass a higher ``quad_points`` for general smooth data.
+    ``f`` is called as f(t, x, y) with coordinate arrays and integrated by
+    ``quad_points`` Gauss points per direction and cell (default p+1),
+    exact when f is, on each cell, a polynomial of degree
+    2 quad_points - 1 - p per axis, as the box source is on meshes that
+    resolve the box.
+    ``slab.run`` integrates every source by p+2 points.
     """
     h = space.mesh.h
     rule = gauss_legendre_1d(quad_points or (space.p + 1))

@@ -98,26 +98,27 @@ def homogenised_average(field_: CoefficientField) -> float:
     return 0.5  # equal numbers of even and odd cells for even N
 
 
-def admissibility_constants(s0: CoefficientField, s1: CoefficientField,
-                            rho0: float = 1.0) -> tuple[float, float]:
-    """Verify rho0 * s0 + s1 >= c > 0 and return (rho0, c).
+# the admissibility weight rho0 of the coefficient pair: rho0 s0 + s1 >= c > 0
+RHO0 = 1.0
+
+
+def admissibility_constants(s0: CoefficientField, s1: CoefficientField) -> tuple[float, float]:
+    """Verify RHO0 * s0 + s1 >= c > 0 and return (RHO0, c).
 
     Both fields are sampled on the coarsest common background mesh; the
     minimum over cells is the admissibility constant c.
     """
-    if rho0 < 0:
-        raise ValueError(f"rho0 must be nonnegative, got {rho0}")
     n = 2
     for f in (s0, s1):
         if f.kind != "constant":
             n = max(n, f.N)
     mesh = Mesh(n)
-    vals = rho0 * s0.cell_values(mesh) + s1.cell_values(mesh)
+    vals = RHO0 * s0.cell_values(mesh) + s1.cell_values(mesh)
     c = float(vals.min())
     if c <= 0.0:
         raise ValueError(
             f"coefficient pair is not admissible: min(rho0*s0 + s1) = {c} <= 0")
-    return rho0, c
+    return RHO0, c
 
 
 @dataclass(frozen=True)
@@ -163,11 +164,10 @@ class ProblemData:
     source: SeparableSource | Callable
     T: float
     rho: float = 1.0
-    rho0: float = 1.0
     c: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        _, c = admissibility_constants(self.s0, self.s1, self.rho0)
+        _, c = admissibility_constants(self.s0, self.s1)
         object.__setattr__(self, "c", c)
         # NaN fails every comparison, so it is rejected too
         if not 0 < self.T < math.inf:
@@ -177,8 +177,8 @@ class ProblemData:
 
     def warn_if_weak_weight(self, log=None):
         """Theorem-level hypotheses ask for rho > rho0; warn, do not forbid."""
-        if self.rho <= self.rho0:
-            msg = (f"rho={self.rho} <= rho0={self.rho0}: homogenisation-rate "
+        if self.rho <= RHO0:
+            msg = (f"rho={self.rho} <= rho0={RHO0}: homogenisation-rate "
                    "hypotheses are not strictly satisfied")
             (log or print)(msg)
             return msg

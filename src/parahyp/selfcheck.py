@@ -88,8 +88,7 @@ def check_stability(seed=0):
     n_slabs = int(round(prob.T / tau))
     for _ in range(3):
         forcing = rng.standard_normal((n_slabs, q + 1, blocks.ndof))
-        sol = run(prob, n=n, p=p, q=q, tau=tau, discrete_forcing=forcing,
-                  blocks=blocks)
+        sol = run(prob, n=n, p=p, q=q, tau=tau, discrete_forcing=forcing)
         f_sol = sol.__class__(space_u=su, space_v=sv, basis=sol.basis,
                               coeffs=forcing, rho=prob.rho, meta=sol.meta)
         ratio = e_q_discrete(sol, gram) / e_q_discrete(f_sol, gram)

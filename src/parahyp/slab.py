@@ -53,7 +53,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .assembly import BlockSystem, _coefficient_cells, assemble_load, build_block_system
+from .assembly import BlockSystem, assemble_load, build_block_system
 from .coefficients import ProblemData, SeparableSource
 from .mesh import build_mesh
 from .quadrature import weighted_gauss_radau
@@ -498,15 +498,17 @@ class _BlochFibres:
         G_i p^ = [z; (beta_i p^_v - K z) / lam_i],
         z = X_i p^,   X_i = beta_i S_i^-1 [M_u, -C_uv / lam_i].
 
-    The factorisation stores X_i and K (5p^4 numbers per fibre for one
-    eigenvalue, against 9p^4 for a dense G_i) and H_i = A_i^-1 L^ for the
-    separable source's spatial load L, transformed once.  The operators are
-    real, so every symbol at -theta is the conjugate of the one at theta:
-    the symbols, K and C_uv K are formed on the half zone f <= flip(f) only
-    and conjugated onto the partner fibres.  X_i and H_i are then formed on
-    every fibre alike, one inversion of S per fibre and row.  Slab m is then
+    The separable source's spatial load L^, transformed once, has no flux
+    part, so its response is A_i^-1 [L^_u; 0] = [h_i; -K h_i / lam_i] with
+    h_i = S_i^-1 L^_u.  The factorisation stores X_i, K and h_i (5p^4 + p^2
+    numbers per fibre for one eigenvalue, against 9p^4 for a dense G_i).
+    The operators are real, so every symbol at -theta is the conjugate of
+    the one at theta: the symbols, K and C_uv K are formed on the half zone
+    f <= flip(f) only and conjugated onto the partner fibres.  X_i and h_i
+    are then formed on every fibre alike, one inversion of S per fibre and
+    row.  With alpha_i = V^-1[i] f(t_nodes of m), slab m is
 
-        y^_i = alpha_i H_i + G_i p^,   alpha_i = V^-1[i] f(t_nodes of m),
+        y^_u = X_i p^ + alpha_i h_i,   y^_v = (beta_i p^_v - K y^_u) / lam_i,
 
     two batched small matvecs per eigenbasis row, where p^ is the previous
     right trace in fibre space: the time-basis change commutes with the
@@ -539,7 +541,7 @@ class _BlochFibres:
         rows, n_fib = len(eig.lam), n * n
         self._x = np.empty((rows, n_fib, n_u, n_own), dtype=complex)
         self._k = np.empty((n_fib, n_own - n_u, n_u), dtype=complex)
-        self._h = np.empty((rows, n_fib, n_own), dtype=complex)
+        self._h = np.empty((rows, n_fib, n_u), dtype=complex)
         l_u = self.to_fibres(spatial_load)[:, :n_u, None]
         u, v = slice(None, n_u), slice(n_u, None)
         half = np.flatnonzero(np.arange(n_fib) <= self._flip)
@@ -558,8 +560,7 @@ class _BlochFibres:
                 s_inv = np.linalg.inv(lam * m_u + c_uu - c_uv_k / lam)
                 x = s_inv @ np.concatenate([m_u, -c_uv / lam], axis=2)
                 self._x[r, fibres] = self._beta[r] * x
-                h_u = s_inv @ l_u[fibres]
-                self._h[r, fibres] = np.concatenate([h_u, k @ h_u / -lam], axis=1)[..., 0]
+                self._h[r, fibres] = (s_inv @ l_u[fibres])[..., 0]
 
     def to_fibres(self, vec: np.ndarray) -> np.ndarray:
         """The fibres (n^2, 3p^2) of stacked vectors (..., ndof)."""
@@ -572,17 +573,17 @@ class _BlochFibres:
     def initial_state(self, x0: np.ndarray) -> np.ndarray:
         return self.to_fibres(x0)
 
-    def jump(self, prev_hat: np.ndarray) -> np.ndarray:
-        """G_i p^ for every eigenbasis row i, shape (rows, n^2, 3p^2)."""
-        z = self._x @ prev_hat[:, :, None]
-        y_v = self._k @ z
+    def row_solutions(self, prev_hat: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """alpha_i A_i^-1 L^ + G_i p^ for every eigenbasis row i, shape (rows, n^2, 3p^2)."""
+        y_u = self._x @ prev_hat[:, :, None]
+        y_u[..., 0] += alpha[:, None, None] * self._h
+        y_v = self._k @ y_u
         y_v[..., 0] -= self._beta[:, None, None] * prev_hat[:, self._n_u:]
         y_v /= -self._lam[:, None, None, None]
-        return np.concatenate([z, y_v], axis=2)[..., 0]
+        return np.concatenate([y_u, y_v], axis=2)[..., 0]
 
     def step(self, prev_hat: np.ndarray, loads, m: int, out: np.ndarray) -> np.ndarray:
-        y = self.jump(prev_hat)
-        y += (self._vinv @ loads.factors(m))[:, None, None] * self._h
+        y = self.row_solutions(prev_hat, self._vinv @ loads.factors(m))
         trace = np.tensordot(self._w_last, y, 1)
         # y is this step's own array: back to cells in place, one cell axis at a time
         cells = y.reshape(len(y), self._n, self._n, -1)
@@ -704,23 +705,24 @@ class DiscreteSolution:
 class _Loads:
     """The load vectors <F(t), Phi> of each slab at its nodes, (q+1, ndof).
 
-    For a separable source ``spatial`` is its stacked load vector, assembled
-    once, and ``factors(m)`` the time factor at slab m's nodes; otherwise
-    ``spatial`` is None.  ``forcing`` (M, q+1, ndof) gives the right-hand
-    side through its coefficients in the discrete space instead.
+    The source is integrated by p+2 Gauss points per direction and cell,
+    separable or not (``assemble_load``).  For a separable source
+    ``spatial`` is its stacked load vector, assembled once, and
+    ``factors(m)`` the time factor at slab m's nodes; otherwise ``spatial``
+    is None.  ``forcing`` (M, q+1, ndof) gives the right-hand side through
+    its coefficients in the discrete space instead.
     """
 
-    def __init__(self, blocks: BlockSystem, basis: SlabBasis, source,
-                 quad_points, forcing=None):
+    def __init__(self, blocks: BlockSystem, basis: SlabBasis, source, forcing=None):
         self._blocks, self._basis = blocks, basis
-        self._source, self._quad_points = source, quad_points
+        self._source, self._quad_points = source, blocks.space_u.p + 2
         self._forcing = forcing
         self._mass = blocks.m_unweighted() if forcing is not None else None
         self.spatial = None
         if forcing is None and isinstance(source, SeparableSource):
             self.spatial = np.zeros(blocks.ndof)
             self.spatial[:blocks.space_u.ndof] = assemble_load(
-                blocks.space_u, lambda t, x, y: source.spatial(x, y), 0.0, quad_points)
+                blocks.space_u, lambda t, x, y: source.spatial(x, y), 0.0, self._quad_points)
 
     def factors(self, m: int) -> np.ndarray:
         return np.array([self._source.time_factor(float(t)) for t in self._basis.node_times(m)])
@@ -739,22 +741,15 @@ class _Loads:
         return loads
 
 
-def _check_blocks(blocks: BlockSystem, n: int, p: int, problem: ProblemData):
-    space_u, space_v = blocks.space_u, blocks.space_v
-    if (space_u.mesh.n, space_u.p, space_v.p) != (n, p, p):
-        raise ValueError(f"blocks were built for n={space_u.mesh.n}, p={space_u.p}; "
-                         f"the run asks for n={n}, p={p}")
-    for name, s in (("s0", problem.s0), ("s1", problem.s1)):
-        if not np.array_equal(getattr(blocks, f"{name}_cells"), _coefficient_cells(space_u, s)):
-            raise ValueError(f"blocks were built for other {name} cell values than the problem's")
-
-
 def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
-        x0: FieldPair | None = None, *, load_quad_points: int | None = None,
-        discrete_forcing: np.ndarray | None = None,
-        blocks: BlockSystem | None = None) -> DiscreteSolution:
+        x0: FieldPair | None = None, *,
+        discrete_forcing: np.ndarray | None = None) -> DiscreteSolution:
     """Solve the evolutionary problem on [0, T] with M = T/tau uniform slabs.
 
+    The run builds its own mesh, spaces and operator blocks, and integrates
+    the problem source by p+2 Gauss points per direction and cell: exact for
+    sources that are polynomials of degree p+3 per axis on each cell, and
+    so for the study's box source on meshes that resolve the box.
     ``discrete_forcing`` (shape (M, q+1, ndof_u + ndof_v)) replaces the
     problem source by a right-hand side given through its coefficients in
     the discrete space; this is how vector-valued or random discrete data is
@@ -779,31 +774,23 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     per-cell products (see ``_SpluSteps``).  Its cell coefficients must be
     invariant under the group, or a ``ValueError`` is raised.  On the ``bloch``
     path the state stays in Floquet-Bloch fibre space from slab to slab.
-    Each fibre's flux unknowns are eliminated once, so each slab is a
-    p^2 x 3p^2 and a 2p^2 x p^2 batched fibre matvec per row plus two
-    in-place 1-D inverse FFTs for the stored coefficients; the fibre
-    symbols are built on half the Brillouin zone and conjugated onto the
-    other half, and the eliminated operators are formed on every fibre (see
-    ``_BlochFibres``).
+    Each fibre's flux unknowns are eliminated once and the load enters the
+    u block alone, so each slab is a p^2 x 3p^2 and a 2p^2 x p^2 batched
+    fibre matvec per row plus two in-place 1-D inverse FFTs for the stored
+    coefficients; the fibre symbols are built on half the Brillouin zone
+    and conjugated onto the other half, and the eliminated operators are
+    formed on every fibre (see ``_BlochFibres``).
 
-    ``blocks`` (from ``build_block_system``) shares one set of operator
-    blocks between runs; a ``ValueError`` is raised before factorising when
-    its mesh size, degree or coefficient cell values differ from ``n``,
-    ``p`` and the problem's.  Both decoupled paths read the operators as
-    element matrices per kind of cell and assemble no global matrix; the
-    direct fallback assembles M0 and C once, ``discrete_forcing`` the
-    unweighted mass.
+    Both decoupled paths read the operators as element matrices per kind of
+    cell and assemble no global matrix; the direct fallback assembles M0
+    and C once, ``discrete_forcing`` the unweighted mass.
     """
     T = problem.T
     if (n_slabs := slab_count(T, tau)) is None:
         raise ValueError(f"final time {T} is not an integer multiple of tau={tau}")
-    if blocks is None:
-        mesh = build_mesh(n)
-        space_u = ScalarSpace(mesh, p)
-        space_v = VectorSpace(mesh, p)
-        blocks = build_block_system(space_u, space_v, problem.s0, problem.s1)
-    else:
-        _check_blocks(blocks, n, p, problem)
+    mesh = build_mesh(n)
+    blocks = build_block_system(ScalarSpace(mesh, p), VectorSpace(mesh, p),
+                                problem.s0, problem.s1)
     basis = SlabBasis(q, problem.rho, tau)
     ndof = blocks.ndof
     if discrete_forcing is not None and np.shape(discrete_forcing) != (n_slabs, q + 1, ndof):
@@ -812,7 +799,7 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     initial = np.zeros(ndof) if x0 is None else x0.concat()
     if initial.shape != (ndof,):
         raise ValueError(f"initial state has {initial.shape[0]} coefficients, expected {ndof}")
-    loads = _Loads(blocks, basis, problem.source, load_quad_points, discrete_forcing)
+    loads = _Loads(blocks, basis, problem.source, discrete_forcing)
     fact = _make_factorisation(blocks, basis, loads)
     state = fact.initial_state(initial)
     coeffs = np.empty((n_slabs, q + 1, ndof))

@@ -150,21 +150,28 @@ _SCHEMA = {
 
 
 def parse_config(path) -> StudyConfig:
-    """Read an INI-style study configuration; unknown keys are rejected.
+    """Read an INI-style study configuration; unknown sections and keys,
+    [DEFAULT] among them, and sections named alike up to case are rejected.
 
     An empty file yields the defaults (N_list = 2,4,8,16, p=2, q=1, rho=1,
     T=1.5, reference p=3 at 4x the finest study mesh).
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file {path} does not exist")
-    parser = configparser.ConfigParser()
+    # no section is named "", so [DEFAULT] stays an ordinary, unknown
+    # section instead of lending its keys to every section
+    parser = configparser.ConfigParser(default_section="")
     with open(path) as fh:
         parser.read_file(fh, source=str(path))
-    kwargs = {}
+    kwargs, seen = {}, set()
     for section in parser.sections():
         keys = _SCHEMA.get(section.lower())
         if keys is None:
             raise ValueError(f"unknown config section [{section}]")
+        if section.lower() in seen:
+            raise ValueError(f"config section [{section}] repeats another section "
+                             "that differs from it only in case")
+        seen.add(section.lower())
         for key, raw in parser.items(section):
             if key not in keys:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")

@@ -122,7 +122,7 @@ def test_criterion_5_manufactured_smooth_rates():
     levels = (1 / 8, 1 / 16, 1 / 32, 1 / 64)
     for h in levels:
         n = int(round(1 / h))
-        sol = run(prob, n=n, p=2, q=1, tau=h, load_quad_points=4)
+        sol = run(prob, n=n, p=2, q=1, tau=h)
         rep = compare_to_exact(sol, exact_u, exact_v, s0_weight=co.constant(0.5))
         errors.append(rep.e_q)
     slope = np.polyfit(np.log2(levels), np.log2(errors), 1)[0]
@@ -185,8 +185,7 @@ def test_criterion_8_stability_bound():
     worst = 0.0
     for _ in range(10):
         forcing = rng.standard_normal((n_slabs, q + 1, blocks.ndof))
-        sol = run(prob, n=n, p=p, q=q, tau=tau, discrete_forcing=forcing,
-                  blocks=blocks)
+        sol = run(prob, n=n, p=p, q=q, tau=tau, discrete_forcing=forcing)
         f_traj = DiscreteSolution(space_u=su, space_v=sv, basis=sol.basis,
                                   coeffs=forcing, rho=prob.rho, meta=sol.meta)
         ratio = (e_q_discrete(sol, blocks.m_unweighted())

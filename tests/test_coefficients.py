@@ -89,12 +89,11 @@ class TestSourceF:
 
 class TestAdmissibility:
     def test_checkerboard_pair(self):
-        rho0, c = co.admissibility_constants(co.checkerboard(4),
-                                             co.checkerboard_complement(4), rho0=1.0)
-        assert (rho0, c) == (1.0, 1.0)
+        rho0, c = co.admissibility_constants(co.checkerboard(4), co.checkerboard_complement(4))
+        assert (rho0, c) == (co.RHO0, 1.0)
 
     def test_constant_pair(self):
-        _, c = co.admissibility_constants(co.constant(0.5), co.constant(0.5), rho0=1.0)
+        _, c = co.admissibility_constants(co.constant(0.5), co.constant(0.5))
         assert c == 1.0
 
     def test_degenerate_pair_rejected(self):
@@ -104,7 +103,7 @@ class TestAdmissibility:
     def test_problem_data_records_constants(self):
         prob = co.rough_problem(2)
         assert prob.c == 1.0
-        assert prob.rho0 == 1.0
+        assert co.RHO0 == 1.0
 
     def test_problem_data_constant_is_not_an_argument(self):
         # c follows from the coefficients; a given value would be ignored
@@ -124,7 +123,8 @@ class TestAdmissibility:
         messages = []
         prob = co.rough_problem(2, rho=1.0)
         prob.warn_if_weak_weight(messages.append)
-        assert len(messages) == 1
+        assert messages == ["rho=1.0 <= rho0=1.0: homogenisation-rate hypotheses "
+                            "are not strictly satisfied"]
         prob = co.rough_problem(2, rho=1.5)
         assert prob.warn_if_weak_weight(messages.append) is None
         assert len(messages) == 1

@@ -6,7 +6,7 @@ import scipy.sparse as sparse
 
 from parahyp import coefficients as co
 from parahyp import slab
-from parahyp.assembly import BlockSystem, build_block_system
+from parahyp.assembly import BlockSystem, assemble_load, build_block_system
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import exponential_moments
 from parahyp.slab import (SlabBasis, atomic_open, build_slab_system,
@@ -117,7 +117,7 @@ class TestTemporalEigenbasis:
         blocks = build_block_system(ScalarSpace(mesh, 1), VectorSpace(mesh, 1), prob.s0, prob.s1)
         basis = sol.basis
         system = build_slab_system(blocks, basis).toarray()
-        loads = slab._Loads(blocks, basis, prob.source, None)
+        loads = slab._Loads(blocks, basis, prob.source)
         prev = np.zeros(blocks.ndof)
         for m in range(sol.n_slabs):
             rhs = basis.weights[:, None] * loads(m) + np.outer(basis.left_values,
@@ -154,6 +154,47 @@ class TestSlabSystem:
             system = build_slab_system(blocks, SlabBasis(1, 1.0, 0.25))
             ratios.append(system.nnz / mesh.n_cells)
         assert max(ratios) / min(ratios) < 1.3
+
+
+class TestLoads:
+    """``run`` integrates every source by one rule, p+2 Gauss points per direction."""
+
+    @staticmethod
+    def loads(p, source):
+        mesh = build_mesh(3)
+        blocks = build_block_system(ScalarSpace(mesh, p), VectorSpace(mesh, p), 0.8, 0.3)
+        basis = SlabBasis(1, 1.0, 1 / 4)
+        return blocks.space_u, basis, slab._Loads(blocks, basis, source)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_separable_and_general_sources_take_p_plus_2_points(self, p):
+        separable = co.SeparableSource(time_factor=lambda t: 1 + t,
+                                       spatial=lambda x, y: np.sin(3 * x) * np.cos(2 * y))
+        space, _, loads = self.loads(p, separable)
+        expected = assemble_load(space, lambda t, x, y: separable.spatial(x, y), 0.0,
+                                 quad_points=p + 2)
+        assert np.array_equal(loads.spatial[:space.ndof], expected)
+
+        def general(t, x, y):
+            return np.sin(3 * (x - t)) * np.cos(2 * y) + t * x
+
+        space, basis, loads = self.loads(p, general)
+        assert loads.spatial is None
+        for m in (0, 2):
+            for row, t in zip(loads(m), basis.node_times(m)):
+                expected = assemble_load(space, general, float(t), quad_points=p + 2)
+                assert np.array_equal(row[:space.ndof], expected)
+                assert not row[space.ndof:].any()
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_polynomial_source_of_degree_p_plus_3_is_exact(self, p):
+        def poly(t, x, y):
+            return (1 + t) * (x ** (p + 3) - 2 * x) * (y ** (p + 3) + y ** 2)
+
+        space, basis, loads = self.loads(p, poly)
+        for row, t in zip(loads(1), basis.node_times(1)):
+            reference = assemble_load(space, poly, float(t), quad_points=12)
+            assert np.abs(row[:space.ndof] - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 class TestAgainstScalarOracle:
@@ -280,7 +321,7 @@ class TestRunBehaviour:
         mesh = build_mesh(n)
         blocks = build_block_system(ScalarSpace(mesh, p), VectorSpace(mesh, p), prob.s0, prob.s1)
         basis = SlabBasis(q, prob.rho, 1 / 4)
-        loads = slab._Loads(blocks, basis, prob.source, None)
+        loads = slab._Loads(blocks, basis, prob.source)
         fibres = slab._make_factorisation(blocks, basis, loads)
         assert fibres.meta["spatial_solver"] == "bloch"
         return blocks, loads, fibres
@@ -314,15 +355,19 @@ class TestRunBehaviour:
             rng = np.random.default_rng(5)
             p_hat = rng.standard_normal((n * n, n_own)) + 1j * rng.standard_normal((n * n, n_own))
             l_hat = fibres.to_fibres(loads.spatial)
-            jumps = fibres.jump(p_hat)
-            assert len(fibres._lam) == max(q, 1)
+            rows = len(fibres._lam)
+            assert rows == max(q, 1)
+            # the load response is stored as its u block alone
+            assert fibres._h.shape == (rows, n * n, p * p)
+            jumps = fibres.row_solutions(p_hat, np.zeros(rows))
+            responses = fibres.row_solutions(np.zeros_like(p_hat), np.ones(rows))
             for r, lam in enumerate(fibres._lam):
                 a_hat = lam * m0_hat + c_hat
                 dense = fibres._beta[r] * np.linalg.solve(a_hat, m0_hat @ p_hat[..., None])[..., 0]
                 assert np.abs(jumps[r] - dense).max() <= 1e-12 * np.abs(dense).max()
-                # H_i = A_i^-1 L^, the separable load's fibre response
+                # A_i^-1 L^, the separable load's fibre response
                 dense = np.linalg.solve(a_hat, l_hat[..., None])[..., 0]
-                assert np.abs(fibres._h[r] - dense).max() <= 1e-12 * np.abs(dense).max()
+                assert np.abs(responses[r] - dense).max() <= 1e-12 * np.abs(dense).max()
 
     @staticmethod
     def assert_fibre_loop_matches_direct(prob, n, p, q, spatial="bloch", **kwargs):
@@ -425,8 +470,7 @@ class TestRunBehaviour:
             prob = co.ProblemData(s0=co.constant(0.8), s1=co.constant(0.3),
                                   source=travelling, T=0.5, rho=rho)
             for q in range(5):
-                self.assert_fibre_loop_matches_direct(prob, n, 1 + q % 3, q, "splu",
-                                                      load_quad_points=4)
+                self.assert_fibre_loop_matches_direct(prob, n, 1 + q % 3, q, "splu")
 
     @pytest.mark.parametrize("problem", ["hom", "rough", "direct"])
     def test_whole_matrices_built_at_most_once(self, monkeypatch, problem):
@@ -479,31 +523,6 @@ class TestRunBehaviour:
                     "direct": {"m0": 1, "coupling": 1}}[case]
         assert built == expected
         assert sol.meta.get("spatial_solver") == {"hom": "bloch", "direct": None}.get(case, "splu")
-
-    @pytest.mark.parametrize("case", ["n", "p", "hom", "s1"])
-    def test_blocks_must_fit_the_run(self, monkeypatch, case):
-        def not_reached(*args):
-            raise AssertionError("factorised before checking the blocks")
-
-        mesh = build_mesh(4)
-        prob = co.rough_problem(2, T=0.5)
-        blocks = build_block_system(ScalarSpace(mesh, 2), VectorSpace(mesh, 2),
-                                    prob.s0, prob.s1)
-        # fitting blocks give the same solution as a run that builds its own
-        fitted = run(prob, n=4, p=2, q=1, tau=1 / 4, blocks=blocks)
-        assert np.array_equal(fitted.coeffs, run(prob, n=4, p=2, q=1, tau=1 / 4).coeffs)
-        n, p, match = 4, 2, "other s0 cell values"
-        if case == "n":
-            n, match = 8, "asks for n=8, p=2"
-        elif case == "p":
-            p, match = 3, "asks for n=4, p=3"
-        elif case == "hom":
-            prob = co.homogenised_problem(T=0.5)
-        else:
-            prob, match = dataclasses.replace(prob, s1=co.constant(0.5)), "other s1 cell values"
-        monkeypatch.setattr(slab, "_make_factorisation", not_reached)
-        with pytest.raises(ValueError, match=match):
-            run(prob, n=n, p=p, q=1, tau=1 / 4, blocks=blocks)
 
     def test_rough_problem_keeps_sparse_lu(self):
         sol = run(co.rough_problem(2, T=0.5), n=4, p=2, q=1, tau=1 / 4)

@@ -77,6 +77,18 @@ snapshot_times = 0.5 1.0
         with pytest.raises(ValueError, match="mystery"):
             parse_config(path)
 
+    @pytest.mark.parametrize("text, match", [
+        # [DEFAULT] would set p and ref_p alike
+        ("[DEFAULT]\np = 3\n", r"unknown config section \[DEFAULT\]"),
+        # [STUDY] would merge into [study]
+        ("[study]\np = 1\n\n[STUDY]\nq = 2\n", r"\[STUDY\] repeats another section")],
+        ids=["default", "case-twin"])
+    def test_default_and_case_twin_sections_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            parse_config(path)
+
     def test_invalid_value_reports_key(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[study]\np = fast\n")

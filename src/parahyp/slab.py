@@ -28,18 +28,21 @@ symbol, which leaves a p^2 x p^2 Schur complement per row in place of the
 in fibre space from slab to slab: the eliminated fibre operators and loads
 are built once, each slab is two small batched matvecs per row, and only
 the stored coefficients are transformed back.  For other coefficients or
-loads each row first condenses out the DOFs that lie inside one cell,
-through small dense solves per kind of cell.  The checkerboard's point
-group, the reflections (x, y) -> (y, x) and (x, y) -> (1-x, 1-y), commutes
-with the operators, so its four characters split the remaining skeleton
-system into four quarter-size blocks, and a row factorises by sparse LU
-only the blocks that its right-hand sides reach: one for the study's
-symmetric data (``_SpluSteps``).  Both paths read the operators
-as element matrices per kind of cell and assemble no global matrix.  The
-path follows from the inputs alone: one direct LU of the full block system
+loads the checkerboard's point group, the reflections (x, y) -> (y, x) and
+(x, y) -> (1-x, 1-y), which commutes with the operators, splits the run
+into one independent run per character that the start or the loads reach:
+one for the study's symmetric data.  Each runs on one representative value
+per orbit of the group, condenses out the DOFs inside the cells of the free
+orbits through small dense solves per kind of cell on one representative
+cell each, and factorises the remaining quarter-size skeleton block by
+sparse LU (``_SpluSteps``).  Both paths read the operators as element
+matrices per kind of cell and assemble no global matrix.  The path follows
+from the inputs alone: one direct LU of the full block system
 (``build_slab_system``) is taken only when the temporal eigenbasis fails its
 conditioning check, which happens only for long slabs under a strong
-weight (q >= 3 with rho tau >= 10).
+weight: never for q = 0 (up to rho tau = 100), and on and off from rho tau
+of about 12 for q = 1, from 11 for q = 2 (all but once), 8.5 for q = 3 and
+4, and 6.5-7.5 for q = 5-7.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import json
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -239,132 +243,149 @@ def _point_group(blocks: BlockSystem) -> list[tuple[np.ndarray, np.ndarray]]:
 _CHARACTERS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _symmetry_bases(group, skeleton: np.ndarray) -> list[sparse.csr_matrix]:
-    """R_chi^T for each character chi in ``_CHARACTERS``: the orthonormal
-    orbit sums sum_g chi(g) T_g e_d on the skeleton DOFs, one row per orbit
-    whose sum is not zero, the orbits in the order of their least DOF.
-    Together the rows form an orthogonal matrix.  Every skeleton DOF lies in
-    one orbit, so each column of an R_chi^T holds at most one entry."""
-    n_s = len(skeleton)
-    index = np.empty(len(group[0][0]), dtype=np.int64)
-    index[skeleton] = np.arange(n_s)
-    (src_s, sign_s), (src_r, sign_r) = ((index[source[skeleton]], sign[skeleton])
-                                        for source, sign in group)
+def _symmetry_bases(group, key: np.ndarray) -> list[SimpleNamespace]:
+    """For each character chi in ``_CHARACTERS``, the vectors x with T_g x =
+    chi(g) x for all g in G, the range of P_chi = sum_g chi(g) T_g / 4, as
+    x = E_chi u: u holds x at one representative DOF per orbit, the image of
+    least ``key``, and DOF d holds ``coef[d] u[index[d]]`` with ``coef`` in
+    {1, -1}, or 0 on an orbit that some g fixes with chi(g) sign = -1, which
+    chi forces to zero.  The orbits are numbered in the order of their
+    representatives' keys, ``size`` of them, and ``counts`` holds the DOFs
+    per orbit, so that P_chi x = E_chi (E_chi^T x / counts) (``_orbit_sums``)."""
+    ndof = len(key)
+    (src_s, sign_s), (src_r, sign_r) = group
     # the images of each DOF under e, s, r and sr = s r
-    src = np.stack([np.arange(n_s), src_s, src_r, src_r[src_s]])
-    sign = np.stack([np.ones(n_s), sign_s, sign_r, sign_s * sign_r[src_s]])
-    reps = np.flatnonzero(src.min(axis=0) == np.arange(n_s))
-    # the orbit sums, one row per character and orbit, duplicates summed:
-    # exact in small integers, so a sum that cancels leaves an empty row
-    chi = np.array([[1.0, c_s, c_r, c_s * c_r] for c_s, c_r in _CHARACTERS])
-    shape = (len(chi), 4, len(reps))
-    rows = np.arange(len(chi))[:, None, None] * len(reps) + np.arange(len(reps))
-    sums = sparse.csr_matrix(((chi[:, :, None] * sign[:, reps]).ravel(),
-                              (np.broadcast_to(rows, shape).ravel(),
-                               np.broadcast_to(src[:, reps], shape).ravel())),
-                             shape=(shape[0] * shape[2], n_s))
-    sums.eliminate_zeros()
-    count = np.diff(sums.indptr)
-    by_row = np.repeat(np.arange(len(count)), count)
-    sums.data /= np.sqrt(np.bincount(by_row, sums.data ** 2, len(count)))[by_row]
-    bounds = np.concatenate([[0], np.cumsum((count > 0).reshape(len(chi), -1).sum(axis=1))])
-    sums = sums[np.flatnonzero(count)]
-    return [sums[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    src = np.stack([np.arange(ndof), src_s, src_r, src_r[src_s]])
+    sign = np.stack([np.ones(ndof), sign_s, sign_r, sign_s * sign_r[src_s]])
+    rep = np.take_along_axis(src, key[src].argmin(axis=0)[None], axis=0)[0]
+    # the elements that map d onto its representative agree on chi(g) sign,
+    # or cancel exactly
+    onto_rep = sign * (src == rep)
+    order = np.argsort(key)
+    bases = []
+    for c_s, c_r in _CHARACTERS:
+        coef = np.sign(np.array([1.0, c_s, c_r, c_s * c_r]) @ onto_rep)
+        alive = order[((rep == np.arange(ndof)) & (coef != 0))[order]]
+        size = len(alive)
+        number = np.zeros(ndof, dtype=np.int64)
+        number[alive] = np.arange(size)
+        index = number[rep]
+        bases.append(SimpleNamespace(index=index, coef=coef, size=size,
+                                     counts=np.bincount(index, np.abs(coef), size)[:size]))
+    return bases
+
+
+def _orbit_sums(ch: SimpleNamespace, data: np.ndarray) -> np.ndarray:
+    """E_chi^T data, the signed orbit sums along the last axis, (..., size)."""
+    rows = data.reshape(-1, data.shape[-1])
+    sums = [np.bincount(ch.index, ch.coef * row, ch.size)[:ch.size] for row in rows]
+    return np.reshape(sums, (*data.shape[:-1], ch.size))
 
 
 class _SpluSteps:
     """Decoupled slab steps with sparse LUs per eigenbasis row r (real for a
-    real eigenvalue), of the skeleton system left once the cell interiors
-    are condensed out of A_r = lam_r M0 + C, split by the checkerboard's
-    point group.  Slab m solves
+    real eigenvalue) and character of the checkerboard's point group, of the
+    skeleton system left once cell interiors are condensed out of A_r =
+    lam_r M0 + C.  Slab m solves
 
         y_r = A_r^-1 (vinv_r F + beta_r M0 p)
 
     for the loads F at its nodes and the previous right trace p, and its
     nodal coefficients are Re(w @ y).
 
-    A DOF at an interior slot I (``_interior_slots``) belongs to one cell
-    and couples only to that cell's local DOFs, so A_II is block diagonal,
-    with one block per cell that depends on lam_r and the cell's kind
-    (``BlockSystem.cell_matrices``) alone.  With W = A_II^-1 A_IB per kind,
-    the Schur complement S_r on the remaining skeleton DOFs is the sum of
-    the per-cell blocks A_BB - A_BI W.  A solve is
+    The operators commute with G = {e, s, r, sr} (``_point_group``, checked
+    on the cell coefficients), so P_chi A_r^-1 = A_r^-1 P_chi for each of the
+    four characters chi, and a run is the sum of four independent runs on
+    the components P_chi x0 and P_chi F of its inputs.  Each runs on the
+    representative values u of x = E_chi u (``_symmetry_bases``): its state,
+    the jump and the solution are such u, its right-hand sides the orbit sums
+    E_chi^T f, and A_r becomes E_chi^T A_r E_chi.  A character joins the run
+    at the first input that reaches it, a component |P_chi x| above 1e-12 of
+    |x| of the start x0, of the separable load's spatial vector (once) or of
+    a slab's loads (general sources), and starts from a zero state, which is
+    exact since characters never mix; ``meta["symmetry_dropped"]`` records
+    the largest component left out, relative to its input.  Data invariant
+    under G (the study's checkerboards, constants, box source and zero
+    start) run the trivial character alone, and ``meta["symmetry_blocks"]``
+    counts the characters run.
 
-        g = A_II^-1 f_I,   x_S = S_r^-1 (f_S - P A_BI g),   x_I = g - W x_B,
+    A cell's images under G are 4 cells, or 2 (or 1, the centre of odd n)
+    on the two diagonals, which s or sr fixes.  Since T_g maps cell c's
+    element terms onto cell g(c)'s, E^T A E is the sum over one
+    representative cell per orbit of its element term, weighted by the
+    orbit's size: all per-cell work runs on the representatives.  The
+    interior slots I of a free orbit's cells (``_interior_slots``) belong to
+    one cell and couple only to its local DOFs, so they are condensed out
+    per kind of cell (``BlockSystem.cell_matrices``): with W = A_II^-1 A_IB,
+    the skeleton block B = E^T S E sums 4 (A_BB - A_BI W) over the free
+    representatives and the whole element matrix over the diagonal ones,
+    whose interiors stay on the skeleton.  For orbit sums f a solve is
 
-    where g and A_BI g come from one GEMM per kind and P sums the cells' B
-    slots onto the skeleton.  The right-hand sides are permuted, skeleton
-    first, then the interiors cell by cell with the cells sorted by kind, so
-    f_S, f_I and x_I are views, and the solutions are permuted back.  M0 p
-    is formed per cell too (``jump``), on the nonzero blocks of the element
-    only: the u block of each kind with s0 != 0 and the two RT component
-    blocks.  No global matrix is assembled.  For p = 1 no slot is interior
-    and S_r = A_r.
+        g = A_II^-1 f_I / 4,   u_S = B^-1 (f_S - P A_BI A_II^-1 f_I),   u_I = g - W u_B,
 
-    The operators commute with the point group G = {e, s, r, sr} of
-    ``_point_group`` (checked on the cell coefficients), whose four
-    characters chi split the skeleton into orthogonal subspaces with bases
-    R_chi (``_symmetry_bases``).  So S_r^-1 = sum_chi R_chi B_chi^-1 R_chi^T
-    with the quarter-size blocks B_chi = R_chi^T S_r R_chi, scattered from
-    the per-cell blocks like S_r and never formed whole.  A block is
-    factorised the first time a right-hand side of its row has a component
-    R_chi^T f above 1e-12 of |f| in it; a smaller component of a block not
-    yet factorised is dropped.  Data invariant under G (the study's
-    checkerboards, constants, box source and zero start) reach the trivial
-    character alone, and since M0 commutes with G the jump keeps the state
-    there, so such runs factorise one block per row.  ``meta["symmetry_blocks"]``
-    counts the characters with a factorised block.
+    from one GEMM per kind, where P sums the representatives' B slots into
+    the skeleton orbits.  The jump E^T M0 E p is formed per representative
+    too, on the nonzero blocks of its element only: the u block of each kind
+    with s0 != 0 and the two RT component blocks.  A character's folds and
+    blocks are built, and its blocks factorised, when it joins; no global
+    matrix is assembled.  A stored slab is expanded by one signed gather per
+    character, straight into the natural DOF order.  For p = 1 no slot is
+    interior.
     """
 
-    # a component of the skeleton right-hand side below this fraction of its
-    # norm does not call for its character's block
+    # an input's component below this fraction of its norm does not start
+    # its character
     _ACTIVE = 1e-12
 
-    def __init__(self, blocks: BlockSystem, eig: _Eigenbasis):
-        self._eig = eig
+    def __init__(self, blocks: BlockSystem, eig: _Eigenbasis,
+                 spatial_load: np.ndarray | None = None):
+        self._eig, self._spatial, self._load = eig, spatial_load, {}
         group = _point_group(blocks)
+        n, ndof = blocks.space_u.mesh.n, blocks.ndof
         kind, m0_cells = blocks.cell_matrices("m0")
         _, c_cells = blocks.cell_matrices("coupling")
-        order = np.argsort(kind, kind="stable")
-        kind, cell_dofs = kind[order], blocks.cell_dofs()[order]
+        cell_dofs = blocks.cell_dofs()
         inner = _interior_slots(cell_dofs)
         outer = np.setdiff1d(np.arange(cell_dofs.shape[1]), inner)
-        n_cells, n_i, n_b = len(cell_dofs), len(inner), len(outer)
-        is_skeleton = np.ones(blocks.ndof, dtype=bool)
-        is_skeleton[cell_dofs[:, inner]] = False
-        skeleton = np.flatnonzero(is_skeleton)
-        n_s = self.skeleton_dofs = len(skeleton)
-        self._perm = np.concatenate([skeleton, cell_dofs[:, inner].ravel()])
-        self._order = np.argsort(self._perm)
-        index = np.empty(blocks.ndof, dtype=np.int64)
-        index[skeleton] = np.arange(n_s)
-        self._cell_skeleton = index[cell_dofs[:, outer]]
-        self._kind, self._shape, self._inner = kind, (n_cells, n_i), inner
-        bounds = np.searchsorted(kind, np.arange(len(m0_cells) + 1))
-        self._kinds = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        # each cell's images under e, s, r and sr (cell j n + i sits at [j, i]);
+        # an orbit is represented by its least cell, free orbits first, by kind
+        cells = np.arange(n * n).reshape(n, n)
+        images = np.stack([cells, cells.T, cells[::-1, ::-1], cells.T[::-1, ::-1]]).reshape(4, -1)
+        orbit = 1 + np.count_nonzero(np.diff(np.sort(images, axis=0), axis=0), axis=0)
+        reps = np.flatnonzero(images.min(axis=0) == cells.ravel())
+        reps = reps[np.lexsort((kind[reps], orbit[reps] < 4))]
+        free = np.flatnonzero(orbit == 4)
+        free = free[np.argsort(kind[free], kind="stable")]
+        self._n_free, self._n_i = len(free) // 4, len(inner)
+        # the free cells' interiors are numbered after every other DOF, so each
+        # character lists them last, (representative, slot) in the order of reps
+        key = np.arange(ndof)
+        key[cell_dofs[free][:, inner]] = ndof + np.arange(free.size * len(inner)).reshape(
+            len(free), len(inner))
+        self._chars = _symmetry_bases(group, key)
+        self._rep_dofs, self._rep_kind, self._weight = cell_dofs[reps], kind[reps], orbit[reps]
+        # (representatives, skeleton slots) of the free and the diagonal orbits
+        self._groups = ((slice(0, self._n_free), outer),
+                        (slice(self._n_free, None), np.arange(cell_dofs.shape[1])))
 
-        def fold(width, columns):
-            """P for per-cell results of ``width`` columns, cell c's boundary
-            slot j at column c width + columns[j]."""
-            cols = (np.arange(n_cells)[:, None] * width + columns).ravel()
-            return sparse.csr_matrix((np.ones(cols.size), (self._cell_skeleton.ravel(), cols)),
-                                     shape=(n_s, n_cells * width))
+        def by_kind(start, part):
+            bounds = start + np.searchsorted(kind[part], np.arange(len(m0_cells) + 1))
+            return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
-        self._fold = fold(n_i + n_b, n_i + np.arange(n_b))
-        self._jump_fold = fold(n_i + n_b, outer)
-        self._jump_dofs = cell_dofs
-        # M0's nonzero diagonal blocks as (cells, local slots, right factor):
-        # Mu(s0) per kind where s0 != 0, and the RT x and y blocks of Mv,
-        # which carries no coefficient
+        self._kinds = by_kind(0, reps[:self._n_free])
+        fixed = by_kind(self._n_free, reps[self._n_free:])
+        # M0's nonzero diagonal blocks as (representatives, local slots, right
+        # factor): Mu(s0) per kind where s0 != 0, and the RT x and y blocks of
+        # Mv, which carries no coefficient
         n_u, n_c = blocks.space_u.n_loc, blocks.space_v.n_loc // 2
         u, v_x, v_y = slice(0, n_u), slice(n_u, n_u + n_c), slice(n_u + n_c, n_u + 2 * n_c)
-        self._m0_blocks = [(cells, u, m0_cells[k, u, u].T) for k, cells in enumerate(self._kinds)
-                           if m0_cells[k, u, u].any()]
+        self._m0_blocks = [(group[k], u, m0_cells[k, u, u].T) for group in (self._kinds, fixed)
+                           for k in range(len(m0_cells)) if m0_cells[k, u, u].any()]
         self._m0_blocks += [(slice(None), v, m0_cells[0, v, v].T) for v in (v_x, v_y)]
-        self._bases = _symmetry_bases(group, skeleton)
-        self._factored = set()
-        self.meta = {"solver": "decoupled", "spatial_solver": "splu", "skeleton_dofs": n_s,
-                     "symmetry_blocks": 0, **eig.meta}
+        self.skeleton_dofs = ndof - free.size * len(inner)
+        self.meta = {"solver": "decoupled", "spatial_solver": "splu",
+                     "skeleton_dofs": self.skeleton_dofs, "symmetry_blocks": 0,
+                     "symmetry_dropped": 0.0, **eig.meta}
         self._rows = []
         for r, lam in enumerate(eig.lam):
             real = lam.imag == 0
@@ -373,82 +394,132 @@ class _SpluSteps:
             a_bi = a[:, outer[:, None], inner]
             w = a_ii_inv @ a[:, inner[:, None], outer]
             schur = a[:, outer[:, None], outer] - a_bi @ w
-            # right factors: f_I @ left = [g, A_BI g], x_B @ w^T = W x_B
-            left = np.concatenate([a_ii_inv, a_bi @ a_ii_inv], axis=1).transpose(0, 2, 1)
+            # right factors: f_I @ left = [g, A_BI A_II^-1 f_I], x_B @ w^T = W x_B;
+            # the interior right-hand sides are orbit sums over four cells
+            left = np.concatenate([a_ii_inv / 4, a_bi @ a_ii_inv], axis=1).transpose(0, 2, 1)
             vinv, beta = (eig.vinv[r].real, eig.beta[r].real) if real \
                 else (eig.vinv[r], eig.beta[r])
-            self._rows.append((vinv, beta, left, w.transpose(0, 2, 1), schur, {}))
+            self._rows.append((vinv, beta, left, w.transpose(0, 2, 1), (schur, a)))
 
-    def initial_state(self, x0: np.ndarray) -> np.ndarray:
-        return x0
+    def _reach(self, data: np.ndarray, active) -> dict:
+        """The orbit sums E_chi^T data (..., size) of the characters in
+        ``active`` and of those that ``data`` (..., ndof) reaches."""
+        norm = np.linalg.norm(data)
+        sums = {}
+        for chi, ch in enumerate(self._chars):
+            part = _orbit_sums(ch, data)
+            reached = np.linalg.norm(part / np.sqrt(ch.counts))       # |P_chi data|
+            if chi in active or reached > self._ACTIVE * norm:
+                sums[chi] = part
+            elif reached:
+                self.meta["symmetry_dropped"] = max(self.meta["symmetry_dropped"], reached / norm)
+        return sums
 
-    def _block(self, schur: np.ndarray, chi: int):
-        """The LU of B_chi = R_chi^T S R_chi, scattered from the per-cell
-        Schur blocks: R_chi holds one entry, or none, per skeleton DOF.  A DOF
-        without one scatters zeros onto row and column 0, which are dropped
-        with the exact zeros of S."""
-        basis = self._bases[chi].tocoo()
-        col, val = np.zeros(self.skeleton_dofs, dtype=np.int32), np.zeros(self.skeleton_dofs)
-        col[basis.col], val[basis.col] = basis.row, basis.data
-        c, v = col[self._cell_skeleton], val[self._cell_skeleton]
-        n_b = c.shape[1]
-        block = sparse.csc_matrix(((schur[self._kind] * (v[:, :, None] * v[:, None, :])).ravel(),
-                                   (np.repeat(c, n_b, axis=1).ravel(), np.tile(c, (1, n_b)).ravel())),
-                                  shape=(basis.shape[0],) * 2)
+    def _join(self, state: dict, reached) -> dict:
+        """``state`` with each character of ``reached`` that it lacks started
+        at zero: its folds built and its blocks factorised."""
+        for chi in sorted(set(reached) - state.keys()):
+            ch = self._chars[chi]
+            ch.local = index, coef = ch.index[self._rep_dofs], ch.coef[self._rep_dofs]
+            ch.jump_fold = sparse.csr_matrix(((self._weight[:, None] * coef).ravel(),
+                                              (index.ravel(), np.arange(index.size))),
+                                             shape=(ch.size, index.size))
+            outer = self._groups[0][1]
+            ch.skeleton = ch.size - self._n_free * self._n_i
+            ch.boundary = index[:self._n_free, outer], coef[:self._n_free, outer]
+            width = self._n_i + len(outer)
+            cols = np.arange(self._n_free)[:, None] * width + self._n_i + np.arange(len(outer))
+            ch.fold = sparse.csr_matrix((ch.boundary[1].ravel(), (ch.boundary[0].ravel(),
+                                                                  cols.ravel())),
+                                        shape=(ch.skeleton, self._n_free * width))
+            for fold in (ch.jump_fold, ch.fold):
+                fold.eliminate_zeros()
+            ch.lus = [self._block(ch, matrices) for *_, matrices in self._rows]
+            self.meta["symmetry_blocks"] += 1
+            state[chi] = np.zeros(ch.size)
+        return state
+
+    def _block(self, ch, matrices):
+        """The LU of B = E^T S E, scattered from the representatives' Schur
+        blocks (free orbits) and element matrices (diagonal ones), each
+        weighted by its orbit's size.  A DOF that the character forces to
+        zero scatters zeros onto row and column 0, which are dropped with
+        the exact zeros of S."""
+        rows, cols, vals = [], [], []
+        for (cells, slots), matrix in zip(self._groups, matrices):
+            index, coef = (part[cells][:, slots] for part in ch.local)
+            scale = self._weight[cells, None, None] * coef[:, :, None] * coef[:, None, :]
+            vals.append((matrix[self._rep_kind[cells]] * scale).ravel())
+            rows.append(np.repeat(index, len(slots), axis=1).ravel())
+            cols.append(np.tile(index, (1, len(slots))).ravel())
+        entries = np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))
+        block = sparse.csc_matrix(entries, shape=(ch.skeleton,) * 2)
         block.eliminate_zeros()
-        lu = _factor(block)
-        self._factored.add(chi)
-        self.meta["symmetry_blocks"] = len(self._factored)
-        return lu
+        return _factor(block)
 
-    def _skeleton_solve(self, schur: np.ndarray, lus: dict, f: np.ndarray) -> np.ndarray:
-        """S^-1 f on the characters f reaches, factorising their blocks on first use."""
-        x = np.zeros_like(f)
-        norm = np.linalg.norm(f)
-        for chi, basis in enumerate(self._bases):
-            part = basis @ f
-            if chi not in lus:
-                if np.linalg.norm(part) <= self._ACTIVE * norm:
-                    continue
-                lus[chi] = self._block(schur, chi)
-            x += basis.T @ lus[chi].solve(part)
-        return x
+    def initial_state(self, x0: np.ndarray) -> dict:
+        """The representative values of each character that x0 reaches, and
+        zero for those that only the separable load reaches."""
+        start = self._reach(x0, ())
+        if self._spatial is not None:
+            self._load = self._reach(self._spatial, start)
+        state = self._join({}, start.keys() | self._load.keys())
+        for chi, sums in start.items():
+            state[chi] = sums / self._chars[chi].counts
+        return state
 
-    def _solve(self, left: np.ndarray, w: np.ndarray, schur: np.ndarray, lus: dict,
-               f: np.ndarray) -> np.ndarray:
-        """A_r^-1 f for a permuted vector f, from row r's factors."""
-        n_s, n_i = self.skeleton_dofs, self._shape[1]
-        f_i = f[n_s:].reshape(self._shape)
-        g = np.empty((len(f_i), left.shape[2]), dtype=f.dtype)
+    def _solve(self, ch, lu, left: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """(E^T A_r E)^-1 f for orbit sums f, from row r's factors."""
+        n_s = ch.skeleton
+        f_i = f[n_s:].reshape(self._n_free, self._n_i)
+        g = np.empty((self._n_free, left.shape[2]), dtype=f.dtype)
         for k, cells in enumerate(self._kinds):
             np.matmul(f_i[cells], left[k], out=g[cells])
         x = np.empty_like(f)
-        x[:n_s] = self._skeleton_solve(schur, lus, f[:n_s] - self._fold @ g.ravel())
-        x_i = x[n_s:].reshape(self._shape)
-        x_b = np.take(x[:n_s], self._cell_skeleton)
+        x[:n_s] = lu.solve(f[:n_s] - ch.fold @ g.ravel())
+        x_i = x[n_s:].reshape(self._n_free, self._n_i)
+        x_b = ch.boundary[1] * np.take(x[:n_s], ch.boundary[0])
         for k, cells in enumerate(self._kinds):
             np.matmul(x_b[cells], w[k], out=x_i[cells])
-        np.subtract(g[:, :n_i], x_i, out=x_i)
+        np.subtract(g[:, :self._n_i], x_i, out=x_i)
         return x
 
-    def jump(self, prev: np.ndarray) -> np.ndarray:
-        """M0 prev, permuted, per cell on the element's nonzero blocks: an
-        interior row has its own cell's term alone, P sums the boundary rows
-        onto the skeleton."""
-        x = np.take(prev, self._jump_dofs)
+    def _jump(self, ch, prev: np.ndarray) -> np.ndarray:
+        """E^T M0 E prev: M0 on each representative's local values, on the
+        element's nonzero blocks, summed into the orbits by weight."""
+        index, coef = ch.local
+        x = coef * np.take(prev, index)
         y = np.zeros_like(x)
         for cells, slots, m0 in self._m0_blocks:
             np.matmul(x[cells, slots], m0, out=y[cells, slots])
-        return np.concatenate([self._jump_fold @ y.ravel(), y[:, self._inner].ravel()])
+        return ch.jump_fold @ y.ravel()
 
-    def step(self, prev: np.ndarray, loads, m: int, out: np.ndarray) -> np.ndarray:
-        load = np.take(loads(m), self._perm, axis=1)
-        jump = self.jump(prev)
-        y = np.empty((len(self._rows), len(prev)), dtype=complex)
-        for r, (vinv, beta, *factors) in enumerate(self._rows):
-            y[r] = self._solve(*factors, vinv @ load + beta * jump)
-        np.take(_recombine(self._eig.w, y), self._order, axis=1, out=out)
-        return out[-1]
+    def step(self, state: dict, loads, m: int, out: np.ndarray) -> dict:
+        if self._spatial is None:
+            load = self._reach(loads(m), state)
+            state = self._join(dict(state), load)
+        else:
+            factors = loads.factors(m)
+            load = {chi: np.multiply.outer(factors, sums) for chi, sums in self._load.items()}
+        new = {}
+        for chi in sorted(state):
+            ch = self._chars[chi]
+            jump = self._jump(ch, state[chi])
+            y = np.empty((len(self._rows), ch.size), dtype=complex)
+            for r, (vinv, beta, left, w, _) in enumerate(self._rows):
+                f = beta * jump
+                if chi in load:
+                    f = f + vinv @ load[chi]
+                y[r] = self._solve(ch, ch.lus[r], left, w, f)
+            coeffs = _recombine(self._eig.w, y)
+            new[chi] = coeffs[-1]
+            if len(new) == 1:
+                np.multiply(np.take(coeffs, ch.index, axis=1, out=out), ch.coef, out=out)
+            else:
+                out += ch.coef * np.take(coeffs, ch.index, axis=1)
+        if not new:
+            out[:] = 0.0
+        return new
 
 
 def _symbol_terms(blocks: BlockSystem, matrix: str) -> tuple[np.ndarray, np.ndarray]:
@@ -611,7 +682,7 @@ def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, loads):
         return _DirectFactorisation(blocks, basis, str(err))
     if loads.spatial is not None and blocks.n_kinds == 1:
         return _BlochFibres(blocks, eig, loads.spatial)
-    return _SpluSteps(blocks, eig)
+    return _SpluSteps(blocks, eig, loads.spatial)
 
 
 def solve_slab(factorisation, state, loads, m: int, out: np.ndarray):
@@ -671,11 +742,6 @@ class DiscreteSolution:
     def right_trace(self, m: int) -> FieldPair:
         self._check_slab(m)
         return FieldPair.split(self.coeffs[m, -1], self.ndof_u)
-
-    def left_trace(self, m: int) -> FieldPair:
-        self._check_slab(m)
-        vec = self.basis.left_values @ self.coeffs[m]
-        return FieldPair.split(vec, self.ndof_u)
 
     def final_trace(self) -> FieldPair:
         return self.right_trace(self.n_slabs - 1)
@@ -758,21 +824,25 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     the factorisation's own ``meta``, read once the last slab is done, and
     ``meta["solver"]`` names the path: ``"decoupled"``, or
     ``"direct"`` when the temporal eigenbasis fails its conditioning check
-    (only for q >= 3 with rho tau >= 10) and the slab is solved by one
-    direct LU; ``meta["solver_fallback"]`` then says why.  On the decoupled
-    path ``meta["spatial_solver"]`` is ``"bloch"`` (constant
+    (long slabs under a strong weight: for q >= 1 from rho tau of about 12
+    to 6.5, falling with q, see the module docstring) and the slab is solved
+    by one direct LU; ``meta["solver_fallback"]`` then says why.  On the
+    decoupled path ``meta["spatial_solver"]`` is ``"bloch"`` (constant
     coefficients, separable source) or ``"splu"`` and ``meta`` carries the
     temporal eigenbasis residual ``|V V^-1 - I|_max`` and ``cond(V)``.  Both
     spatial solvers step by one eigenbasis row per real temporal eigenvalue
-    or conjugate pair.  On the ``splu`` path the cell-interior unknowns are
-    condensed out, ``meta["skeleton_dofs"]`` counts the unknowns left, the
-    skeleton splits into four blocks by the characters of the
-    checkerboard's point group, ``meta["symmetry_blocks"]`` counts those
-    that the data reached and that were factorised (1 for data invariant
-    under the group, such as every study problem), and each slab is one
-    sparse triangular solve per factorised block and row plus small dense
-    per-cell products (see ``_SpluSteps``).  Its cell coefficients must be
-    invariant under the group, or a ``ValueError`` is raised.  On the ``bloch``
+    or conjugate pair.  The ``splu`` path is a sum of independent runs, one
+    per character of the checkerboard's point group that x0 or the loads
+    reach, each on one representative value per orbit:
+    ``meta["symmetry_blocks"]`` counts them (1 for data invariant under the
+    group, such as every study problem) and ``meta["symmetry_dropped"]``
+    gives the largest input component below 1e-12 of its input's norm that
+    was left out.  The interior unknowns of the cells off the two diagonals
+    are condensed out, ``meta["skeleton_dofs"]`` counts the unknowns left,
+    and each slab is one sparse triangular solve per character and row plus
+    small dense products on one cell per orbit (see ``_SpluSteps``).  Its
+    cell coefficients must be invariant under the group, or a
+    ``ValueError`` is raised.  On the ``bloch``
     path the state stays in Floquet-Bloch fibre space from slab to slab.
     Each fibre's flux unknowns are eliminated once and the load enters the
     u block alone, so each slab is a p^2 x 3p^2 and a 2p^2 x p^2 batched

@@ -424,12 +424,22 @@ class TestRunBehaviour:
             assert not np.isin(cell_dofs[:, outer], interior).any()
             basis = SlabBasis(1, 1.0, 1 / 4)
             steps = slab._SpluSteps(blocks, slab._temporal_eigenbasis(basis))
-            assert steps.skeleton_dofs == n * n * (3 * p * p - (p - 1) ** 2 - 2 * p * (p - 1))
-            assert steps.skeleton_dofs == blocks.ndof - interior.size
+            # the interiors of the 2n - n % 2 cells on the two diagonals, which
+            # s or sr fixes, stay on the skeleton
+            diagonal = 2 * n - n % 2
+            assert steps.skeleton_dofs == n * n * (3 * p * p - (p - 1) ** 2 - 2 * p * (p - 1)) \
+                + diagonal * len(inner)
+            assert steps.skeleton_dofs == blocks.ndof - len(inner) * (n * n - diagonal)
 
-    @pytest.mark.parametrize("n", [1, 2, 4])
+    @staticmethod
+    def expansion(ch, ndof):
+        """E_chi as a sparse matrix: DOF d holds coef[d] u[index[d]]."""
+        return sparse.csr_matrix((ch.coef, (np.arange(ndof), ch.index)), shape=(ndof, ch.size))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cell_jump_flux_matches_assembled_m0(self, n):
-        # M0 p formed per cell, in the permuted layout, against the assembled M0
+        # E^T M0 E u formed on the representative cells, weighted by orbit
+        # size, against the assembled M0, for the components of a random start
         rng = np.random.default_rng(n)
         mesh = build_mesh(n)
         eig = slab._temporal_eigenbasis(SlabBasis(2, 1.0, 1 / 4))
@@ -441,11 +451,21 @@ class TestRunBehaviour:
             for s0, s1 in cases:
                 blocks = build_block_system(su, sv, s0, s1)
                 steps = slab._SpluSteps(blocks, eig)
-                assert not blocks._assembled
                 prev = rng.standard_normal(blocks.ndof)
-                expected = np.take(blocks.m0() @ prev, steps._perm)
-                got = steps.jump(prev)
-                assert abs(got - expected).max() <= 1e-15 * abs(expected).max()
+                state = steps.initial_state(prev)
+                assert not blocks._assembled
+                # every character with an orbit (at n = p = 1 one has none)
+                assert sorted(state) == [chi for chi, ch in enumerate(steps._chars) if ch.size]
+                parts = np.zeros(blocks.ndof)
+                for chi, u in state.items():
+                    ch = steps._chars[chi]
+                    e = self.expansion(ch, blocks.ndof)
+                    parts += e @ u
+                    expected = e.T @ (blocks.m0() @ (e @ u))
+                    got = steps._jump(ch, u)
+                    assert abs(got - expected).max() <= 1e-15 * abs(expected).max()
+                # the components sum to the start
+                assert abs(parts - prev).max() <= 1e-15 * abs(prev).max()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_fibre_loop_with_discrete_forcing(self, n):
@@ -606,6 +626,100 @@ class TestPointGroup:
                 slab._SpluSteps(blocks, eig)
 
 
+class TestCharacterRuns:
+    """A sparse-LU run is one reduced run per character of the point group
+    that its inputs reach, each matched against the direct LU."""
+
+    @staticmethod
+    def projector(blocks, chi):
+        """P_chi = (I + chi(s) T_s) (I + chi(r) T_r) / 4."""
+        c_s, c_r = slab._CHARACTERS[chi]
+        eye = sparse.identity(blocks.ndof)
+        t_s, t_r = (TestPointGroup.matrix(*generator) for generator in slab._point_group(blocks))
+        return (eye + c_s * t_s) @ (eye + c_r * t_r) / 4
+
+    @staticmethod
+    def blocks(prob, n, p):
+        mesh = build_mesh(n)
+        return build_block_system(ScalarSpace(mesh, p), VectorSpace(mesh, p), prob.s0, prob.s1)
+
+    @pytest.mark.parametrize("source, characters", [("box", (0, 3)), ("none", (1, 2))])
+    def test_start_in_two_characters_runs_two(self, source, characters):
+        # the box source lies in the trivial character, no source in none
+        prob = co.rough_problem(2, T=0.75)
+        if source == "none":
+            prob = dataclasses.replace(prob, source=constant_source(0.0))
+        n, p = 8, 2
+        blocks = self.blocks(prob, n, p)
+        z = np.random.default_rng(3).standard_normal(blocks.ndof)
+        x0 = sum(self.projector(blocks, chi) @ z for chi in characters)
+        x0 = FieldPair.split(x0, blocks.space_u.ndof)
+        for q in (1, 2):
+            sol = TestRunBehaviour.assert_fibre_loop_matches_direct(prob, n, p, q, "splu", x0=x0)
+            assert sol.meta["symmetry_blocks"] == 2
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_characters_join_mid_run_from_zero(self, n):
+        # slab 0's forcing is invariant, so the run starts in the trivial
+        # character alone; the random forcing of slabs 1 and 2 adds the others
+        prob = co.rough_problem(2, T=0.75) if n % 2 == 0 else co.homogenised_problem(T=0.75)
+        p = 2
+        blocks = self.blocks(prob, n, p)
+        rng = np.random.default_rng(n)
+        for q in (1, 2):
+            forcing = rng.standard_normal((3, q + 1, blocks.ndof))
+            forcing[0] = (self.projector(blocks, 0) @ forcing[0].T).T
+            sol = TestRunBehaviour.assert_fibre_loop_matches_direct(prob, n, p, q, "splu",
+                                                                    discrete_forcing=forcing)
+            assert sol.meta["symmetry_blocks"] == 4
+            one = forcing.copy()
+            one[1:] = 0.0
+            sol = TestRunBehaviour.assert_fibre_loop_matches_direct(prob, n, p, q, "splu",
+                                                                    discrete_forcing=one)
+            assert sol.meta["symmetry_blocks"] == 1
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_non_separable_source_in_two_characters(self, n):
+        # odd n: the centre cell is fixed by all of G, the other diagonal cells
+        # by s or by sr.  sin 2 pi x + sin 2 pi y is even under s and odd under
+        # r, x - y odd under both
+        def source(t, x, y):
+            return (1 + t) * (np.sin(2 * np.pi * x) + np.sin(2 * np.pi * y)) + t * (x - y)
+
+        prob = co.ProblemData(s0=co.constant(0.8), s1=co.constant(0.3), source=source, T=0.5)
+        for p in (2, 3):
+            for q in (0, 1, 2):
+                sol = TestRunBehaviour.assert_fibre_loop_matches_direct(prob, n, p, q, "splu")
+                assert sol.meta["symmetry_blocks"] == 2
+                assert 0.0 <= sol.meta["symmetry_dropped"] <= 1e-12
+
+    def test_study_data_factor_and_solve_once_per_row(self, monkeypatch):
+        calls = {"factor": 0, "solve": 0}
+        factor = slab._factor
+
+        class Counted:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                calls["solve"] += 1
+                return self.lu.solve(rhs)
+
+        def counted(matrix):
+            calls["factor"] += 1
+            return Counted(factor(matrix))
+
+        monkeypatch.setattr(slab, "_factor", counted)
+        sol = run(co.rough_problem(2, T=0.5), n=8, p=3, q=1, tau=1 / 16)
+        rows = len(slab._temporal_eigenbasis(sol.basis).lam)
+        assert rows == 1
+        assert calls == {"factor": rows, "solve": rows * sol.n_slabs}
+        assert sol.meta["symmetry_blocks"] == 1
+        assert sol.meta["skeleton_dofs"] == 11 * 48 + 27 * 16
+        assert 0.0 <= sol.meta["symmetry_dropped"] < 1e-12
+        assert {"eigenbasis_residual", "eigenbasis_cond"} <= sol.meta.keys()
+
+
 class TestTraces:
     @pytest.fixture
     def solution(self):
@@ -614,11 +728,12 @@ class TestTraces:
     def test_q0_traces_equal_single_node(self):
         sol = run(co.rough_problem(2, T=0.75), n=4, p=2, q=0, tau=1 / 4)
         for m in range(sol.n_slabs):
-            assert sol.left_trace(m).u == pytest.approx(sol.right_trace(m).u)
+            left = sol.coefficients_at(m * sol.tau, "+")[:sol.ndof_u]
+            assert left == pytest.approx(sol.right_trace(m).u)
 
     def test_left_trace_is_lagrange_combination(self, solution):
         combo = solution.basis.left_values @ solution.coeffs[1]
-        expected = np.concatenate([solution.left_trace(1).u, solution.left_trace(1).v])
+        expected = solution.coefficients_at(1 * solution.tau, "+")
         assert combo == pytest.approx(expected, abs=0.0)
 
     def test_right_trace_is_last_node(self, solution):
@@ -637,8 +752,8 @@ class TestTraces:
     def test_index_range_checked(self, solution):
         with pytest.raises(IndexError):
             solution.right_trace(3)
-        with pytest.raises(IndexError):
-            solution.left_trace(-1)
+        with pytest.raises(ValueError):
+            solution.coefficients_at(-1 * solution.tau, "+")
 
     def test_evaluation_at_interior_time(self, solution):
         t = 0.4

@@ -248,11 +248,12 @@ class TestReferenceCheckpointing:
         logs = []
         sol = solve_reference("rough", 2, config, logs.append)
         # p = 3: 11 of each cell's 27 owned unknowns are left on the skeleton,
-        # and the study's symmetric data reach one of its four symmetry blocks
+        # all 27 on the 16 cells of the two diagonals, and the study's
+        # symmetric data reach one of its four symmetry blocks
         assert (sol.meta["spatial_solver"], sol.meta["skeleton_dofs"],
-                sol.meta["symmetry_blocks"]) == ("splu", 11 * 64, 1)
+                sol.meta["symmetry_blocks"]) == ("splu", 11 * 48 + 27 * 16, 1)
         assert sol.coeffs.shape[2] == 27 * 64
-        assert any("] solved" in line and "solver=decoupled/splu (skeleton 704 of 1728, "
+        assert any("] solved" in line and "solver=decoupled/splu (skeleton 960 of 1728, "
                    "1 of 4 symmetry blocks) in" in line for line in logs)
         path = os.path.join(config.out_dir, "ref_rough_N2.ckpt")
         old = load_solution(path)

@@ -24,8 +24,8 @@ from .gelfand import (BlockGridFunction, FibreDecomposition, forward,
 from .mesh import Mesh, build_mesh
 from .quadrature import (QuadratureRule, exponential_moments, gauss_legendre_1d,
                          gauss_legendre_2d, weighted_gauss_radau)
-from .slab import (DiscreteSolution, SlabBasis, build_slab_system, load_solution, run,
-                   save_solution, solve_slab)
+from .slab import (DiscreteSolution, SlabBasis, load_solution, run, save_solution,
+                   solve_slab)
 from .spaces import (FieldPair, ScalarSpace, VectorSpace, eval_div, eval_scalar,
                      eval_scalar_grad, eval_vector, gauss_lobatto_points,
                      interpolate_scalar, project_vector)

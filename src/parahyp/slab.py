@@ -36,13 +36,14 @@ per orbit of the group, condenses out the DOFs inside the cells of the free
 orbits through small dense solves per kind of cell on one representative
 cell each, and factorises the remaining quarter-size skeleton block by
 sparse LU (``_SpluSteps``).  Both paths read the operators as element
-matrices per kind of cell and assemble no global matrix.  The path follows
-from the inputs alone: one direct LU of the full block system
-(``build_slab_system``) is taken only when the temporal eigenbasis fails its
-conditioning check, which happens only for long slabs under a strong
-weight: never for q = 0 (up to rho tau = 100), and on and off from rho tau
-of about 12 for q = 1, from 11 for q = 2 (all but once), 8.5 for q = 3 and
-4, and 6.5-7.5 for q = 5-7.
+matrices per kind of cell and assemble no global matrix, and the path
+follows from the inputs alone.  The temporal eigenbasis is a precondition:
+a slab whose eigenbasis fails its conditioning check is refused with a
+``ValueError`` before anything is assembled.  That happens only for long
+slabs under a strong weight: never for q = 0 (up to rho tau = 100), and
+on and off from rho tau of about 12 for q = 1, from 11 for q = 2 (all but
+once), 8.5 for q = 3 and 4, and 6.5-7.5 for q = 5-7; every q <= 7 passes
+below rho tau = 6.5.  Shorter slabs or a lower q pass the check.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ class SlabBasis:
     def __init__(self, q: int, rho: float, tau: float):
         rule = weighted_gauss_radau(q, rho, tau)
         self.q = q
+        self.rho = rho
         self.tau = tau
         self.nodes = rule.nodes                    # in (0, tau], last = tau
         self.weights = rule.weights
@@ -90,12 +92,6 @@ class SlabBasis:
         return times
 
 
-def build_slab_system(blocks: BlockSystem, basis: SlabBasis) -> sparse.csr_matrix:
-    """The full slab matrix kron(K, M0) + kron(diag(w), M1 + A)."""
-    return (sparse.kron(sparse.csr_matrix(basis.K), blocks.m0())
-            + sparse.kron(sparse.diags(basis.weights), blocks.coupling())).tocsr()
-
-
 # the slab matrices have symmetric sparsity structure (masses plus the
 # B_div/B_grad transpose pair), where SuperLU's symmetric mode gives an
 # order-of-magnitude less fill than the default column ordering
@@ -109,33 +105,6 @@ def _factor(matrix):
     except RuntimeError as err:
         raise RuntimeError("slab matrix factorisation failed (singular or "
                            f"ill-posed data): {err}") from err
-
-
-class _DirectFactorisation:
-    """One LU of the full (q+1)-fold slab matrix, the fallback when the
-    temporal eigenbasis fails its check.  Each slab solves for the weighted
-    load plus the jump flux l(0) M0 U_prev; the state handed from slab to
-    slab is the right trace itself.  ``meta`` names the path and why the
-    eigenbasis was not used."""
-
-    def __init__(self, blocks: BlockSystem, basis: SlabBasis, fallback: str):
-        self.meta = {"solver": "direct", "solver_fallback": fallback}
-        self._basis = basis
-        self.m0 = blocks.m0()
-        self._lu = _factor(build_slab_system(blocks, basis).tocsc())
-
-    def initial_state(self, x0: np.ndarray) -> np.ndarray:
-        return x0
-
-    def step(self, prev: np.ndarray, loads, m: int, out: np.ndarray) -> np.ndarray:
-        rhs = self._basis.weights[:, None] * loads(m)
-        rhs += np.outer(self._basis.left_values, self.m0 @ prev)
-        out[:] = self._lu.solve(rhs.ravel()).reshape(out.shape)
-        return out[-1]
-
-
-class _EigenbasisError(RuntimeError):
-    """The temporal coupling matrix has no usable eigenbasis."""
 
 
 @dataclass(frozen=True)
@@ -158,7 +127,9 @@ def _temporal_eigenbasis(basis: SlabBasis) -> _Eigenbasis:
     real eigenvalues with real vectors and complex ones as adjacent, exactly
     conjugate pairs, the member with positive imaginary part first; the
     partner's solution is the conjugate of its row's, so only rows with
-    ``lam.imag >= 0`` are kept."""
+    ``lam.imag >= 0`` are kept.  A basis whose kept rows reproduce the
+    identity only to more than 1e-8 is refused with a ``ValueError`` that
+    names q and rho tau (see the module docstring for where)."""
     lam, vmat = np.linalg.eig(basis.K / basis.weights[:, None])
     vinv = np.linalg.inv(vmat)
     # a real eigenvalue's row of V^-1 is real up to the rounding of inv
@@ -171,9 +142,9 @@ def _temporal_eigenbasis(basis: SlabBasis) -> _Eigenbasis:
     # second row taken as the conjugate of its first
     resid = np.abs((w @ vinv).real - np.eye(len(lam))).max()
     if not np.isfinite(resid) or resid > 1e-8:
-        raise _EigenbasisError("temporal eigenbasis too ill-conditioned (residual "
-                               f"{resid:.2e}); the slab is solved by one direct LU, "
-                               "shorter slabs or a lower q keep the decoupled path")
+        raise ValueError(f"the temporal eigenbasis of q={basis.q} slabs at rho*tau="
+                         f"{basis.rho * basis.tau:g} is too ill-conditioned (residual "
+                         f"{resid:.2e} > 1e-8); use shorter slabs or a lower q")
     return _Eigenbasis(lam=lam[keep], vinv=vinv,
                        beta=vinv @ (basis.left_values / basis.weights), w=w,
                        meta={"eigenbasis_residual": float(resid),
@@ -667,19 +638,14 @@ class _BlochFibres:
         return partner
 
 
-def _make_factorisation(blocks: BlockSystem, basis: SlabBasis, loads):
-    """The slab factorisation.  The slab decouples through the temporal
-    eigenbasis and falls back to the direct LU only when the eigenbasis fails
-    its conditioning check.  The decoupled path steps translation-invariant
-    blocks with a separable load (``loads.spatial``) in fibre space and all
-    others by condensed sparse LUs.  Each factorisation keeps its own
-    ``meta``: the path taken, the fallback's reason or the eigenbasis
-    diagnostics, and for the sparse LUs the skeleton size and the symmetry
-    blocks factorised so far, which the slabs add to as they reach them."""
-    try:
-        eig = _temporal_eigenbasis(basis)
-    except _EigenbasisError as err:
-        return _DirectFactorisation(blocks, basis, str(err))
+def _make_factorisation(blocks: BlockSystem, eig: _Eigenbasis, loads):
+    """The slab factorisation, decoupled through the temporal eigenbasis
+    ``eig``: translation-invariant blocks with a separable load
+    (``loads.spatial``) step in fibre space, all others by condensed sparse
+    LUs.  Each factorisation keeps its own ``meta``: the path taken, the
+    eigenbasis diagnostics, and for the sparse LUs the skeleton size and the
+    symmetry blocks factorised so far, which the slabs add to as they reach
+    them."""
     if loads.spatial is not None and blocks.n_kinds == 1:
         return _BlochFibres(blocks, eig, loads.spatial)
     return _SpluSteps(blocks, eig, loads.spatial)
@@ -774,9 +740,10 @@ class _Loads:
     The source is integrated by p+2 Gauss points per direction and cell,
     separable or not (``assemble_load``).  For a separable source
     ``spatial`` is its stacked load vector, assembled once, and
-    ``factors(m)`` the time factor at slab m's nodes; otherwise ``spatial``
-    is None.  ``forcing`` (M, q+1, ndof) gives the right-hand side through
-    its coefficients in the discrete space instead.
+    ``factors(m)`` the time factor at slab m's nodes, which both solver
+    paths read in place of the loads of a slab; otherwise ``spatial`` is
+    None.  ``forcing`` (M, q+1, ndof) gives the right-hand side through its
+    coefficients in the discrete space instead.
     """
 
     def __init__(self, blocks: BlockSystem, basis: SlabBasis, source, forcing=None):
@@ -798,9 +765,6 @@ class _Loads:
             return (self._mass @ self._forcing[m].T).T
         ndof_u = self._blocks.space_u.ndof
         loads = np.zeros((self._basis.q + 1, self._blocks.ndof))
-        if self.spatial is not None:
-            loads[:, :ndof_u] = np.outer(self.factors(m), self.spatial[:ndof_u])
-            return loads
         for idx, t in enumerate(self._basis.node_times(m)):
             loads[idx, :ndof_u] = assemble_load(self._blocks.space_u, self._source,
                                                 float(t), self._quad_points)
@@ -822,12 +786,12 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     fed in.  ``x0`` defaults to rest.  The solver path follows from the
     inputs alone.  The solution's ``meta`` holds the run's parameters and
     the factorisation's own ``meta``, read once the last slab is done, and
-    ``meta["solver"]`` names the path: ``"decoupled"``, or
-    ``"direct"`` when the temporal eigenbasis fails its conditioning check
+    ``meta["solver"]`` is ``"decoupled"``: the temporal eigenbasis is a
+    precondition, and slabs whose eigenbasis fails its conditioning check
     (long slabs under a strong weight: for q >= 1 from rho tau of about 12
-    to 6.5, falling with q, see the module docstring) and the slab is solved
-    by one direct LU; ``meta["solver_fallback"]`` then says why.  On the
-    decoupled path ``meta["spatial_solver"]`` is ``"bloch"`` (constant
+    to 6.5, falling with q, see the module docstring) are refused with a
+    ``ValueError`` that names q and rho tau, before the mesh and blocks are
+    built.  ``meta["spatial_solver"]`` is ``"bloch"`` (constant
     coefficients, separable source) or ``"splu"`` and ``meta`` carries the
     temporal eigenbasis residual ``|V V^-1 - I|_max`` and ``cond(V)``.  Both
     spatial solvers step by one eigenbasis row per real temporal eigenvalue
@@ -851,17 +815,18 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     and conjugated onto the other half, and the eliminated operators are
     formed on every fibre (see ``_BlochFibres``).
 
-    Both decoupled paths read the operators as element matrices per kind of
-    cell and assemble no global matrix; the direct fallback assembles M0
-    and C once, ``discrete_forcing`` the unweighted mass.
+    Both paths read the operators as element matrices per kind of cell and
+    assemble no global matrix; only ``discrete_forcing`` assembles a whole
+    matrix, the unweighted mass.
     """
     T = problem.T
     if (n_slabs := slab_count(T, tau)) is None:
         raise ValueError(f"final time {T} is not an integer multiple of tau={tau}")
+    basis = SlabBasis(q, problem.rho, tau)
+    eig = _temporal_eigenbasis(basis)
     mesh = build_mesh(n)
     blocks = build_block_system(ScalarSpace(mesh, p), VectorSpace(mesh, p),
                                 problem.s0, problem.s1)
-    basis = SlabBasis(q, problem.rho, tau)
     ndof = blocks.ndof
     if discrete_forcing is not None and np.shape(discrete_forcing) != (n_slabs, q + 1, ndof):
         raise ValueError(f"discrete_forcing has shape {np.shape(discrete_forcing)}, "
@@ -870,7 +835,7 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     if initial.shape != (ndof,):
         raise ValueError(f"initial state has {initial.shape[0]} coefficients, expected {ndof}")
     loads = _Loads(blocks, basis, problem.source, discrete_forcing)
-    fact = _make_factorisation(blocks, basis, loads)
+    fact = _make_factorisation(blocks, eig, loads)
     state = fact.initial_state(initial)
     coeffs = np.empty((n_slabs, q + 1, ndof))
     for m in range(n_slabs):

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import coefficients as coeff
 from .errors import ErrorTable, compare_solutions
-from .slab import (DiscreteSolution, atomic_open, load_solution, run, save_solution,
-                   slab_count)
+from .slab import (DiscreteSolution, SlabBasis, _temporal_eigenbasis, atomic_open,
+                   load_solution, run, save_solution, slab_count)
 from .spaces import eval_scalar
 
 _CHECKPOINT_MODES = ("auto", "never")
@@ -94,6 +94,9 @@ class StudyConfig:
             if slab_count(self.T, 1.0 / (2 * N)) is None:
                 raise ValueError(f"T={self.T!r} is not an integer multiple of the study "
                                  f"slab length 1/{2 * N} for N={N}")
+        # the eigenbasis check of slab.run, for the study and the reference slabs
+        for q, tau in [(self.q, 1.0 / (2 * N)) for N in self.n_list] + [(self.ref_q, tau_ref)]:
+            _temporal_eigenbasis(SlabBasis(q, self.rho, tau))
 
     @property
     def reference_space_cells(self) -> int:
@@ -189,15 +192,12 @@ def _study_problem(kind: str, N: int | None, config: StudyConfig) -> coeff.Probl
 
 
 def _solver_path(sol: DiscreteSolution) -> str:
-    """``decoupled/bloch``, ``decoupled/splu (skeleton S of N, B of 4
-    symmetry blocks)``, ``direct`` or ``direct (fallback: why)``."""
-    fallback = sol.meta.get("solver_fallback")
-    spatial = sol.meta.get("spatial_solver")
+    """``decoupled/bloch`` or ``decoupled/splu (skeleton S of N, B of 4
+    symmetry blocks)``."""
     skeleton = sol.meta.get("skeleton_dofs")
-    return sol.meta["solver"] + (f"/{spatial}" if spatial else "") \
+    return f"{sol.meta['solver']}/{sol.meta['spatial_solver']}" \
         + (f" (skeleton {skeleton} of {sol.coeffs.shape[2]}, "
-           f"{sol.meta['symmetry_blocks']} of 4 symmetry blocks)" if skeleton else "") \
-        + (f" (fallback: {fallback})" if fallback else "")
+           f"{sol.meta['symmetry_blocks']} of 4 symmetry blocks)" if skeleton else "")
 
 
 def _solve(kind: str, N: int | None, config: StudyConfig, label: str, log, *,

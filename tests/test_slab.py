@@ -3,14 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 from parahyp import coefficients as co
 from parahyp import slab
 from parahyp.assembly import BlockSystem, assemble_load, build_block_system
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import exponential_moments
-from parahyp.slab import (SlabBasis, atomic_open, build_slab_system,
-                          load_solution, run, save_solution)
+from parahyp.slab import SlabBasis, atomic_open, load_solution, run, save_solution
 from parahyp.spaces import FieldPair, ScalarSpace, VectorSpace
 
 
@@ -26,17 +26,33 @@ def ode_problem(T, s0=0.5, s1=0.5, rho=1.0):
                           source=constant_source(), T=T, rho=rho)
 
 
-def run_direct(*args, **kwargs):
-    """``run`` on the direct LU, the oracle of the decoupled paths, reached
-    through the library's own fallback by failing the eigenbasis check."""
-    def failing_eigenbasis(basis):
-        raise slab._EigenbasisError("temporal eigenbasis too ill-conditioned")
+def build_slab_system(blocks, basis):
+    """The full slab matrix kron(K, M0) + kron(diag(w), M1 + A)."""
+    return (sparse.kron(sparse.csr_matrix(basis.K), blocks.m0())
+            + sparse.kron(sparse.diags(basis.weights), blocks.coupling())).tocsr()
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(slab, "_temporal_eigenbasis", failing_eigenbasis)
-        sol = run(*args, **kwargs)
-    assert sol.meta["solver"] == "direct"
-    return sol
+
+def run_direct(problem, n, p, q, tau, x0=None, discrete_forcing=None):
+    """The coefficients (M, q+1, ndof) that ``run`` computes, from one sparse
+    LU of the full slab matrix: the oracle of the decoupled paths, which
+    uses no temporal eigenbasis.  Each slab solves for the weighted loads
+    plus the jump flux l(0) M0 U_prev."""
+    mesh = build_mesh(n)
+    blocks = build_block_system(ScalarSpace(mesh, p), VectorSpace(mesh, p),
+                                problem.s0, problem.s1)
+    basis = SlabBasis(q, problem.rho, tau)
+    loads = slab._Loads(blocks, basis, problem.source, discrete_forcing)
+    lu = spla.splu(build_slab_system(blocks, basis).tocsc(), **slab._SPLU_OPTIONS)
+    m0 = blocks.m0()
+    prev = np.zeros(blocks.ndof) if x0 is None else x0.concat()
+    coeffs = np.empty((slab.slab_count(problem.T, tau), q + 1, blocks.ndof))
+    for m, out in enumerate(coeffs):
+        load = loads(m) if loads.spatial is None \
+            else np.outer(loads.factors(m), loads.spatial)
+        rhs = basis.weights[:, None] * load + np.outer(basis.left_values, m0 @ prev)
+        out[:] = lu.solve(rhs.ravel()).reshape(out.shape)
+        prev = out[-1]
+    return coeffs
 
 
 def scalar_dg_oracle(q, rho, tau, n_slabs, s0, s1, f_const, u0):
@@ -84,15 +100,13 @@ class TestSlabBasis:
 class TestTemporalEigenbasis:
     @pytest.mark.parametrize("q", range(8))
     def test_one_row_per_real_eigenvalue_or_pair(self, q):
-        for rho in (0.0, 1.0, 3.0, 10.0):
-            for tau in (1.0, 1 / 4, 1 / 96, 1 / 192):
-                basis = SlabBasis(q, rho, tau)
-                try:
-                    eig = slab._temporal_eigenbasis(basis)
-                except slab._EigenbasisError:
-                    # only long slabs under a strong weight get this ill-conditioned
-                    assert q >= 3 and rho * tau >= 10
-                    continue
+        # the measured bands: q = 0 is never refused up to rho tau = 100, and
+        # every q <= 7 is accepted below rho tau = 6.5, on short and long slabs
+        grid = np.arange(0.0, 100.5, 0.5)
+        for rho_tau in grid if q == 0 else grid[grid < 6.5]:
+            for tau in (1.0, 1 / 4, 1 / 192):
+                basis = SlabBasis(q, rho_tau / tau, tau)
+                eig = slab._temporal_eigenbasis(basis)
                 assert np.all(eig.lam.imag >= 0)
                 lam = np.linalg.eigvals(basis.K / basis.weights[:, None])
                 n_real = np.sum(np.abs(lam.imag) <= 1e-12 * np.abs(lam))
@@ -103,28 +117,27 @@ class TestTemporalEigenbasis:
                 # as the conditioning of V allows (cond(V) ~ 4e3 at q = 7)
                 bound = max(1e-12, 1e-13 * eig.meta["eigenbasis_cond"])
                 assert np.abs((eig.w @ eig.vinv).real - np.eye(q + 1)).max() <= bound
+        # beyond the bands, each refused
+        refused = {2: 20.0, 5: 10.0, 7: 7.0}
+        if q in refused:
+            rho_tau = refused[q]
+            with pytest.raises(ValueError, match=rf"q={q} slabs at rho\*tau={rho_tau:g} .*"
+                                                 r"use shorter slabs or a lower q$"):
+                slab._temporal_eigenbasis(SlabBasis(q, 4 * rho_tau, 1 / 4))
 
-    def test_auto_falls_back_when_recombination_misses_identity(self):
+    def test_run_refuses_when_recombination_misses_identity(self, monkeypatch):
         # q = 5, rho tau = 10: V V^-1 is the identity to 6e-9, but Re(w @ vinv)
-        # only to 3e-6, and the decoupled solution would be that far off
+        # only to 3e-6, and the decoupled solution would be that far off;
+        # refused before the mesh and blocks are built
+        def not_reached(*args):
+            raise AssertionError("assembled before checking the eigenbasis")
+
+        monkeypatch.setattr(slab, "build_block_system", not_reached)
         prob = co.rough_problem(2, T=2.0, rho=10.0)
-        sol = run(prob, n=2, p=1, q=5, tau=1.0)
-        assert sol.meta["solver"] == "direct"
-        assert "ill-conditioned" in sol.meta["solver_fallback"]
-        # the fallback's coefficients against a dense solve of the slab matrix
-        # (cond(V) ~ 1e9 here, but the direct LU never uses V)
-        mesh = build_mesh(2)
-        blocks = build_block_system(ScalarSpace(mesh, 1), VectorSpace(mesh, 1), prob.s0, prob.s1)
-        basis = sol.basis
-        system = build_slab_system(blocks, basis).toarray()
-        loads = slab._Loads(blocks, basis, prob.source)
-        prev = np.zeros(blocks.ndof)
-        for m in range(sol.n_slabs):
-            rhs = basis.weights[:, None] * loads(m) + np.outer(basis.left_values,
-                                                               blocks.m0() @ prev)
-            dense = np.linalg.solve(system, rhs.ravel()).reshape(rhs.shape)
-            assert np.abs(sol.coeffs[m] - dense).max() <= 1e-9 * np.abs(dense).max()
-            prev = dense[-1]
+        with pytest.raises(ValueError, match=r"^the temporal eigenbasis of q=5 slabs at "
+                                             r"rho\*tau=10 is too ill-conditioned \(residual "
+                                             r".*\); use shorter slabs or a lower q$"):
+            run(prob, n=2, p=1, q=5, tau=1.0)
 
 
 class TestSlabSystem:
@@ -267,21 +280,12 @@ class TestRunBehaviour:
             a = run_direct(prob, n=4, p=2, q=q, tau=1 / 4)
             b = run(prob, n=4, p=2, q=q, tau=1 / 4)
             assert b.meta["solver"] == "decoupled"
-            scale = np.abs(a.coeffs).max()
-            assert np.abs(a.coeffs - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
+            scale = np.abs(a).max()
+            assert np.abs(a - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
 
     def test_auto_decouples_small_systems(self):
         sol = run(co.rough_problem(2, T=0.5), n=2, p=1, q=1, tau=1 / 4)
         assert sol.meta["solver"] == "decoupled"
-        assert "solver_fallback" not in sol.meta
-
-    def test_auto_falls_back_to_direct_when_eigenbasis_fails(self):
-        prob = co.rough_problem(2, T=0.5)
-        sol = run_direct(prob, n=2, p=1, q=2, tau=1 / 4)
-        assert sol.meta["solver_fallback"] == "temporal eigenbasis too ill-conditioned"
-        decoupled = run(prob, n=2, p=1, q=2, tau=1 / 4)
-        scale = np.abs(decoupled.coeffs).max()
-        assert np.abs(sol.coeffs - decoupled.coeffs).max() <= 1e-11 * max(scale, 1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_bloch_fibres_agree_with_direct(self, n):
@@ -296,8 +300,8 @@ class TestRunBehaviour:
                 a = run_direct(prob, n=n, p=p, q=q, tau=1 / 4, x0=x0)
                 b = run(prob, n=n, p=p, q=q, tau=1 / 4, x0=x0)
                 assert (b.meta["solver"], b.meta["spatial_solver"]) == ("decoupled", "bloch")
-                scale = np.abs(a.coeffs).max()
-                assert np.abs(a.coeffs - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
+                scale = np.abs(a).max()
+                assert np.abs(a - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
 
     @pytest.mark.parametrize("s0, s1", [(0.0, 0.7), (0.6, 0.0)])
     @pytest.mark.parametrize("n", [2, 3])
@@ -322,7 +326,7 @@ class TestRunBehaviour:
         blocks = build_block_system(ScalarSpace(mesh, p), VectorSpace(mesh, p), prob.s0, prob.s1)
         basis = SlabBasis(q, prob.rho, 1 / 4)
         loads = slab._Loads(blocks, basis, prob.source)
-        fibres = slab._make_factorisation(blocks, basis, loads)
+        fibres = slab._make_factorisation(blocks, slab._temporal_eigenbasis(basis), loads)
         assert fibres.meta["spatial_solver"] == "bloch"
         return blocks, loads, fibres
 
@@ -374,9 +378,9 @@ class TestRunBehaviour:
         a = run_direct(prob, n=n, p=p, q=q, tau=1 / 4, **kwargs)
         b = run(prob, n=n, p=p, q=q, tau=1 / 4, **kwargs)
         assert (b.meta["solver"], b.meta["spatial_solver"]) == ("decoupled", spatial)
-        scale = np.abs(a.coeffs).max()
+        scale = np.abs(a).max()
         assert scale > 0.0
-        assert np.abs(a.coeffs - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
+        assert np.abs(a - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
         return b
 
     @pytest.mark.parametrize("N, n", [(2, 2), (2, 4), (2, 8), (4, 4), (4, 8)])
@@ -492,7 +496,7 @@ class TestRunBehaviour:
             for q in range(5):
                 self.assert_fibre_loop_matches_direct(prob, n, 1 + q % 3, q, "splu")
 
-    @pytest.mark.parametrize("problem", ["hom", "rough", "direct"])
+    @pytest.mark.parametrize("problem", ["hom", "rough"])
     def test_whole_matrices_built_at_most_once(self, monkeypatch, problem):
         calls = {"m0": 0, "coupling": 0}
         for name in calls:
@@ -505,22 +509,13 @@ class TestRunBehaviour:
             monkeypatch.setattr(BlockSystem, name, counted)
         prob = co.rough_problem(2, T=0.75) if problem == "rough" \
             else co.homogenised_problem(T=0.75)
-        sol = (run_direct if problem == "direct" else run)(prob, n=4, p=2, q=2, tau=1 / 4)
-        if problem == "hom":
-            assert sol.meta["spatial_solver"] == "bloch"
-            assert calls == {"m0": 0, "coupling": 0}
-        elif problem == "rough":
-            # the condensed sparse-LU rows read C and the jump flux's M0 from
-            # the element matrices
-            assert sol.meta["spatial_solver"] == "splu"
-            assert calls == {"m0": 0, "coupling": 0}
-        else:
-            # the direct fallback reads M0 for the slab matrix and again for its
-            # jump flux; BlockSystem caches it, so it is built once (checked by
-            # test_whole_blocks_assembled_once_and_only_when_used)
-            assert calls == {"m0": 2, "coupling": 1}
+        sol = run(prob, n=4, p=2, q=2, tau=1 / 4)
+        # the condensed sparse-LU rows read C and the jump flux's M0 from the
+        # element matrices, the fibre path its symbols from them
+        assert sol.meta["spatial_solver"] == {"hom": "bloch", "rough": "splu"}[problem]
+        assert calls == {"m0": 0, "coupling": 0}
 
-    @pytest.mark.parametrize("case", ["hom", "rough", "forcing", "direct"])
+    @pytest.mark.parametrize("case", ["hom", "rough", "forcing"])
     def test_whole_blocks_assembled_once_and_only_when_used(self, monkeypatch, case):
         built = {}
         assemble = BlockSystem._assemble
@@ -537,12 +532,10 @@ class TestRunBehaviour:
         if case == "forcing":
             ndof = ScalarSpace(mesh, 2).ndof + VectorSpace(mesh, 2).ndof
             forcing = np.random.default_rng(4).standard_normal((3, 3, ndof))
-        sol = (run_direct if case == "direct" else run)(prob, n=4, p=2, q=2, tau=1 / 4,
-                                                         discrete_forcing=forcing)
-        expected = {"hom": {}, "rough": {}, "forcing": {"m_unweighted": 1},
-                    "direct": {"m0": 1, "coupling": 1}}[case]
+        sol = run(prob, n=4, p=2, q=2, tau=1 / 4, discrete_forcing=forcing)
+        expected = {"hom": {}, "rough": {}, "forcing": {"m_unweighted": 1}}[case]
         assert built == expected
-        assert sol.meta.get("spatial_solver") == {"hom": "bloch", "direct": None}.get(case, "splu")
+        assert sol.meta["spatial_solver"] == {"hom": "bloch"}.get(case, "splu")
 
     def test_rough_problem_keeps_sparse_lu(self):
         sol = run(co.rough_problem(2, T=0.5), n=4, p=2, q=1, tau=1 / 4)

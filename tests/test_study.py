@@ -184,6 +184,23 @@ snapshot_times = 0.5 1.0
         with pytest.raises(ValueError, match=r"slab length 1/4 for N=2$"):
             StudyConfig(n_list=(2, 4), T=0.375, ref_space_cells=16, ref_time_cells=6)
 
+    @pytest.mark.parametrize("kwargs, text, q", [
+        # the study slabs 1/4 at rho = 40
+        (dict(q=3), "[study]\nn_list = 2\nrho = 40\nq = 3\n", 3),
+        # the reference slabs T/6 = 1/4; the study's q = 1 slabs pass
+        (dict(ref_q=5, ref_space_cells=8, ref_time_cells=6),
+         "[study]\nn_list = 2\nrho = 40\n[reference]\nq = 5\nspace_cells = 8\n"
+         "time_cells = 6\n", 5)], ids=["study", "reference"])
+    def test_ill_conditioned_slabs_refused(self, tmp_path, kwargs, text, q):
+        # rejected on construction, not at the first solve after run.log is open
+        match = rf"q={q} slabs at rho\*tau=10 .*; use shorter slabs or a lower q$"
+        with pytest.raises(ValueError, match=match):
+            StudyConfig(n_list=(2,), rho=40.0, **kwargs)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            parse_config(path)
+
     def test_reference_nesting_validated(self):
         with pytest.raises(ValueError, match="twice as fine"):
             StudyConfig(n_list=(2,), ref_space_cells=6, ref_time_cells=9)

@@ -129,7 +129,10 @@ def _temporal_eigenbasis(basis: SlabBasis) -> _Eigenbasis:
     partner's solution is the conjugate of its row's, so only rows with
     ``lam.imag >= 0`` are kept.  A basis whose kept rows reproduce the
     identity only to more than 1e-8 is refused with a ``ValueError`` that
-    names q and rho tau (see the module docstring for where)."""
+    names q and rho tau (see the module docstring for where).  Passing is
+    not accuracy: just below the q = 2 band (rho tau 9-13, n = 2, p = 1)
+    the solution differs from one LU of the whole slab by 2.6e-9 to 1.3e-8
+    relative; the a-posteriori slab residual of ROADMAP item 4 would catch it."""
     lam, vmat = np.linalg.eig(basis.K / basis.weights[:, None])
     vinv = np.linalg.inv(vmat)
     # a real eigenvalue's row of V^-1 is real up to the rounding of inv

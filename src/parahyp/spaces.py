@@ -241,15 +241,26 @@ def _check_coeffs(coeffs, ndof):
     return coeffs
 
 
-def _evaluate(space, coeffs, points, derivatives: bool = False) -> list[np.ndarray]:
-    """The FE function contracted with each table of ``space.basis_values``,
-    or of ``space.basis_derivatives`` if ``derivatives``, at the points of
-    [0,1)^2, in reference units."""
-    coeffs = _check_coeffs(coeffs, space.ndof)
+def _tabulate(space, points, derivatives: bool = False):
+    """The global DOFs of the cell holding each point of [0,1)^2, shape
+    (npts, n_loc), and the tables of ``space.basis_values`` (or of
+    ``space.basis_derivatives`` if ``derivatives``) at the points: all that
+    ``_contract`` needs to evaluate any coefficient vector there."""
     ci, cj, xi, eta = _locate(space.mesh, _as_points(points))
-    local = coeffs[space.cell_dofs[cj * space.mesh.n + ci]]
     tables = (space.basis_derivatives if derivatives else space.basis_values)(xi, eta)
+    return space.cell_dofs[cj * space.mesh.n + ci], tables
+
+
+def _contract(space, coeffs, tabulation) -> list[np.ndarray]:
+    """The FE function ``coeffs`` contracted with each table of a ``_tabulate``
+    result of ``space``, in reference units."""
+    dofs, tables = tabulation
+    local = _check_coeffs(coeffs, space.ndof)[dofs]
     return [np.einsum("ml,ml->m", local, table) for table in tables]
+
+
+def _evaluate(space, coeffs, points, derivatives: bool = False) -> list[np.ndarray]:
+    return _contract(space, coeffs, _tabulate(space, points, derivatives))
 
 
 def eval_scalar(space: ScalarSpace, coeffs, points) -> np.ndarray:

@@ -9,6 +9,7 @@ and tabulate E_sup / E_Q errors with experimental orders of convergence.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 import os
 import time
@@ -20,7 +21,7 @@ from . import coefficients as coeff
 from .errors import ErrorTable, compare_solutions
 from .slab import (DiscreteSolution, SlabBasis, _temporal_eigenbasis, atomic_open,
                    load_solution, run, save_solution, slab_count)
-from .spaces import eval_scalar
+from .spaces import _contract, _tabulate
 
 _CHECKPOINT_MODES = ("auto", "never")
 # every study problem is driven by coefficients.source_f, the box source
@@ -321,14 +322,25 @@ def _export_study_snapshots(config: StudyConfig, study_solutions, log):
         n = 2 * max(config.n_list)
         labelled.append(("u_hom", _solve("hom", None, config, "study hom", log,
                                          n=n, p=config.p, q=config.q, tau=1.0 / n)))
+        t0 = time.perf_counter()
         for label, sol in labelled:
             for t in times:
                 base = os.path.join(config.out_dir, f"{label}_t{t}")
                 export_snapshot(sol, min(t, sol.T), config.snapshot_resolution, base)
-        log(f"[study] wrote snapshots at t = {times} "
-            f"for N = {config.n_list} and the averaged problem")
+        log(f"[study] wrote snapshots at t = {times} for N = {config.n_list} "
+            f"and the averaged problem in {time.perf_counter() - t0:.1f}s")
     if skipped:
         log(f"[study] skipped snapshot times outside [0, T={config.T!r}]: {skipped}")
+
+
+@functools.lru_cache(maxsize=1)
+def _raster_tabulation(space_u, resolution: int):
+    """``space_u`` tabulated at the cell centres ((i+0.5)/res, (j+0.5)/res)
+    of the raster, point i * res + j.  Only the last (space, resolution) is
+    kept: the snapshots of one solution share it, and one table is held."""
+    pts_1d = (np.arange(resolution) + 0.5) / resolution
+    xx, yy = np.meshgrid(pts_1d, pts_1d, indexing="ij")
+    return _tabulate(space_u, np.column_stack([xx.ravel(), yy.ravel()]))
 
 
 def export_snapshot(sol: DiscreteSolution, t: float, resolution: int,
@@ -342,21 +354,26 @@ def export_snapshot(sol: DiscreteSolution, t: float, resolution: int,
         raise ValueError(f"snapshot time {t} outside [0, {sol.T}]")
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution!r}")
-    # sample at cell centres of the raster
-    pts_1d = (np.arange(resolution) + 0.5) / resolution
-    xx, yy = np.meshgrid(pts_1d, pts_1d, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
     if t / sol.tau < 1e-9:
         # at the initial instant the state is the datum x0 itself; the
         # tolerance is the one with which coefficients_at snaps t onto t = 0
         coeffs = sol.initial_state
     else:
         coeffs = sol.coefficients_at(t, "-")
-    values = eval_scalar(sol.space_u, coeffs[: sol.ndof_u], pts).reshape(resolution,
-                                                                         resolution)
-    # shortest round-trip text of each value, x running fastest: the VTK
-    # point order, and the order along each CSV row
-    text = list(map(repr, values.T.ravel().tolist()))
+    values = _contract(sol.space_u, coeffs[: sol.ndof_u],
+                       _raster_tabulation(sol.space_u, resolution))[0]
+    return _write_raster(values.reshape(resolution, resolution), t, path_base)
+
+
+def _write_raster(values: np.ndarray, t: float, path_base: str) -> tuple[str, str]:
+    """Write the square raster ``values[i, j]`` = u((i+0.5)/res, (j+0.5)/res)
+    as ``path_base`` .vtk and .csv, each value as its shortest round-trip text."""
+    resolution = len(values)
+    # x running fastest: the VTK point order, and the order along each CSV
+    # row; each distinct bit pattern (so -0.0 apart from 0.0) is formatted once
+    bits, inverse = np.unique(values.T.ravel().view(np.int64), return_inverse=True)
+    words = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    text = words[inverse].tolist()
     h = 1.0 / resolution
     vtk_path, csv_path = path_base + ".vtk", path_base + ".csv"
     with atomic_open(vtk_path) as fh:

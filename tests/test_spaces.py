@@ -8,8 +8,8 @@ import pytest
 
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import gauss_legendre_1d
-from parahyp.spaces import (ScalarSpace, VectorSpace, _shifted_legendre_values, eval_div,
-                            eval_scalar, eval_scalar_grad, eval_vector, gauss_lobatto_points,
+from parahyp.spaces import (ScalarSpace, VectorSpace, _contract, _shifted_legendre_values,
+                            _tabulate, eval_div, eval_scalar, eval_scalar_grad, eval_vector, gauss_lobatto_points,
                             interpolate_scalar, project_vector)
 
 
@@ -84,6 +84,28 @@ class TestScalarSpace:
         space = ScalarSpace(build_mesh(2), 1)
         with pytest.raises(ValueError):
             eval_scalar(space, np.zeros(3), np.array([[0.5, 0.5]]))
+
+    @pytest.mark.parametrize("n,p", [(3, 1), (4, 2), (5, 3)])
+    def test_tabulated_evaluation_is_the_one_pass_evaluation_bit_for_bit(self, n, p, rng):
+        # eval_scalar tabulates the points, then contracts; the reference is
+        # the single-pass evaluation it was split from
+        space = ScalarSpace(build_mesh(n), p)
+        coeffs = rng.standard_normal(space.ndof)
+        pts = rng.random((500, 2))
+        scaled = pts * n
+        idx = np.minimum(scaled.astype(int), n - 1)
+        xi, eta = (scaled - idx).T
+        local = coeffs[space.cell_dofs[idx[:, 1] * n + idx[:, 0]]]
+        (table,) = space.basis_values(xi, eta)
+        want = np.einsum("ml,ml->m", local, table)
+        assert np.array_equal(eval_scalar(space, coeffs, pts).view(np.int64),
+                              want.view(np.int64))
+        # one tabulation serves any number of coefficient vectors
+        tabulation = _tabulate(space, pts)
+        for _ in range(3):
+            coeffs = rng.standard_normal(space.ndof)
+            assert np.array_equal(_contract(space, coeffs, tabulation)[0],
+                                  eval_scalar(space, coeffs, pts))
 
 
 class TestVectorSpace:

@@ -1,17 +1,19 @@
 import dataclasses
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from parahyp import coefficients as co
+from parahyp import spaces
 from parahyp.cli import main as cli_main
 from parahyp.errors import compare_solutions
 from parahyp.slab import load_solution, run, save_solution
 from parahyp.spaces import eval_scalar
-from parahyp.study import (_SCHEMA, StudyConfig, export_snapshot, parse_config,
-                           run_study, solve_reference)
+from parahyp.study import (_SCHEMA, StudyConfig, _write_raster, export_snapshot,
+                           parse_config, run_study, solve_reference)
 
 
 def mini_config(tmp_path, **overrides):
@@ -348,8 +350,9 @@ class TestRunStudy:
         assert snapshots == ["u_N2_t0.25.csv", "u_N2_t0.25.vtk",
                              "u_hom_t0.25.csv", "u_hom_t0.25.vtk"]
         lines = Path(config.out_dir, "run.log").read_text().splitlines()
-        assert "[study] wrote snapshots at t = (0.25,) for N = (2,) and the averaged problem" \
-            in lines
+        assert [line for line in lines if re.fullmatch(
+            r"\[study\] wrote snapshots at t = \(0\.25,\) for N = \(2,\) and the averaged "
+            r"problem in \d+\.\ds", line)]
         assert "[study] skipped snapshot times outside [0, T=0.5]: (2.0, -1.0)" in lines
         # with no time inside the window nothing is written and nothing claims so
         late = dataclasses.replace(config, out_dir=str(tmp_path / "late"), snapshot_times=(2.0,))
@@ -408,6 +411,17 @@ class TestRunStudy:
         assert csv_a == csv_b
 
 
+def assert_per_value_text(values, vtk, csv):
+    """The VTK scalars and the CSV rows hold the bytes of the writer that
+    formats every value of the raster by its own ``repr``, x running fastest."""
+    res = len(values)
+    words = [repr(float(values[i, j])) for j in range(res) for i in range(res)]
+    scalars = Path(vtk).read_bytes().split(b"LOOKUP_TABLE default\n")[1]
+    assert scalars == ("\n".join(words) + "\n").encode()
+    assert Path(csv).read_bytes() == "".join(",".join(words[j * res:(j + 1) * res]) + "\n"
+                                             for j in range(res)).encode()
+
+
 class TestSnapshots:
     def test_zero_state_zero_raster(self, tmp_path):
         sol = run(co.rough_problem(2, T=0.5), n=4, p=2, q=1, tau=0.25)
@@ -450,8 +464,37 @@ class TestSnapshots:
         xx, yy = np.meshgrid(pts, pts, indexing="ij")
         values = eval_scalar(sol.space_u, sol.coefficients_at(0.125, "-")[: sol.ndof_u],
                              np.column_stack([xx.ravel(), yy.ravel()])).reshape(16, 16)
-        assert text == "".join(",".join(repr(float(values[i, j])) for i in range(16)) + "\n"
-                               for j in range(16))
+        assert_per_value_text(values, vtk, csv)
+
+    def test_each_distinct_float_keeps_its_own_text(self, tmp_path):
+        # repeats, both zeros, subnormals, NaNs with two payloads, infinities
+        # and near-ties that a coarser key would merge
+        tiny = np.nextafter(0.0, 1.0)
+        pool = np.array([0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308 / 3, 0.1,
+                         np.nextafter(0.1, 1.0), 1e300, -1e-300, np.inf, -np.inf, np.nan,
+                         np.int64(0x7FF8000000000001).view(np.float64), 1 / 3, 12345.678])
+        values = np.random.default_rng(3).choice(pool, size=(9, 9))
+        values.flat[:len(pool)] = pool
+        vtk, csv = _write_raster(values, 0.5, str(tmp_path / "pool"))
+        assert len(np.unique(values.view(np.int64))) == len(pool)
+        assert_per_value_text(values, vtk, csv)
+
+    def test_raster_tabulated_once_per_solution(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(space, points, *args):
+            calls.append((space, len(points)))
+            return spaces._tabulate(space, points, *args)
+
+        monkeypatch.setattr("parahyp.study._tabulate", counting)
+        config = mini_config(tmp_path, n_list=(2,), T=0.5, ref_space_cells=8,
+                             ref_time_cells=4, snapshot_times=(0.25, 0.5),
+                             snapshot_resolution=8)
+        run_study(config, log=lambda *_: None)
+        assert len([f for f in os.listdir(config.out_dir) if f.startswith("u_")]) == 8
+        # the N = 2 row and the averaged problem, each at 64 raster points
+        assert len(calls) == 2 and calls[0][0] is not calls[1][0]
+        assert [n for _, n in calls] == [64, 64]
 
     def test_constant_field_constant_raster(self, tmp_path):
         sol = run(co.homogenised_problem(T=0.5), n=4, p=2, q=1, tau=0.25)

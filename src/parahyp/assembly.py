@@ -20,10 +20,10 @@ periodicity makes B_div = -B_grad^T hold entrywise.
 per kind of cell (``cell_matrices``): the coefficients are constant per
 cell, so the checkerboard has two kinds and constant coefficients one.  The
 sparse-LU path condenses the cell interiors and forms the jump flux from
-them, the Floquet-Bloch path reads cell 0's through ``stencil`` (with
-constant coefficients its cell-offset blocks are the fibre symbols'
-Fourier coefficients), and the whole matrices are scattered from them on
-first use.  The ``assemble_*`` functions scatter each block on its own.
+them, and the Floquet-Bloch path groups cell 0's by cell offset into the
+fibre symbols (``slab._symbol_terms``).  Every whole matrix is scattered by
+``_scatter``: the ``assemble_*`` functions scatter one block each, and
+``BlockSystem`` stacks those blocks on first use.
 """
 
 from __future__ import annotations
@@ -52,19 +52,16 @@ def _coefficient_cells(space: ScalarSpace, s) -> np.ndarray:
     return vals
 
 
-def _csr(data, rows, cols, shape) -> sparse.csr_matrix:
-    """The CSR matrix of COO triplets with duplicates summed in their given
-    order: sorted stably by (row, column), no row is left for SciPy to sort."""
-    order = np.argsort(rows * shape[1] + cols, kind="stable")
-    return sparse.coo_matrix((data[order], (rows[order], cols[order])), shape=shape).tocsr()
-
-
 def _scatter(element: np.ndarray, row_space, col_space, cell_scale=1.0) -> sparse.csr_matrix:
-    """Per-cell copies of an element matrix, scaled per cell, summed in cell order."""
-    rows, cols = row_space.cell_dofs, col_space.cell_dofs
-    data = np.multiply.outer(np.broadcast_to(cell_scale, len(rows)), element)
-    return _csr(data.ravel(), np.repeat(rows, cols.shape[1], axis=1).ravel(),
-                np.tile(cols, (1, rows.shape[1])).ravel(), (row_space.ndof, col_space.ndof))
+    """Per-cell copies of an element matrix, scaled per cell, summed in cell
+    order: sorted stably by (row, column), no row is left for SciPy to sort."""
+    cells_r, cells_c = row_space.cell_dofs, col_space.cell_dofs
+    data = np.multiply.outer(np.broadcast_to(cell_scale, len(cells_r)), element).ravel()
+    rows = np.repeat(cells_r, cells_c.shape[1], axis=1).ravel()
+    cols = np.tile(cells_c, (1, cells_r.shape[1])).ravel()
+    order = np.argsort(rows * col_space.ndof + cols, kind="stable")
+    return sparse.coo_matrix((data[order], (rows[order], cols[order])),
+                             shape=(row_space.ndof, col_space.ndof)).tocsr()
 
 
 @cache
@@ -188,9 +185,9 @@ class BlockSystem:
     """The spatial operators of one problem on one mesh, in one form.
 
     Each stacked matrix ("m0", "m_unweighted" or "coupling") is given by
-    ``cell_matrices``, its element matrices per kind of cell.  ``stencil``
-    reads cell 0's; ``m0()``, ``m_unweighted()`` and ``coupling()`` scatter
-    them over all cells on first use and cache the result.
+    ``cell_matrices``, its element matrices per kind of cell; ``m0()``,
+    ``m_unweighted()`` and ``coupling()`` stack its blocks, each scattered
+    over all cells by ``_scatter``, on first use and cache the result.
     """
 
     space_u: ScalarSpace
@@ -215,18 +212,6 @@ class BlockSystem:
         """Kinds of cell (equal s0 and s1): 1 if constant, 2 for the checkerboard."""
         return len(self._kinds[0])
 
-    @cached_property
-    def _owned(self) -> np.ndarray:
-        su, sv = self.space_u, self.space_v
-        owned = np.concatenate([su.owned_dofs(), su.ndof + sv.owned_dofs()], axis=1)
-        owned.flags.writeable = False
-        return owned
-
-    def owned_dofs(self) -> np.ndarray:
-        """Stacked DOFs each cell owns, shape (n^2, 3p^2) in cell order: its
-        u DOFs, then its v DOFs (shifted by ndof_u).  Built once, read-only."""
-        return self._owned
-
     def cell_dofs(self) -> np.ndarray:
         """Stacked DOFs of each cell's local basis, shape
         (n^2, (p+1)^2 + 2p(p+1)) in cell order: the u ``cell_dofs``, then the
@@ -234,68 +219,33 @@ class BlockSystem:
         su, sv = self.space_u, self.space_v
         return np.concatenate([su.cell_dofs, su.ndof + sv.cell_dofs], axis=1)
 
-    def _element_form(self, matrix: str):
-        """``cell_matrices`` and the local (row, column) slots, row-major,
-        that the blocks of ``matrix`` cover: the sparsity of an element."""
-        first, kind = self._kinds
-        n_u = self.space_u.n_loc
-        n_loc = n_u + self.space_v.n_loc
-        out = np.zeros((len(first), n_loc, n_loc))
-        covered = np.zeros((n_loc, n_loc), dtype=bool)
-        for element_of, coefficient, row_space, col_space in _STACKED[matrix]:
-            element = element_of(self.space_u.p, self.space_u.mesh.h)
-            scale = getattr(self, coefficient)[first] if coefficient else np.ones(len(first))
-            slots = np.s_[row_space * n_u:row_space * n_u + element.shape[0],
-                          col_space * n_u:col_space * n_u + element.shape[1]]
-            out[:, slots[0], slots[1]] += np.multiply.outer(scale, element)
-            covered[slots] = True
-        return kind, out, np.nonzero(covered)
-
     def cell_matrices(self, matrix: str) -> tuple[np.ndarray, np.ndarray]:
         """Each cell's kind, shape (n^2,), and the element matrices of
         ``matrix`` per kind on the local DOFs of ``cell_dofs()``, shape
         (``n_kinds``, n_loc, n_loc); nothing is assembled.  Scattering
         ``matrices[kind[c]]`` at ``cell_dofs()[c]`` over all cells c sums to
         the whole matrix."""
-        return self._element_form(matrix)[:2]
-
-    def stencil(self, matrix: str) -> tuple[np.ndarray, np.ndarray]:
-        """The cell-offset blocks of ``matrix`` for constant coefficients, from
-        cell 0's element matrix; nothing is assembled or cached.  Raises a
-        ``ValueError`` for more than one kind of cell.
-
-        Every cell adds cell 0's element entries, translated, so the DOFs
-        that cell 0 owns couple to those that cell d = j n + i owns through
-        one block: the sum of cell 0's entries whose column's owner lies
-        (i, j) cells from its row's owner, mod n per axis (the periodic
-        wrap).  Returns the offsets d that occur, increasing, and their
-        row-major blocks in the order of ``owned_dofs()``, shape
-        (len(d), (3p^2)^2).
-        """
-        if self.n_kinds > 1:
-            raise ValueError(f"the stencil needs constant coefficients; these blocks "
-                             f"have {self.n_kinds} kinds of cell")
-        n = self.space_u.mesh.n
-        owned = self.owned_dofs()
-        n_own = owned.shape[1]
-        slot = np.empty(self.ndof, dtype=np.int64)      # stacked DOF -> cell-major slot
-        slot[owned.ravel()] = np.arange(self.ndof)
-        cell, local = np.divmod(slot, n_own)
-        _, matrices, slots = self._element_form(matrix)
-        rows, cols = self.cell_dofs()[0][np.array(slots)]
-        offsets, which = np.unique((cell[cols] // n - cell[rows] // n) % n * n
-                                   + (cell[cols] - cell[rows]) % n, return_inverse=True)
-        blocks = np.zeros((len(offsets), n_own * n_own))
-        np.add.at(blocks, (which, local[rows] * n_own + local[cols]), matrices[0][slots])
-        return offsets, blocks
+        first, kind = self._kinds
+        n_u = self.space_u.n_loc
+        n_loc = n_u + self.space_v.n_loc
+        out = np.zeros((len(first), n_loc, n_loc))
+        for element_of, coefficient, row_space, col_space in _STACKED[matrix]:
+            element = element_of(self.space_u.p, self.space_u.mesh.h)
+            scale = getattr(self, coefficient)[first] if coefficient else np.ones(len(first))
+            slots = np.s_[row_space * n_u:row_space * n_u + element.shape[0],
+                          col_space * n_u:col_space * n_u + element.shape[1]]
+            out[:, slots[0], slots[1]] += np.multiply.outer(scale, element)
+        return kind, out
 
     def _assemble(self, matrix: str) -> sparse.csr_matrix:
-        """``matrix`` scattered over all cells on the slots its blocks cover,
-        the entries gathered per kind before they are expanded to cells."""
-        kind, matrices, (rows, cols) = self._element_form(matrix)
-        dofs = self.cell_dofs()
-        return _csr(matrices[:, rows, cols][kind].ravel(), dofs[:, rows].ravel(),
-                    dofs[:, cols].ravel(), (self.ndof, self.ndof))
+        """``matrix`` stacked from its blocks, each scattered over all cells."""
+        spaces = (self.space_u, self.space_v)
+        grid = [[None, None], [None, None]]
+        for element_of, coefficient, row_space, col_space in _STACKED[matrix]:
+            grid[row_space][col_space] = _scatter(
+                element_of(self.space_u.p, self.space_u.mesh.h), spaces[row_space],
+                spaces[col_space], getattr(self, coefficient) if coefficient else 1.0)
+        return sparse.bmat(grid, format="csr")
 
     def _matrix(self, matrix: str) -> sparse.csr_matrix:
         if matrix not in self._assembled:

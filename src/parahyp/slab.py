@@ -171,7 +171,25 @@ def _interior_slots(cell_dofs: np.ndarray) -> np.ndarray:
     return np.flatnonzero((count[cell_dofs] == 1).all(axis=0))
 
 
+def _owned_slots(cell_dofs: np.ndarray) -> np.ndarray:
+    """The slots, the same in every cell, at which a cell owns its DOFs: a
+    DOF belongs to the cell where it sits at its lowest slot.  Of
+    ``BlockSystem.cell_dofs()`` these are 3p^2 slots: the Q_p nodes a, b < p
+    and the RT_{p-1} values inside the cell and on its left and bottom edges."""
+    lowest = np.empty(cell_dofs.max() + 1, dtype=np.int64)
+    for slot in reversed(range(cell_dofs.shape[1])):
+        lowest[cell_dofs[:, slot]] = slot
+    return np.flatnonzero(lowest[cell_dofs[0]] == np.arange(cell_dofs.shape[1]))
+
+
 _POINT_GROUP = ("s: (x, y) -> (y, x)", "r: (x, y) -> (1-x, 1-y)")
+
+
+def _cell_images(n: int) -> np.ndarray:
+    """Each cell's images under e, s, r and sr, shape (4, n^2): cell (i, j) =
+    j n + i maps to (j, i) under s and to (n-1-i, n-1-j) under r."""
+    cells = np.arange(n * n).reshape(n, n)
+    return np.stack([cells, cells.T, cells[::-1, ::-1], cells.T[::-1, ::-1]]).reshape(4, -1)
 
 
 def _point_group(blocks: BlockSystem) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -183,19 +201,19 @@ def _point_group(blocks: BlockSystem) -> list[tuple[np.ndarray, np.ndarray]]:
     invariant under both cell maps, which is checked exactly: a
     ``ValueError`` names the map that is not a symmetry.
 
-    The action is combinatorial.  Cell (i, j) = j n + i maps to (j, i) under
-    s and to (n-1-i, n-1-j) under r, and T_g maps ``cell_dofs()[c, l]`` to
-    sigma_g(l) ``cell_dofs()[g(c), pi_g(l)]``.  On the local slots, s
-    transposes the Q_p node grid (slot b (p+1) + a) and swaps the RT x and y
-    blocks, whose slots at equal offsets hold mirrored points; r reverses the
-    Q_p slots and each RT block and negates the RT values."""
+    The action is combinatorial: T_g maps ``cell_dofs()[c, l]`` to
+    sigma_g(l) ``cell_dofs()[g(c), pi_g(l)]`` for the cell maps g of
+    ``_cell_images``.  On the local slots, s transposes the Q_p node grid
+    (slot b (p+1) + a) and swaps the RT x and y blocks, whose slots at equal
+    offsets hold mirrored points; r reverses the Q_p slots and each RT block
+    and negates the RT values."""
     n, p = blocks.space_u.mesh.n, blocks.space_u.p
     n_u, n_c = (p + 1) ** 2, p * (p + 1)
-    cells, u, v = np.arange(n * n), np.arange(n_u), np.arange(2 * n_c)
+    images, u, v = _cell_images(n), np.arange(n_u), np.arange(2 * n_c)
     # (cell map, slot map, slot signs) of s and of r
-    s = (cells.reshape(n, n).T.ravel(),
-         np.concatenate([u.reshape(p + 1, p + 1).T.ravel(), n_u + np.roll(v, n_c)]), 1.0)
-    r = (cells[::-1], np.concatenate([u[::-1], n_u + v.reshape(2, n_c)[:, ::-1].ravel()]),
+    s = (images[1], np.concatenate([u.reshape(p + 1, p + 1).T.ravel(), n_u + np.roll(v, n_c)]),
+         1.0)
+    r = (images[2], np.concatenate([u[::-1], n_u + v.reshape(2, n_c)[:, ::-1].ravel()]),
          np.concatenate([np.ones(n_u), -np.ones(2 * n_c)]))
     dofs = blocks.cell_dofs()
     group = []
@@ -321,12 +339,11 @@ class _SpluSteps:
         cell_dofs = blocks.cell_dofs()
         inner = _interior_slots(cell_dofs)
         outer = np.setdiff1d(np.arange(cell_dofs.shape[1]), inner)
-        # each cell's images under e, s, r and sr (cell j n + i sits at [j, i]);
-        # an orbit is represented by its least cell, free orbits first, by kind
-        cells = np.arange(n * n).reshape(n, n)
-        images = np.stack([cells, cells.T, cells[::-1, ::-1], cells.T[::-1, ::-1]]).reshape(4, -1)
+        # an orbit of cells is represented by its least cell, free orbits
+        # first, by kind
+        images = _cell_images(n)
         orbit = 1 + np.count_nonzero(np.diff(np.sort(images, axis=0), axis=0), axis=0)
-        reps = np.flatnonzero(images.min(axis=0) == cells.ravel())
+        reps = np.flatnonzero(images.min(axis=0) == images[0])
         reps = reps[np.lexsort((kind[reps], orbit[reps] < 4))]
         free = np.flatnonzero(orbit == 4)
         free = free[np.argsort(kind[free], kind="stable")]
@@ -496,17 +513,36 @@ class _SpluSteps:
         return new
 
 
-def _symbol_terms(blocks: BlockSystem, matrix: str) -> tuple[np.ndarray, np.ndarray]:
+def _symbol_terms(blocks: BlockSystem, matrix: str,
+                  slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The fibre symbols of ``m0()`` or ``coupling()`` for constant
     coefficients as a product: row k of ``phases @ offset_blocks`` is the
     row-major 3p^2 x 3p^2 symbol of fibre k = ky n + kx, at theta =
-    2 pi (kx, ky) / n, in the order of ``blocks.owned_dofs()``.  The
-    phases of a self-conjugate fibre (theta_x, theta_y in {0, pi}) are
-    exactly +-1, so its symbol is real."""
+    2 pi (kx, ky) / n, on the owned DOFs (``_owned_slots``): ``slot`` maps
+    each stacked DOF to its owner's cell-major slot c 3p^2 + l.  Raises a
+    ``ValueError`` for more than one kind of cell.
+
+    Every cell adds cell 0's element entries (``cell_matrices``),
+    translated, so the DOFs that cell 0 owns couple to those that cell
+    d = j n + i owns through one block: the sum of cell 0's entries whose
+    column's owner lies (i, j) cells from its row's owner, mod n per axis
+    (the periodic wrap).  The phases of a self-conjugate fibre (theta_x,
+    theta_y in {0, pi}) are exactly +-1, so its symbol is real."""
+    if blocks.n_kinds > 1:
+        raise ValueError(f"the fibre symbols need constant coefficients; these blocks "
+                         f"have {blocks.n_kinds} kinds of cell")
     n = blocks.space_u.mesh.n
+    n_own = blocks.ndof // (n * n)
+    cell, local = np.divmod(slot, n_own)
+    dofs = blocks.cell_dofs()[0]
+    rows, cols = np.repeat(dofs, len(dofs)), np.tile(dofs, len(dofs))
+    offsets, which = np.unique((cell[cols] // n - cell[rows] // n) % n * n
+                               + (cell[cols] - cell[rows]) % n, return_inverse=True)
+    offset_blocks = np.zeros((len(offsets), n_own * n_own))
+    np.add.at(offset_blocks, (which, local[rows] * n_own + local[cols]),
+              blocks.cell_matrices(matrix)[1][0].ravel())
     theta = 2.0 * np.pi * np.arange(n) / n
     # cell d = j n + i sits at (i, j)
-    offsets, offset_blocks = blocks.stencil(matrix)
     phases = np.exp(1j * (theta[:, None, None] * (offsets // n)
                           + theta[None, :, None] * (offsets % n)))
     zero_or_pi = 2 * np.arange(n) % n == 0
@@ -518,12 +554,13 @@ def _symbol_terms(blocks: BlockSystem, matrix: str) -> tuple[np.ndarray, np.ndar
 class _BlochFibres:
     """Decoupled slab steps in fibre space: constant coefficients, separable source.
 
-    Both spaces own 3p^2 DOFs per cell and wrap modulo n, so with constant
-    coefficients M0 and C are block-circulant in cell-major order: cell
-    offset d couples through one 3p^2 x 3p^2 block.  The 2-D DFT over the
-    cell grid splits them into n^2 dense fibre symbols, read from cell 0's
-    element matrices (``_symbol_terms``), so this path builds no global
-    matrix.  A fibre holds p^2 u-unknowns, then 2p^2 flux unknowns v:
+    Each cell owns 3p^2 DOFs (``_owned_slots``) and both spaces wrap modulo
+    n, so with constant coefficients M0 and C are block-circulant in the
+    cell-major order of the owned DOFs: cell offset d couples through one
+    3p^2 x 3p^2 block.  The 2-D DFT over the cell grid splits them into n^2
+    dense fibre symbols, grouped by offset from cell 0's element matrices
+    (``_symbol_terms``), so this path builds no global matrix.  A fibre
+    holds p^2 u-unknowns, then 2p^2 flux unknowns v:
 
         M0^ = [[M_u, 0], [0, M_v]],   C^ = [[C_uu, C_uv], [C_vu, 0]],
 
@@ -571,13 +608,15 @@ class _BlochFibres:
     def __init__(self, blocks: BlockSystem, eig: _Eigenbasis, spatial_load: np.ndarray):
         self.meta = {"solver": "decoupled", "spatial_solver": "bloch", **eig.meta}
         n = blocks.space_u.mesh.n
-        perm = blocks.owned_dofs()
-        n_own = perm.shape[1]
+        cell_dofs = blocks.cell_dofs()
+        owned = cell_dofs[:, _owned_slots(cell_dofs)]
+        n_own = owned.shape[1]
         n_u = n_own // 3
-        (m0_phase, m0_d), (c_phase, c_d) = (_symbol_terms(blocks, "m0"),
-                                            _symbol_terms(blocks, "coupling"))
-        self._n, self._n_u, self._perm = n, n_u, perm.ravel()
-        self._order = np.argsort(self._perm)      # stacked DOF -> cell-major slot
+        self._n, self._n_u, self._perm = n, n_u, owned.ravel()
+        self._order = np.empty_like(self._perm)   # stacked DOF -> cell-major slot
+        self._order[self._perm] = np.arange(self._perm.size)
+        (m0_phase, m0_d), (c_phase, c_d) = (_symbol_terms(blocks, "m0", self._order),
+                                            _symbol_terms(blocks, "coupling", self._order))
         fibre = np.arange(n)
         self._flip = ((-fibre[:, None] % n) * n + (-fibre[None, :] % n)).ravel()
         self._lam, self._vinv, self._beta, self._w = eig.lam, eig.vinv, eig.beta, eig.w
@@ -671,9 +710,10 @@ def slab_count(T: float, tau: float) -> int | None:
 class DiscreteSolution:
     """Per-slab nodal trajectories of one space-time solve.
 
-    ``initial_state`` is the datum x0 the first slab was coupled to, zero
-    when not given; the trajectory itself lives on (0, T] (its value at 0+
-    is the first left trace, which differs from x0 by the first jump).
+    ``initial_state`` is the datum x0 the first slab was coupled to (zero
+    when not given) and the left limit at t = 0; the trajectory lives on
+    (0, T] (its value at 0+ is the first left trace, which differs from x0
+    by the first jump).  ``rho`` must be the weight of ``basis``.
     """
 
     space_u: ScalarSpace
@@ -685,6 +725,9 @@ class DiscreteSolution:
     initial_state: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.rho != self.basis.rho:
+            raise ValueError(f"rho={self.rho!r} differs from the slab basis's "
+                             f"rho={self.basis.rho!r}")
         if self.initial_state is None:
             self.initial_state = np.zeros(self.coeffs.shape[2])
 
@@ -717,7 +760,8 @@ class DiscreteSolution:
 
     def coefficients_at(self, t: float, side: str = "-") -> np.ndarray:
         """Coefficient vector at time t; ``side`` picks the one-sided limit
-        at slab boundaries ('-' from below, '+' from above)."""
+        at slab boundaries ('-' from below, '+' from above).  The left limit
+        at t = 0 is the datum x0."""
         if side not in ("-", "+"):
             raise ValueError(f"side must be '-' or '+', got {side!r}")
         if not -1e-12 <= t <= self.T + 1e-12:
@@ -729,9 +773,7 @@ class DiscreteSolution:
                 if nearest >= self.n_slabs:
                     raise ValueError(f"right-sided limit undefined at final time {t}")
                 return self.basis.left_values @ self.coeffs[nearest]
-            if nearest == 0:
-                raise ValueError("left-sided limit undefined at t = 0")
-            return self.coeffs[nearest - 1, -1].copy()
+            return (self.coeffs[nearest - 1, -1] if nearest else self.initial_state).copy()
         m = min(int(r), self.n_slabs - 1)
         local = t - m * self.tau
         return self.basis.values_at(local) @ self.coeffs[m]

@@ -141,12 +141,6 @@ class ScalarSpace:
         dofs = g[:, None, :, None] * (n * p) + g[None, :, None, :]     # [j, i, b, a]
         return dofs.reshape(n * n, self.n_loc)
 
-    def owned_dofs(self) -> np.ndarray:
-        """Global DOFs each cell owns, shape (n^2, p^2) in cell order: the
-        nodes of the cell's lower-left corner block, a, b < p."""
-        p = self.p
-        return self.cell_dofs[:, (np.arange(p)[:, None] * (p + 1) + np.arange(p)).ravel()]
-
     def node_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """1D coordinates of the distinct global Lagrange nodes per axis."""
         n, p = self.mesh.n, self.p
@@ -212,12 +206,6 @@ class VectorSpace:
         y_comp = [self._edge_dof_horizontal(i, j, t), interior + n * n * int_per_cell,
                   self._edge_dof_horizontal(i, j + 1, t)]
         return np.concatenate(x_comp + y_comp, axis=1)
-
-    def owned_dofs(self) -> np.ndarray:
-        """Global DOFs each cell owns, shape (n^2, 2 p^2) in cell order: its
-        interior values and its left and bottom edges."""
-        per_comp = np.arange((self.k + 1) ** 2)
-        return self.cell_dofs[:, np.concatenate([per_comp, self.n_comp_loc + per_comp])]
 
     def basis_values(self, xi, eta) -> tuple[np.ndarray, np.ndarray]:
         """Component values (vx, vy) of the local basis, shapes (npts, n_loc)."""

@@ -347,19 +347,14 @@ def export_snapshot(sol: DiscreteSolution, t: float, resolution: int,
                     path_base: str) -> tuple[str, str]:
     """Sample the u component on a uniform raster and write VTK + CSV files.
 
-    The raster uses cell-centred points ((i+0.5)/res, (j+0.5)/res).  Returns
-    the two file paths written.
+    The raster uses cell-centred points ((i+0.5)/res, (j+0.5)/res) and the
+    left limit at t, the datum x0 at t = 0.  Returns the two paths written.
     """
     if not 0.0 <= t <= sol.T + 1e-12:
         raise ValueError(f"snapshot time {t} outside [0, {sol.T}]")
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution!r}")
-    if t / sol.tau < 1e-9:
-        # at the initial instant the state is the datum x0 itself; the
-        # tolerance is the one with which coefficients_at snaps t onto t = 0
-        coeffs = sol.initial_state
-    else:
-        coeffs = sol.coefficients_at(t, "-")
+    coeffs = sol.coefficients_at(t, "-")
     values = _contract(sol.space_u, coeffs[: sol.ndof_u],
                        _raster_tabulation(sol.space_u, resolution))[0]
     return _write_raster(values.reshape(resolution, resolution), t, path_base)

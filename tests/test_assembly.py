@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sparse
 
 from parahyp import coefficients as co
+from parahyp import slab
 from parahyp.assembly import (_lagrange_integrals, assemble_div_block,
                               assemble_grad_block, assemble_load, assemble_mass_v,
                               assemble_weighted_mass_u, build_block_system)
@@ -26,6 +27,27 @@ def reference_matrices(su, sv, s0, s1):
             "coupling": sparse.bmat([[assemble_weighted_mass_u(su, s1),
                                       assemble_div_block(sv, su)],
                                      [assemble_grad_block(su, sv), None]], format="csr")}
+
+
+# the (row space, column space) blocks of each stacked matrix, 0 = u, 1 = v
+COVERED = {"m0": ((0, 0), (1, 1)), "m_unweighted": ((0, 0), (1, 1)),
+           "coupling": ((0, 0), (0, 1), (1, 0))}
+
+
+def gathered(blocks, name):
+    """The whole matrix gathered from ``cell_matrices``: each kind's entries
+    on the local slots its blocks cover, expanded to cells and summed in cell
+    order, duplicates sorted stably by (row, column)."""
+    kind, matrices = blocks.cell_matrices(name)
+    part = np.repeat([0, 1], [blocks.space_u.n_loc, blocks.space_v.n_loc])
+    covered = sum(np.outer(part == r, part == c) for r, c in COVERED[name])
+    slot_rows, slot_cols = np.nonzero(covered)
+    dofs = blocks.cell_dofs()
+    data = matrices[:, slot_rows, slot_cols][kind].ravel()
+    rows, cols = dofs[:, slot_rows].ravel(), dofs[:, slot_cols].ravel()
+    order = np.argsort(rows * blocks.ndof + cols, kind="stable")
+    return sparse.coo_matrix((data[order], (rows[order], cols[order])),
+                             shape=(blocks.ndof, blocks.ndof)).tocsr()
 
 
 def assert_same_csr(a, b):
@@ -212,26 +234,33 @@ class TestBlockSystemAndDump:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_rows_match_whole_matrices(self, n):
-        # the stencil blocks, placed at the DOFs of their offset cells, are
-        # cell 0's owned rows of the whole matrices
+        # the fibre symbols' cell-offset blocks, placed at the DOFs of their
+        # offset cells, are cell 0's owned rows of the whole matrices
         mesh = build_mesh(n)
         for p in (1, 2, 3):
             su, sv = ScalarSpace(mesh, p), VectorSpace(mesh, p)
             for s0, s1 in [(0.8, 0.3), (0.5, 0.5)]:
                 blocks = build_block_system(su, sv, s0, s1)
-                owned = blocks.owned_dofs()
+                cell_dofs = blocks.cell_dofs()
+                owned = cell_dofs[:, slab._owned_slots(cell_dofs)]
                 n_own = owned.shape[1]
-                stencils = {name: blocks.stencil(name) for name in ("m0", "coupling")}
-                # the stencil assembles no whole matrix
+                slot = np.empty(blocks.ndof, dtype=np.int64)
+                slot[owned.ravel()] = np.arange(blocks.ndof)
+                terms = {name: slab._symbol_terms(blocks, name, slot)
+                         for name in ("m0", "coupling")}
+                # the symbols assemble no whole matrix
                 assert not blocks._assembled
                 for name, whole in [("m0", blocks.m0()), ("coupling", blocks.coupling())]:
-                    offsets, parts = stencils[name]
-                    assert np.array_equal(offsets, np.unique(offsets))
-                    rows = np.zeros((n_own, blocks.ndof))
-                    rows[:, owned[offsets].ravel()] = np.concatenate(
-                        parts.reshape(-1, n_own, n_own), axis=1)
+                    phases, parts = terms[name]
+                    # symbol k = ky n + kx sums block d = j n + i times
+                    # exp(2 pi i (kx i + ky j) / n): a DFT back to the blocks
+                    symbols = (phases @ parts).reshape(n, n, n_own, n_own)
+                    offset_blocks = np.fft.fft2(symbols, axes=(0, 1)) / n**2
+                    rows = np.zeros((n_own, blocks.ndof), dtype=complex)
+                    rows[:, owned.ravel()] = np.concatenate(
+                        offset_blocks.reshape(-1, n_own, n_own), axis=1)
                     expected = whole[owned[0]].toarray()
-                    assert abs(rows - expected).max() <= 1e-15 * abs(expected).max()
+                    assert abs(rows - expected).max() <= 1e-14 * abs(expected).max()
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_cell_matrices_scatter_to_whole_matrices(self, n):
@@ -259,10 +288,11 @@ class TestBlockSystemAndDump:
                     assert abs(scattered - expected).max() <= 1e-15 * abs(expected).max()
 
     def test_blocks_assembled_on_first_use_and_cached(self):
-        # one scatter of the kinds' element matrices gives the blocks stitched
-        # from the assemble_* functions: the same structure, explicit zeros
-        # included, and the same entries
-        for n, p in [(n, p) for n in (1, 2, 4) for p in (1, 2, 3)]:
+        # the whole matrices are the blocks stitched from the assemble_*
+        # functions, and bit for bit the kinds' element matrices gathered over
+        # the cells: the same structure, explicit zeros included, and the same
+        # entries
+        for n, p in [(n, p) for n in (1, 2, 4) for p in (1, 2, 3, 4)]:
             mesh = build_mesh(n)
             su, sv = ScalarSpace(mesh, p), VectorSpace(mesh, p)
             cases = [(0.8, 0.3)]
@@ -275,28 +305,41 @@ class TestBlockSystemAndDump:
                     whole = getattr(blocks, name)()
                     assert getattr(blocks, name)() is whole
                     assert_same_csr(whole, expected)
+                    oracle = gathered(blocks, name)
+                    for part in ("data", "indices", "indptr"):
+                        assert np.array_equal(getattr(whole, part), getattr(oracle, part))
 
     def test_stencil_needs_one_kind_of_cell(self):
+        # the fibre symbols need constant coefficients
         mesh = build_mesh(4)
         su, sv = ScalarSpace(mesh, 2), VectorSpace(mesh, 2)
         blocks = build_block_system(su, sv, co.checkerboard(2), co.checkerboard_complement(2))
         assert blocks.n_kinds == 2
+        slot = np.arange(blocks.ndof)
         for name in ("m0", "coupling"):
             with pytest.raises(ValueError, match="2 kinds of cell"):
-                blocks.stencil(name)
+                slab._symbol_terms(blocks, name, slot)
         assert build_block_system(su, sv, 0.5, 0.5).n_kinds == 1
 
     def test_integrals_and_owned_dofs_built_once_and_read_only(self):
-        mesh = build_mesh(3)
-        su, sv = ScalarSpace(mesh, 2), VectorSpace(mesh, 2)
         ints = _lagrange_integrals(2)
         assert _lagrange_integrals(2) is ints
-        blocks = build_block_system(su, sv, 0.5, 0.5)
-        owned = blocks.owned_dofs()
-        assert blocks.owned_dofs() is owned
-        assert np.array_equal(owned[:, :4], su.owned_dofs())
-        for array in (owned, *ints.values()):
+        for array in ints.values():
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
         with pytest.raises(TypeError):
             ints["m1"] = np.eye(3)
+        # the stacked ownership is u's, then v's shifted by ndof_u; the
+        # Floquet-Bloch path derives it once, with its inverse
+        mesh = build_mesh(3)
+        su, sv = ScalarSpace(mesh, 2), VectorSpace(mesh, 2)
+        blocks = build_block_system(su, sv, 0.5, 0.5)
+        u_owned = su.cell_dofs[:, slab._owned_slots(su.cell_dofs)]
+        v_owned = sv.cell_dofs[:, slab._owned_slots(sv.cell_dofs)]
+        owned = np.concatenate([u_owned, su.ndof + v_owned], axis=1)
+        cell_dofs = blocks.cell_dofs()
+        assert np.array_equal(cell_dofs[:, slab._owned_slots(cell_dofs)], owned)
+        eig = slab._temporal_eigenbasis(slab.SlabBasis(1, 1.0, 1 / 4))
+        fibres = slab._BlochFibres(blocks, eig, np.zeros(blocks.ndof))
+        assert np.array_equal(fibres._perm, owned.ravel())
+        assert np.array_equal(fibres._order[fibres._perm], np.arange(blocks.ndof))

@@ -355,7 +355,8 @@ class TestRunBehaviour:
             blocks, loads, fibres = self.bloch_fibres(n, p, q)
             n_own = 3 * p * p
             m0_hat, c_hat = ((phases @ terms).reshape(n * n, n_own, n_own) for phases, terms
-                             in (slab._symbol_terms(blocks, name) for name in ("m0", "coupling")))
+                             in (slab._symbol_terms(blocks, name, fibres._order)
+                                 for name in ("m0", "coupling")))
             rng = np.random.default_rng(5)
             p_hat = rng.standard_normal((n * n, n_own)) + 1j * rng.standard_normal((n * n, n_own))
             l_hat = fibres.to_fibres(loads.spatial)
@@ -763,9 +764,18 @@ class TestTraces:
         assert above == pytest.approx(
             solution.basis.left_values @ solution.coeffs[1], abs=0.0)
         with pytest.raises(ValueError):
-            solution.coefficients_at(0.0, "-")
-        with pytest.raises(ValueError):
             solution.coefficients_at(solution.T, "+")
+        # the left limit at t = 0 is the datum x0, also where t snaps onto 0
+        x0 = np.random.default_rng(0).standard_normal(solution.coeffs.shape[2])
+        started = dataclasses.replace(solution, initial_state=x0)
+        for t in (0.0, 1e-12):
+            at_zero = started.coefficients_at(t, "-")
+            assert np.array_equal(at_zero, x0) and at_zero is not x0
+
+    def test_rho_must_be_the_basis_weight(self, solution):
+        # E_Q weights by sol.rho but integrates by the basis's rho weights
+        with pytest.raises(ValueError, match="rho=2.0 differs from the slab basis's rho=1.0"):
+            dataclasses.replace(solution, rho=2.0)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected(self, solution, t):

@@ -8,6 +8,7 @@ import pytest
 
 from parahyp.mesh import build_mesh
 from parahyp.quadrature import gauss_legendre_1d
+from parahyp.slab import _owned_slots
 from parahyp.spaces import (ScalarSpace, VectorSpace, _contract, _shifted_legendre_values,
                             _tabulate, eval_div, eval_scalar, eval_scalar_grad, eval_vector, gauss_lobatto_points,
                             interpolate_scalar, project_vector)
@@ -304,24 +305,37 @@ class TestVectorSpace:
             assert np.abs(fit - table).max() < 1e-9
 
 
+def owned_by_hand(space):
+    """The DOFs each cell owns, written out: the lower-left Q_p block a, b < p,
+    or the RT interior values and the left and bottom edges."""
+    p = space.p
+    if isinstance(space, ScalarSpace):
+        return space.cell_dofs[:, (np.arange(p)[:, None] * (p + 1) + np.arange(p)).ravel()]
+    per_comp = np.arange(p * p)
+    return space.cell_dofs[:, np.concatenate([per_comp, space.n_comp_loc + per_comp])]
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 # the ids are the names these cases are known by in test reports
 @pytest.mark.parametrize("build", [ScalarSpace, VectorSpace],
                          ids=["build_scalar_space", "build_vector_space"])
 def test_owned_dofs_bijective_and_translation_covariant(build, p):
-    n = 3
-    space = build(build_mesh(n), p)
-    owned = space.owned_dofs()
-    assert owned.shape[0] == n * n
-    assert np.array_equal(np.sort(owned.ravel()), np.arange(space.ndof))
-    i, j = np.arange(n * n) % n, np.arange(n * n) // n
-    for di, dj in ((1, 0), (0, 1)):
-        # the one-cell translation that the owned map defines on global DOFs
-        target = (j + dj) % n * n + (i + di) % n
-        shift = np.empty(space.ndof, dtype=np.int64)
-        shift[owned] = owned[target]
-        # moves every cell's full local DOF list onto its neighbour's
-        assert np.array_equal(shift[space.cell_dofs], space.cell_dofs[target])
+    # the ownership that the Floquet-Bloch path derives from the cell DOFs;
+    # at n = 1 the one cell holds some DOFs at several slots
+    for n in (1, 2, 3):
+        space = build(build_mesh(n), p)
+        owned = space.cell_dofs[:, _owned_slots(space.cell_dofs)]
+        assert np.array_equal(owned, owned_by_hand(space))
+        assert owned.shape[0] == n * n
+        assert np.array_equal(np.sort(owned.ravel()), np.arange(space.ndof))
+        i, j = np.arange(n * n) % n, np.arange(n * n) // n
+        for di, dj in ((1, 0), (0, 1)):
+            # the one-cell translation that the owned map defines on global DOFs
+            target = (j + dj) % n * n + (i + di) % n
+            shift = np.empty(space.ndof, dtype=np.int64)
+            shift[owned] = owned[target]
+            # moves every cell's full local DOF list onto its neighbour's
+            assert np.array_equal(shift[space.cell_dofs], space.cell_dofs[target])
 
 
 def scalar_cell_dofs_loop(space):

@@ -19,31 +19,35 @@ diagonalising the small temporal coupling matrix K / w = V diag(lam) V^-1
 system splits into one spatial system lam M0 + C per eigenvalue.  The
 solutions of a complex conjugate pair are conjugate, so both spatial solvers
 step by one eigenbasis row per real eigenvalue or pair and recombine the
-nodal coefficients as Re(w @ y) (``_temporal_eigenbasis``).  With constant
+nodal coefficients as Re(w @ y) (``_temporal_eigenbasis``).  On both
+spatial paths the checkerboard's point group, the reflections (x, y) ->
+(y, x) and (x, y) -> (1-x, 1-y), which commutes with the operators, splits
+the run into one independent run per character that the start or the
+loads reach: one for the study's symmetric data.  With constant
 coefficients each spatial system is block-circulant over the mesh cells
-and splits into its n^2 Floquet-Bloch fibres (2-D FFT over the cells).
-Each fibre eliminates its flux unknowns through the invertible RT mass
-symbol, which leaves a p^2 x p^2 Schur complement per row in place of the
-3p^2 x 3p^2 fibre system.  For a separable source the iteration then stays
-in fibre space from slab to slab: the eliminated fibre operators and loads
-are built once, each slab is two small batched matvecs per row, and only
-the stored coefficients are transformed back.  For other coefficients or
-loads the checkerboard's point group, the reflections (x, y) -> (y, x) and
-(x, y) -> (1-x, 1-y), which commutes with the operators, splits the run
-into one independent run per character that the start or the loads reach:
-one for the study's symmetric data.  Each runs on one representative value
-per orbit of the group, condenses out the DOFs inside the cells of the free
-orbits through small dense solves per kind of cell on one representative
-cell each, and factorises the remaining quarter-size skeleton block by
-sparse LU (``_SpluSteps``).  Both paths read the operators as element
-matrices per kind of cell and assemble no global matrix, and the path
-follows from the inputs alone.  The temporal eigenbasis is a precondition:
-a slab whose eigenbasis fails its conditioning check is refused with a
-``ValueError`` before anything is assembled.  That happens only for long
-slabs under a strong weight: never for q = 0 (up to rho tau = 100), and
-on and off from rho tau of about 12 for q = 1, from 11 for q = 2 (all but
-once), 8.5 for q = 3 and 4, and 6.5-7.5 for q = 5-7; every q <= 7 passes
-below rho tau = 6.5.  Shorter slabs or a lower q pass the check.
+and splits into its n^2 Floquet-Bloch fibres (2-D FFT over the cells),
+which the group permutes, so each character's run holds one fibre per
+orbit.  Each fibre eliminates its flux unknowns through the invertible RT
+mass symbol, which leaves a p^2 x p^2 Schur complement per row in place of
+the 3p^2 x 3p^2 fibre system.  For a separable source the iteration then
+stays in fibre space from slab to slab: the eliminated operators and loads
+are built once on the representative fibres, each slab is two small
+batched matvecs per row and character, and only the stored coefficients
+are expanded onto all fibres and transformed back (``_BlochFibres``).  For
+other coefficients or loads each character's run holds one representative
+value per orbit of the DOFs, condenses out the DOFs inside the cells of the
+free orbits through small dense solves per kind of cell on one
+representative cell each, and factorises the remaining quarter-size
+skeleton block by sparse LU (``_SpluSteps``).  Both paths read the
+operators as element matrices per kind of cell and assemble no global
+matrix, and the path follows from the inputs alone.  The temporal
+eigenbasis is a precondition: a slab whose eigenbasis fails its
+conditioning check is refused with a ``ValueError`` before anything is
+assembled.  That happens only for long slabs under a strong weight: never
+for q = 0 (up to rho tau = 100), and on and off from rho tau of about 12
+for q = 1, from 11 for q = 2 (all but once), 8.5 for q = 3 and 4, and
+6.5-7.5 for q = 5-7; every q <= 7 passes below rho tau = 6.5.  Shorter
+slabs or a lower q pass the check.
 """
 
 from __future__ import annotations
@@ -222,7 +226,7 @@ def _point_group(blocks: BlockSystem) -> list[tuple[np.ndarray, np.ndarray]]:
             values = getattr(blocks, coefficient)
             if not np.array_equal(values[cell_map], values):
                 raise ValueError(f"the {coefficient[:2]} cell values are not invariant under "
-                                 f"{name}; the sparse-LU rows need the checkerboard's symmetry")
+                                 f"{name}; the solver needs the checkerboard's symmetry")
         source = np.empty(blocks.ndof, dtype=np.int64)
         sign = np.empty(blocks.ndof)
         source[dofs] = dofs[cell_map][:, slot_map]
@@ -231,32 +235,42 @@ def _point_group(blocks: BlockSystem) -> list[tuple[np.ndarray, np.ndarray]]:
     return group
 
 
-# the characters (chi(s), chi(r)) of G, the trivial one first
+# the characters (chi(s), chi(r)) of G, the trivial one first, and their
+# values chi(g) at g = e, s, r, sr, one column per character
 _CHARACTERS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_CHARACTER_TABLE = np.array([[1, c_s, c_r, c_s * c_r] for c_s, c_r in _CHARACTERS], float).T
 
 
-def _symmetry_bases(group, key: np.ndarray) -> list[SimpleNamespace]:
+def _elements(group) -> tuple[np.ndarray, np.ndarray]:
+    """The signed permutations T_g of g = e, s, r and sr = s r from the
+    generators ``group`` (``_point_group``), stacked: sources and signs,
+    each (4, ndof)."""
+    (src_s, sign_s), (src_r, sign_r) = group
+    ndof = len(src_s)
+    return (np.stack([np.arange(ndof), src_s, src_r, src_r[src_s]]),
+            np.stack([np.ones(ndof), sign_s, sign_r, sign_s * sign_r[src_s]]))
+
+
+def _symmetry_bases(elements, key: np.ndarray) -> list[SimpleNamespace]:
     """For each character chi in ``_CHARACTERS``, the vectors x with T_g x =
-    chi(g) x for all g in G, the range of P_chi = sum_g chi(g) T_g / 4, as
-    x = E_chi u: u holds x at one representative DOF per orbit, the image of
-    least ``key``, and DOF d holds ``coef[d] u[index[d]]`` with ``coef`` in
+    chi(g) x for all g in G (``elements``, from ``_elements``), the range of
+    P_chi = sum_g chi(g) T_g / 4, as x = E_chi u: u holds x at one
+    representative DOF per orbit, the image of least ``key``, and DOF d
+    holds ``coef[d] u[index[d]]`` with ``coef`` in
     {1, -1}, or 0 on an orbit that some g fixes with chi(g) sign = -1, which
     chi forces to zero.  The orbits are numbered in the order of their
     representatives' keys, ``size`` of them, and ``counts`` holds the DOFs
     per orbit, so that P_chi x = E_chi (E_chi^T x / counts) (``_orbit_sums``)."""
     ndof = len(key)
-    (src_s, sign_s), (src_r, sign_r) = group
-    # the images of each DOF under e, s, r and sr = s r
-    src = np.stack([np.arange(ndof), src_s, src_r, src_r[src_s]])
-    sign = np.stack([np.ones(ndof), sign_s, sign_r, sign_s * sign_r[src_s]])
+    src, sign = elements
     rep = np.take_along_axis(src, key[src].argmin(axis=0)[None], axis=0)[0]
     # the elements that map d onto its representative agree on chi(g) sign,
     # or cancel exactly
     onto_rep = sign * (src == rep)
     order = np.argsort(key)
     bases = []
-    for c_s, c_r in _CHARACTERS:
-        coef = np.sign(np.array([1.0, c_s, c_r, c_s * c_r]) @ onto_rep)
+    for chi in _CHARACTER_TABLE.T:
+        coef = np.sign(chi @ onto_rep)
         alive = order[((rep == np.arange(ndof)) & (coef != 0))[order]]
         size = len(alive)
         number = np.zeros(ndof, dtype=np.int64)
@@ -272,6 +286,29 @@ def _orbit_sums(ch: SimpleNamespace, data: np.ndarray) -> np.ndarray:
     rows = data.reshape(-1, data.shape[-1])
     sums = [np.bincount(ch.index, ch.coef * row, ch.size)[:ch.size] for row in rows]
     return np.reshape(sums, (*data.shape[:-1], ch.size))
+
+
+# an input's component below this fraction of its norm does not start its
+# character
+_ACTIVE = 1e-12
+
+
+def _reach(chars: list[SimpleNamespace], data: np.ndarray, active, meta: dict) -> dict:
+    """The orbit sums E_chi^T data (..., size) of the characters ``chars``
+    (``_symmetry_bases``) that are in ``active`` or that ``data`` (..., ndof)
+    reaches: whose component |P_chi data| exceeds ``_ACTIVE`` |data|.  The
+    largest component left out, relative to |data|, is kept in
+    ``meta["symmetry_dropped"]``."""
+    norm = np.linalg.norm(data)
+    sums = {}
+    for chi, ch in enumerate(chars):
+        part = _orbit_sums(ch, data)
+        reached = np.linalg.norm(part / np.sqrt(ch.counts))       # |P_chi data|
+        if chi in active or reached > _ACTIVE * norm:
+            sums[chi] = part
+        elif reached:
+            meta["symmetry_dropped"] = max(meta["symmetry_dropped"], reached / norm)
+    return sums
 
 
 class _SpluSteps:
@@ -325,10 +362,6 @@ class _SpluSteps:
     interior.
     """
 
-    # an input's component below this fraction of its norm does not start
-    # its character
-    _ACTIVE = 1e-12
-
     def __init__(self, blocks: BlockSystem, eig: _Eigenbasis,
                  spatial_load: np.ndarray | None = None):
         self._eig, self._spatial, self._load = eig, spatial_load, {}
@@ -353,7 +386,7 @@ class _SpluSteps:
         key = np.arange(ndof)
         key[cell_dofs[free][:, inner]] = ndof + np.arange(free.size * len(inner)).reshape(
             len(free), len(inner))
-        self._chars = _symmetry_bases(group, key)
+        self._chars = _symmetry_bases(_elements(group), key)
         self._rep_dofs, self._rep_kind, self._weight = cell_dofs[reps], kind[reps], orbit[reps]
         # (representatives, skeleton slots) of the free and the diagonal orbits
         self._groups = ((slice(0, self._n_free), outer),
@@ -391,20 +424,6 @@ class _SpluSteps:
             vinv, beta = (eig.vinv[r].real, eig.beta[r].real) if real \
                 else (eig.vinv[r], eig.beta[r])
             self._rows.append((vinv, beta, left, w.transpose(0, 2, 1), (schur, a)))
-
-    def _reach(self, data: np.ndarray, active) -> dict:
-        """The orbit sums E_chi^T data (..., size) of the characters in
-        ``active`` and of those that ``data`` (..., ndof) reaches."""
-        norm = np.linalg.norm(data)
-        sums = {}
-        for chi, ch in enumerate(self._chars):
-            part = _orbit_sums(ch, data)
-            reached = np.linalg.norm(part / np.sqrt(ch.counts))       # |P_chi data|
-            if chi in active or reached > self._ACTIVE * norm:
-                sums[chi] = part
-            elif reached:
-                self.meta["symmetry_dropped"] = max(self.meta["symmetry_dropped"], reached / norm)
-        return sums
 
     def _join(self, state: dict, reached) -> dict:
         """``state`` with each character of ``reached`` that it lacks started
@@ -451,9 +470,9 @@ class _SpluSteps:
     def initial_state(self, x0: np.ndarray) -> dict:
         """The representative values of each character that x0 reaches, and
         zero for those that only the separable load reaches."""
-        start = self._reach(x0, ())
+        start = _reach(self._chars, x0, (), self.meta)
         if self._spatial is not None:
-            self._load = self._reach(self._spatial, start)
+            self._load = _reach(self._chars, self._spatial, start, self.meta)
         state = self._join({}, start.keys() | self._load.keys())
         for chi, sums in start.items():
             state[chi] = sums / self._chars[chi].counts
@@ -487,7 +506,7 @@ class _SpluSteps:
 
     def step(self, state: dict, loads, m: int, out: np.ndarray) -> dict:
         if self._spatial is None:
-            load = self._reach(loads(m), state)
+            load = _reach(self._chars, loads(m), state, self.meta)
             state = self._join(dict(state), load)
         else:
             factors = loads.factors(m)
@@ -526,8 +545,7 @@ def _symbol_terms(blocks: BlockSystem, matrix: str,
     translated, so the DOFs that cell 0 owns couple to those that cell
     d = j n + i owns through one block: the sum of cell 0's entries whose
     column's owner lies (i, j) cells from its row's owner, mod n per axis
-    (the periodic wrap).  The phases of a self-conjugate fibre (theta_x,
-    theta_y in {0, pi}) are exactly +-1, so its symbol is real."""
+    (the periodic wrap)."""
     if blocks.n_kinds > 1:
         raise ValueError(f"the fibre symbols need constant coefficients; these blocks "
                          f"have {blocks.n_kinds} kinds of cell")
@@ -545,10 +563,40 @@ def _symbol_terms(blocks: BlockSystem, matrix: str,
     # cell d = j n + i sits at (i, j)
     phases = np.exp(1j * (theta[:, None, None] * (offsets // n)
                           + theta[None, :, None] * (offsets % n)))
-    zero_or_pi = 2 * np.arange(n) % n == 0
-    real = np.ix_(zero_or_pi, zero_or_pi)
-    phases[real] = phases[real].real
     return phases.reshape(n * n, -1), offset_blocks
+
+
+def _fibre_action(elements, n: int, perm: np.ndarray,
+                  order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G on the fibres x^ of ``_BlochFibres.to_fibres``: for g = e, s, r, sr
+
+        (T_g x)^[k, l] = factor[g, k, l] x^[images[g, k], slots[g, l]],
+
+    returned as (images (4, n^2), slots (4, 3p^2), factor (4, n^2, 3p^2)).
+    ``perm`` lists the stacked DOFs by cell and owned slot (``_owned_slots``)
+    and ``order`` is its inverse.  T_g (``_point_group``) reads owned slot l
+    of cell c = (j, i), cell j n + i, from slot pi_g(l) of cell
+    A_g c + delta_l, with sign sigma_l, where A_g is the identity, the swap
+    of the cell axes, -I or -swap, and pi_g, sigma and delta are the same in
+    every cell: they are read from cell 0.  A_g is orthogonal and its own
+    inverse, so the 2-D DFT turns this into, for fibre k = (ky, kx), fibre
+    ky n + kx,
+
+        (T_g x)^[k, l] = sigma_l e^(2 pi i k . A_g delta_l / n) x^[A_g k, pi_g(l)]."""
+    n_own = len(perm) // (n * n)
+    src, sign = elements
+    cell, slots = np.divmod(order[src[:, perm[:n_own]]], n_own)
+    grid = np.arange(n * n).reshape(n, n)
+    neg = -np.arange(n) % n
+    images = np.stack([grid, grid.T, grid[neg][:, neg], grid[neg][:, neg].T]).reshape(4, -1)
+    # A_g delta_l, by component (j, i), and the phase as a product over them
+    d_j, d_i = np.divmod(cell, n)
+    swap, flip = np.array([[0], [1], [0], [1]]), np.array([[1], [1], [-1], [-1]])
+    a_j, a_i = flip * np.where(swap, d_i, d_j), flip * np.where(swap, d_j, d_i)
+    roots, k = np.exp(2j * np.pi / n * np.arange(n)), np.arange(n)[:, None]
+    factor = (sign[:, None, perm[:n_own]] * roots[k * a_j[:, None] % n])[:, :, None] \
+        * roots[k * a_i[:, None] % n][:, None]
+    return images, slots, factor.reshape(4, n * n, n_own)
 
 
 class _BlochFibres:
@@ -580,33 +628,41 @@ class _BlochFibres:
         G_i p^ = [z; (beta_i p^_v - K z) / lam_i],
         z = X_i p^,   X_i = beta_i S_i^-1 [M_u, -C_uv / lam_i].
 
-    The separable source's spatial load L^, transformed once, has no flux
-    part, so its response is A_i^-1 [L^_u; 0] = [h_i; -K h_i / lam_i] with
-    h_i = S_i^-1 L^_u.  The factorisation stores X_i, K and h_i (5p^4 + p^2
-    numbers per fibre for one eigenvalue, against 9p^4 for a dense G_i).
-    The operators are real, so every symbol at -theta is the conjugate of
-    the one at theta: the symbols, K and C_uv K are formed on the half zone
-    f <= flip(f) only and conjugated onto the partner fibres.  X_i and h_i
-    are then formed on every fibre alike, one inversion of S per fibre and
-    row.  With alpha_i = V^-1[i] f(t_nodes of m), slab m is
+    The separable source's spatial load L^ has no flux part, so its response
+    is A_i^-1 [L^_u; 0] = [h_i; -K h_i / lam_i] with h_i = S_i^-1 L^_u.  With
+    alpha_i = V^-1[i] f(t_nodes of m), slab m is
 
         y^_u = X_i p^ + alpha_i h_i,   y^_v = (beta_i p^_v - K y^_u) / lam_i,
 
     two batched small matvecs per eigenbasis row, where p^ is the previous
-    right trace in fibre space: the time-basis change commutes with the
-    FFT.  The next p^ is formed in fibre space too, since a conjugate
-    partner's fibre at theta is conj(y^(-theta)), an index flip.  Only the
-    stored coefficients go back to cells, by two in-place 1-D inverse FFTs
-    over the cell axes of the step's own y^ plus a scatter; no transform
-    runs forward per slab and no sparse matvec.
+    right trace in fibre space: the time-basis change commutes with the FFT.
+
+    The point group G (``_point_group``) commutes with the operators and
+    acts on the fibres by a signed slot permutation with phases that maps
+    fibre k onto A_g k (``_fibre_action``), so a run is the sum of
+    independent runs, one per character of G that x0 or the separable load
+    reaches (``_reach``, as on the ``splu`` path).  A character's fibres at
+    A_g k are chi(g) T_g^ of those at k, so each run holds only the least
+    fibre of each orbit of the fibres under G: about n^2 / 4.  The symbols,
+    K, X_i and S_i^-1 are formed on these representatives alone (6p^4
+    numbers per fibre for one eigenvalue), and h_i per character from the
+    load's component once the start is known.  The next right trace
+    Re(z), z = sum_i w[-1, i] y_i, has fibres (z^(theta) + conj z^(-theta))
+    / 2, and -theta = A_r theta gives z^(-theta) = chi(r) T_r^ z^(theta) on
+    the representatives themselves.  Only the stored coefficients go back
+    to cells: the characters are combined on the representatives, sum_chi
+    chi(g) y_chi for each distinct combination up to sign, expanded onto
+    all n^2 fibres by one gather times a phase factor into a preallocated
+    buffer, and transformed by two in-place 1-D inverse FFTs over the cell
+    axes plus a scatter.  No transform runs forward per slab and no sparse
+    matvec.
     """
 
-    # half-zone fibres per batch while building the operators, bounding the
-    # temporaries: a batch forms them on up to twice as many fibres
+    # representative fibres per batch while building the operators,
+    # bounding the temporaries
     _CHUNK = 128
 
     def __init__(self, blocks: BlockSystem, eig: _Eigenbasis, spatial_load: np.ndarray):
-        self.meta = {"solver": "decoupled", "spatial_solver": "bloch", **eig.meta}
         n = blocks.space_u.mesh.n
         cell_dofs = blocks.cell_dofs()
         owned = cell_dofs[:, _owned_slots(cell_dofs)]
@@ -615,36 +671,44 @@ class _BlochFibres:
         self._n, self._n_u, self._perm = n, n_u, owned.ravel()
         self._order = np.empty_like(self._perm)   # stacked DOF -> cell-major slot
         self._order[self._perm] = np.arange(self._perm.size)
+        elements = _elements(_point_group(blocks))
+        # the characters serve initial_state alone, which drops them
+        self._chars = _symmetry_bases(elements, np.arange(blocks.ndof))
+        images, self._slots, factor = _fibre_action(elements, n, self._perm, self._order)
+        # each fibre's orbit is represented by its least fibre; fibre k reads
+        # its values there through the first element g(k) with A_g k = rep
+        rep = images.min(axis=0)
+        self._reps = np.flatnonzero(rep == np.arange(n * n))
+        self._via = (images == rep).argmax(axis=0)
+        self._rep_of = np.searchsorted(self._reps, rep)
+        self._expand = factor[self._via, np.arange(n * n)]
+        self._r_factor = factor[2, images[2, self._reps]]
+        self._spatial, self._h = spatial_load, {}
+        self.meta = {"solver": "decoupled", "spatial_solver": "bloch",
+                     "fibres": len(self._reps), "symmetry_blocks": 0,
+                     "symmetry_dropped": 0.0, **eig.meta}
         (m0_phase, m0_d), (c_phase, c_d) = (_symbol_terms(blocks, "m0", self._order),
                                             _symbol_terms(blocks, "coupling", self._order))
-        fibre = np.arange(n)
-        self._flip = ((-fibre[:, None] % n) * n + (-fibre[None, :] % n)).ravel()
         self._lam, self._vinv, self._beta, self._w = eig.lam, eig.vinv, eig.beta, eig.w
-        # the right trace Re(z), z = sum_r w[-1, r] y_r, has fibres (z^ + conj z^(-theta)) / 2
-        self._w_last = eig.w[-1] / 2.0
-        rows, n_fib = len(eig.lam), n * n
-        self._x = np.empty((rows, n_fib, n_u, n_own), dtype=complex)
-        self._k = np.empty((n_fib, n_own - n_u, n_u), dtype=complex)
-        self._h = np.empty((rows, n_fib, n_u), dtype=complex)
-        l_u = self.to_fibres(spatial_load)[:, :n_u, None]
+        rows, n_reps = len(eig.lam), len(self._reps)
+        self._x = np.empty((rows, n_reps, n_u, n_own), dtype=complex)
+        self._k = np.empty((n_reps, n_own - n_u, n_u), dtype=complex)
+        self._s_inv = np.empty((rows, n_reps, n_u, n_u), dtype=complex)
         u, v = slice(None, n_u), slice(n_u, None)
-        half = np.flatnonzero(np.arange(n_fib) <= self._flip)
-        for start in range(0, len(half), self._CHUNK):
-            f = half[start:start + self._CHUNK]
-            pair = self._flip[f] != f
-            fibres = np.concatenate([f, self._flip[f[pair]]])
+        for start in range(0, n_reps, self._CHUNK):
+            chunk = slice(start, start + self._CHUNK)
+            f = self._reps[chunk]
             m0_hat = (m0_phase[f] @ m0_d).reshape(-1, n_own, n_own)
             c_hat = (c_phase[f] @ c_d).reshape(-1, n_own, n_own)
+            m_u, c_uu, c_uv = m0_hat[:, u, u], c_hat[:, u, u], c_hat[:, u, v]
             k = np.linalg.solve(m0_hat[:, v, v], c_hat[:, v, u])
-            # values at f, then their conjugates at the partner fibres
-            m_u, c_uu, c_uv, k, c_uv_k = (np.concatenate([a, a[pair].conj()]) for a in (
-                m0_hat[:, u, u], c_hat[:, u, u], c_hat[:, u, v], k, c_hat[:, u, v] @ k))
-            self._k[fibres] = k
+            self._k[chunk] = k
+            c_uv_k = c_uv @ k
             for r, lam in enumerate(self._lam):
                 s_inv = np.linalg.inv(lam * m_u + c_uu - c_uv_k / lam)
-                x = s_inv @ np.concatenate([m_u, -c_uv / lam], axis=2)
-                self._x[r, fibres] = self._beta[r] * x
-                self._h[r, fibres] = (s_inv @ l_u[fibres])[..., 0]
+                self._s_inv[r, chunk] = s_inv
+                self._x[r, chunk] = self._beta[r] * (s_inv @ np.concatenate([m_u, -c_uv / lam],
+                                                                            axis=2))
 
     def to_fibres(self, vec: np.ndarray) -> np.ndarray:
         """The fibres (n^2, 3p^2) of stacked vectors (..., ndof)."""
@@ -654,30 +718,75 @@ class _BlochFibres:
         np.fft.fft(cells, axis=-2, out=cells)
         return cells.reshape(*vec.shape[:-1], n * n, -1)
 
-    def initial_state(self, x0: np.ndarray) -> np.ndarray:
-        return self.to_fibres(x0)
+    def _component(self, chi: int, sums: np.ndarray) -> np.ndarray:
+        """The representative fibres of P_chi x = E_chi (E_chi^T x / counts)
+        from its orbit sums."""
+        ch = self._chars[chi]
+        return self.to_fibres(ch.coef * (sums / ch.counts)[ch.index])[self._reps]
 
-    def row_solutions(self, prev_hat: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """alpha_i A_i^-1 L^ + G_i p^ for every eigenbasis row i, shape (rows, n^2, 3p^2)."""
-        y_u = self._x @ prev_hat[:, :, None]
-        y_u[..., 0] += alpha[:, None, None] * self._h
-        y_v = self._k @ y_u
-        y_v[..., 0] -= self._beta[:, None, None] * prev_hat[:, self._n_u:]
+    def initial_state(self, x0: np.ndarray) -> dict:
+        """The representative fibres of each character that x0 or the load
+        reaches, zero for those only the load reaches.  It forms each
+        character's load responses h_i and the expansion onto all fibres."""
+        start = _reach(self._chars, x0, (), self.meta)
+        load = _reach(self._chars, self._spatial, start, self.meta)
+        for chi, sums in load.items():
+            l_u = self._component(chi, sums)[:, :self._n_u, None]
+            self._h[chi] = (self._s_inv @ l_u)[..., 0]
+        state = {chi: self._component(chi, start[chi]) if chi in start
+                 else np.zeros(self._r_factor.shape, dtype=complex)
+                 for chi in sorted(start.keys() | load.keys())}
+        del self._chars
+        self.meta["symmetry_blocks"] = len(state)
+        if state:
+            # z_g = sum_chi chi(g) y_chi is sign(g) times one of the combinations
+            values = _CHARACTER_TABLE[:, list(state)]
+            sign = values[:, :1]
+            self._combos, which = np.unique(values * sign, axis=0, return_inverse=True)
+            g, n_reps, n_own = self._via, len(self._reps), self._slots.shape[1]
+            self._gather = (which.ravel()[g, None] * n_reps + self._rep_of[:, None]) * n_own \
+                + self._slots[g]
+            self._expand *= sign[g]
+            self._buffer = np.empty((len(self._lam), *self._expand.shape), dtype=complex)
+        return state
+
+    def row_solutions(self, prev: np.ndarray, alpha: np.ndarray, h: np.ndarray | None,
+                      out: np.ndarray) -> np.ndarray:
+        """alpha_i A_i^-1 L^ + G_i p^ on the representative fibres for every
+        eigenbasis row i, into ``out`` (rows, fibres, 3p^2); ``h`` holds the
+        load responses h_i, None for a character the load does not reach."""
+        y_u, y_v = out[..., :self._n_u, None], out[..., self._n_u:, None]
+        np.matmul(self._x, prev[:, :, None], out=y_u)
+        if h is not None:
+            y_u[..., 0] += alpha[:, None, None] * h
+        np.matmul(self._k, y_u, out=y_v)
+        y_v[..., 0] -= self._beta[:, None, None] * prev[:, self._n_u:]
         y_v /= -self._lam[:, None, None, None]
-        return np.concatenate([y_u, y_v], axis=2)[..., 0]
+        return out
 
-    def step(self, prev_hat: np.ndarray, loads, m: int, out: np.ndarray) -> np.ndarray:
-        y = self.row_solutions(prev_hat, self._vinv @ loads.factors(m))
-        trace = np.tensordot(self._w_last, y, 1)
-        # y is this step's own array: back to cells in place, one cell axis at a time
-        cells = y.reshape(len(y), self._n, self._n, -1)
+    def step(self, state: dict, loads, m: int, out: np.ndarray) -> dict:
+        if not state:
+            out[:] = 0.0
+            return state
+        alpha = self._vinv @ loads.factors(m)
+        rows = len(self._lam)
+        y = np.empty((rows, len(state), *self._r_factor.shape), dtype=complex)
+        new = {}
+        for c, (chi, prev) in enumerate(state.items()):
+            z = np.tensordot(self._w[-1], self.row_solutions(prev, alpha, self._h.get(chi),
+                                                             y[:, c]), 1)
+            # Re(z) needs z at -theta = A_r theta: chi(r) T_r^ z on the representatives
+            partner = _CHARACTER_TABLE[2, chi] * self._r_factor * z[:, self._slots[2]]
+            new[chi] = (z + partner.conj()) / 2
+        combined = np.matmul(self._combos, y.reshape(rows, len(state), -1))
+        np.take(combined.reshape(rows, -1), self._gather, axis=1, out=self._buffer)
+        self._buffer *= self._expand
+        # back to cells in place, one cell axis at a time
+        cells = self._buffer.reshape(rows, self._n, self._n, -1)
         np.fft.ifft(cells, axis=1, out=cells)
         np.fft.ifft(cells, axis=2, out=cells)
         np.take(_recombine(self._w, cells), self._order, axis=1, out=out)
-        partner = np.take(trace, self._flip, axis=0)
-        np.conjugate(partner, out=partner)
-        partner += trace
-        return partner
+        return new
 
 
 def _make_factorisation(blocks: BlockSystem, eig: _Eigenbasis, loads):
@@ -685,9 +794,9 @@ def _make_factorisation(blocks: BlockSystem, eig: _Eigenbasis, loads):
     ``eig``: translation-invariant blocks with a separable load
     (``loads.spatial``) step in fibre space, all others by condensed sparse
     LUs.  Each factorisation keeps its own ``meta``: the path taken, the
-    eigenbasis diagnostics, and for the sparse LUs the skeleton size and the
-    symmetry blocks factorised so far, which the slabs add to as they reach
-    them."""
+    eigenbasis diagnostics, the symmetry blocks run so far, which the
+    sparse LUs add to as the slabs reach them, and the skeleton size or the
+    representative fibre count."""
     if loads.spatial is not None and blocks.n_kinds == 1:
         return _BlochFibres(blocks, eig, loads.spatial)
     return _SpluSteps(blocks, eig, loads.spatial)
@@ -840,25 +949,25 @@ def run(problem: ProblemData, n: int, p: int, q: int, tau: float,
     coefficients, separable source) or ``"splu"`` and ``meta`` carries the
     temporal eigenbasis residual ``|V V^-1 - I|_max`` and ``cond(V)``.  Both
     spatial solvers step by one eigenbasis row per real temporal eigenvalue
-    or conjugate pair.  The ``splu`` path is a sum of independent runs, one
-    per character of the checkerboard's point group that x0 or the loads
-    reach, each on one representative value per orbit:
+    or conjugate pair.  Both are a sum of independent runs, one per
+    character of the checkerboard's point group that x0 or the loads reach:
     ``meta["symmetry_blocks"]`` counts them (1 for data invariant under the
     group, such as every study problem) and ``meta["symmetry_dropped"]``
     gives the largest input component below 1e-12 of its input's norm that
-    was left out.  The interior unknowns of the cells off the two diagonals
-    are condensed out, ``meta["skeleton_dofs"]`` counts the unknowns left,
-    and each slab is one sparse triangular solve per character and row plus
-    small dense products on one cell per orbit (see ``_SpluSteps``).  Its
-    cell coefficients must be invariant under the group, or a
-    ``ValueError`` is raised.  On the ``bloch``
-    path the state stays in Floquet-Bloch fibre space from slab to slab.
-    Each fibre's flux unknowns are eliminated once and the load enters the
-    u block alone, so each slab is a p^2 x 3p^2 and a 2p^2 x p^2 batched
-    fibre matvec per row plus two in-place 1-D inverse FFTs for the stored
-    coefficients; the fibre symbols are built on half the Brillouin zone
-    and conjugated onto the other half, and the eliminated operators are
-    formed on every fibre (see ``_BlochFibres``).
+    was left out.  On the ``splu`` path each runs on one representative
+    value per orbit of the DOFs.  The interior unknowns of the cells off the
+    two diagonals are condensed out, ``meta["skeleton_dofs"]`` counts the
+    unknowns left, and each slab is one sparse triangular solve per
+    character and row plus small dense products on one cell per orbit (see
+    ``_SpluSteps``).  Its cell coefficients must be invariant under the
+    group, or a ``ValueError`` is raised.  On the ``bloch`` path the state
+    stays in Floquet-Bloch fibre space from slab to slab, on one fibre per
+    orbit of the group, ``meta["fibres"]`` of the n^2.  Each fibre's flux
+    unknowns are eliminated once and the load enters the u block alone, so
+    each slab is a p^2 x 3p^2 and a 2p^2 x p^2 batched fibre matvec per row
+    and character on the representatives, one gather onto all fibres and
+    two in-place 1-D inverse FFTs for the stored coefficients (see
+    ``_BlochFibres``).
 
     Both paths read the operators as element matrices per kind of cell and
     assemble no global matrix; only ``discrete_forcing`` assembles a whole

@@ -276,10 +276,13 @@ def interpolate_scalar(space: ScalarSpace, fn) -> np.ndarray:
     xs, ys = space.node_coordinates()
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
     vals = np.asarray(fn(xx, yy), dtype=float)
+    n, p = space.mesh.n, space.p
+    j, i = np.divmod(np.arange(n * n)[:, None, None], n)
+    a = np.arange(p)
+    # each node once: cell (i, j)'s local nodes (a, b) with a, b < p, at
+    # slot b (p+1) + a, sit at node i p + a along x and j p + b along y
     coeffs = np.empty(space.ndof)
-    npd = space.p * space.mesh.n
-    gx, gy = np.meshgrid(np.arange(npd), np.arange(npd), indexing="ij")
-    coeffs[gy * npd + gx] = vals
+    coeffs[space.cell_dofs[:, a[:, None] * (p + 1) + a]] = vals[i * p + a, j * p + a[:, None]]
     return coeffs
 
 

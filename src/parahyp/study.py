@@ -193,12 +193,14 @@ def _study_problem(kind: str, N: int | None, config: StudyConfig) -> coeff.Probl
 
 
 def _solver_path(sol: DiscreteSolution) -> str:
-    """``decoupled/bloch`` or ``decoupled/splu (skeleton S of N, B of 4
-    symmetry blocks)``."""
-    skeleton = sol.meta.get("skeleton_dofs")
-    return f"{sol.meta['solver']}/{sol.meta['spatial_solver']}" \
-        + (f" (skeleton {skeleton} of {sol.coeffs.shape[2]}, "
-           f"{sol.meta['symmetry_blocks']} of 4 symmetry blocks)" if skeleton else "")
+    """``decoupled/splu (skeleton S of N, B of 4 symmetry blocks)`` or
+    ``decoupled/bloch (R of n^2 fibres, B of 4 symmetry blocks)``: what the
+    run solved for, against the whole, and the characters it ran."""
+    meta = sol.meta
+    size = f"{meta['fibres']} of {meta['n'] ** 2} fibres" if meta["spatial_solver"] == "bloch" \
+        else f"skeleton {meta['skeleton_dofs']} of {sol.coeffs.shape[2]}"
+    return (f"{meta['solver']}/{meta['spatial_solver']} "
+            f"({size}, {meta['symmetry_blocks']} of 4 symmetry blocks)")
 
 
 def _solve(kind: str, N: int | None, config: StudyConfig, label: str, log, *,

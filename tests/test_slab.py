@@ -294,14 +294,18 @@ class TestRunBehaviour:
             mesh = build_mesh(n)
             ndof_u = ScalarSpace(mesh, p).ndof
             ndof = ndof_u + VectorSpace(mesh, p).ndof
-            # a random start excites every fibre, not only the constant mode
+            # a random start excites every fibre, not only the constant mode,
+            # and every character of the point group
             x0 = FieldPair.split(np.random.default_rng(n * p).standard_normal(ndof), ndof_u)
+            # at n = p = 1 the character (-1, 1) holds no DOF
+            characters = 4 if n * p > 1 else 3
             for q in range(5):
-                a = run_direct(prob, n=n, p=p, q=q, tau=1 / 4, x0=x0)
-                b = run(prob, n=n, p=p, q=q, tau=1 / 4, x0=x0)
-                assert (b.meta["solver"], b.meta["spatial_solver"]) == ("decoupled", "bloch")
-                scale = np.abs(a).max()
-                assert np.abs(a - b.coeffs).max() <= 1e-11 * max(scale, 1.0)
+                b = self.assert_fibre_loop_matches_direct(prob, n, p, q, x0=x0)
+                assert b.meta["symmetry_blocks"] == characters
+            # from rest the invariant box source reaches the trivial character alone
+            b = self.assert_fibre_loop_matches_direct(prob, n, p, 1)
+            assert b.meta["symmetry_blocks"] == 1
+            assert 0.0 <= b.meta["symmetry_dropped"] < 1e-12
 
     @pytest.mark.parametrize("s0, s1", [(0.0, 0.7), (0.6, 0.0)])
     @pytest.mark.parametrize("n", [2, 3])
@@ -316,7 +320,10 @@ class TestRunBehaviour:
             ndof = ndof_u + VectorSpace(mesh, p).ndof
             x0 = FieldPair.split(np.random.default_rng(n * p).standard_normal(ndof), ndof_u)
             for q in (1, 2):
-                self.assert_fibre_loop_matches_direct(prob, n, p, q, x0=x0)
+                b = self.assert_fibre_loop_matches_direct(prob, n, p, q, x0=x0)
+                assert b.meta["symmetry_blocks"] == 4
+                b = self.assert_fibre_loop_matches_direct(prob, n, p, q)
+                assert b.meta["symmetry_blocks"] == 1
 
     @staticmethod
     def bloch_fibres(n, p, q):
@@ -330,42 +337,67 @@ class TestRunBehaviour:
         assert fibres.meta["spatial_solver"] == "bloch"
         return blocks, loads, fibres
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_half_zone_covers_every_fibre_once(self, n):
-        _, _, fibres = self.bloch_fibres(n, 1, 1)
-        flip = fibres._flip
-        fibre = np.arange(n * n)
-        assert np.array_equal(flip[flip], fibre)
-        half = fibre[fibre <= flip]
-        partners = flip[half][flip[half] != half]
-        assert np.array_equal(np.sort(np.concatenate([half, partners])), fibre)
-        # theta = -theta: theta_x, theta_y in {0, pi}
-        assert np.count_nonzero(flip == fibre) == (4 if n % 2 == 0 else 1)
-        assert np.array_equal(fibres._k[flip], fibres._k.conj())
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
+    def test_fibre_action_and_orbit_representatives(self, n):
+        for p in (1, 2, 3):
+            blocks, _, fibres = self.bloch_fibres(n, p, 1)
+            elements = sources, signs = slab._elements(slab._point_group(blocks))
+            images, slots, factor = slab._fibre_action(elements, n, fibres._perm,
+                                                          fibres._order)
+            x = np.random.default_rng(n * p).standard_normal(blocks.ndof)
+            x_hat = fibres.to_fibres(x)
+            # (T_g x)^[k, l] = factor[g, k, l] x^[A_g k, pi_g(l)] for s, r and sr
+            for g in (1, 2, 3):
+                lhs = fibres.to_fibres(signs[g] * x[sources[g]])
+                rhs = factor[g] * x_hat[images[g]][:, slots[g]]
+                assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
+            fibre = np.arange(n * n)
+            # A_s swaps (ky, kx), A_r negates both, modulo n
+            k_y, k_x = np.divmod(fibre, n)
+            assert np.array_equal(images[1], k_x * n + k_y)
+            assert np.array_equal(images[2], (-k_y % n) * n + (-k_x % n))
+            # every orbit holds exactly one representative, its least fibre,
+            # and the recorded element maps each fibre onto it
+            reps = fibres._reps
+            assert all(len(set(images[:, k]) & set(reps)) == 1 for k in fibre)
+            assert np.array_equal(reps[fibres._rep_of], images.min(axis=0))
+            assert np.array_equal(images[fibres._via, fibre], reps[fibres._rep_of])
+            # Burnside: fibres fixed by e, s, r and sr
+            assert len(reps) == (n * n + n + (4 if n % 2 == 0 else 1) + n) // 4
+            assert fibres.meta["fibres"] == len(reps)
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("q", [0, 1, 2])
     def test_eliminated_fibre_operator_matches_dense_inverse(self, monkeypatch, n, q):
         # q = 0 plans one real eigenvalue, q = 1 one conjugate pair, q = 2 one
         # of each; even n has four self-conjugate fibres, odd n one; a chunk
-        # of two half-zone fibres splits the build into several batches
+        # of two representative fibres splits the build into several batches
         p = 2
         for chunk in (slab._BlochFibres._CHUNK, 2):
             monkeypatch.setattr(slab._BlochFibres, "_CHUNK", chunk)
             blocks, loads, fibres = self.bloch_fibres(n, p, q)
+            reps = fibres._reps
             n_own = 3 * p * p
-            m0_hat, c_hat = ((phases @ terms).reshape(n * n, n_own, n_own) for phases, terms
-                             in (slab._symbol_terms(blocks, name, fibres._order)
-                                 for name in ("m0", "coupling")))
+            m0_hat, c_hat = ((phases[reps] @ terms).reshape(len(reps), n_own, n_own)
+                             for phases, terms in (slab._symbol_terms(blocks, name, fibres._order)
+                                                   for name in ("m0", "coupling")))
+            fibres.initial_state(np.zeros(blocks.ndof))
+            assert fibres.meta["symmetry_blocks"] == 1
             rng = np.random.default_rng(5)
-            p_hat = rng.standard_normal((n * n, n_own)) + 1j * rng.standard_normal((n * n, n_own))
-            l_hat = fibres.to_fibres(loads.spatial)
+            p_hat = rng.standard_normal((len(reps), n_own)) \
+                + 1j * rng.standard_normal((len(reps), n_own))
+            l_hat = fibres.to_fibres(loads.spatial)[reps]
             rows = len(fibres._lam)
             assert rows == max(q, 1)
-            # the load response is stored as its u block alone
-            assert fibres._h.shape == (rows, n * n, p * p)
-            jumps = fibres.row_solutions(p_hat, np.zeros(rows))
-            responses = fibres.row_solutions(np.zeros_like(p_hat), np.ones(rows))
+            # the operators live on the representatives, the load response as
+            # its u block alone, for the load's one character
+            assert fibres._x.shape == (rows, len(reps), p * p, n_own)
+            assert fibres._h.keys() == {0}
+            assert fibres._h[0].shape == (rows, len(reps), p * p)
+            out = np.empty((rows, len(reps), n_own), dtype=complex)
+            jumps = fibres.row_solutions(p_hat, np.zeros(rows), fibres._h[0], out.copy())
+            responses = fibres.row_solutions(np.zeros_like(p_hat), np.ones(rows),
+                                             fibres._h[0], out)
             for r, lam in enumerate(fibres._lam):
                 a_hat = lam * m0_hat + c_hat
                 dense = fibres._beta[r] * np.linalg.solve(a_hat, m0_hat @ p_hat[..., None])[..., 0]

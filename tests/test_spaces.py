@@ -51,6 +51,23 @@ class TestScalarSpace:
         assert eval_scalar(space, coeffs, pts) == pytest.approx(
             fn(pts[:, 0], pts[:, 1]), abs=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_interpolation_follows_the_cell_numbering(self, n):
+        # x + 2y tells x from y, so a transposed numbering shows
+        fn = lambda x, y: x + 2 * y
+        for p in (1, 2, 3):
+            space = ScalarSpace(build_mesh(n), p)
+            coeffs = interpolate_scalar(space, fn)
+            nodes = space.nodes_1d
+            for c in range(n * n):
+                j, i = divmod(c, n)
+                for b in range(p + 1):
+                    for a in range(p + 1):
+                        x, y = (i + nodes[a]) / n, (j + nodes[b]) / n
+                        value = coeffs[space.cell_dofs[c, b * (p + 1) + a]]
+                        # the node at x = 1 or y = 1 is the periodic image of 0
+                        assert value == pytest.approx(fn(x % 1.0, y % 1.0), abs=1e-14)
+
     def test_periodicity_of_random_function(self, rng):
         space = ScalarSpace(build_mesh(4), 2)
         coeffs = rng.standard_normal(space.ndof)

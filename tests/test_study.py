@@ -231,7 +231,11 @@ class TestReferenceCheckpointing:
         logs = []
         sol = solve_reference("hom", None, config, logs.append)
         assert sol.meta["solver"] == "decoupled"
-        assert any("] solved" in line and "solver=decoupled" in line for line in logs)
+        # 8 x 8 fibres fall into 21 orbits of the point group, and the study
+        # data reach its trivial character alone
+        assert (sol.meta["fibres"], sol.meta["symmetry_blocks"]) == (21, 1)
+        assert any("] solved" in line and "solver=decoupled/bloch (21 of 64 fibres, "
+                   "1 of 4 symmetry blocks) in" in line for line in logs)
         # a checkpoint that does not record the solver path still loads
         path = os.path.join(config.out_dir, "ref_hom.ckpt")
         old = load_solution(path)
